@@ -181,8 +181,10 @@ int main(int argc, char** argv) {
   register_all();
   // Keep the default sweep quick (~30 s); pass your own
   // --benchmark_min_time to override for tighter confidence intervals.
+  // A bare number of seconds: google-benchmark 1.7 rejects the "0.05s"
+  // suffix form that later releases accept.
   std::vector<char*> args(argv, argv + argc);
-  std::string min_time = "--benchmark_min_time=0.05s";
+  std::string min_time = "--benchmark_min_time=0.05";
   const bool user_set_min_time = std::any_of(args.begin(), args.end(), [](const char* arg) {
     return std::string_view(arg).find("--benchmark_min_time") != std::string_view::npos;
   });

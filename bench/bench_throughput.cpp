@@ -24,8 +24,8 @@
 //  cache decouples per-packet cost from rule count entirely.
 //
 //  Table 4 (burst amortization): the batched datapath
-//  (Pipeline::run_burst + DatapathCosts::burst_cost_ns) against the
-//  per-packet PR-1 datapath on the same skewed workload, swept over
+//  (Pipeline::run_burst + DatapathCosts::bill_ns) against the
+//  per-packet datapath on the same skewed workload, swept over
 //  burst sizes. Batching amortizes the fixed rx/tx overhead and one
 //  replay setup per megaflow group across the burst, so the speedup
 //  grows super-linearly toward an asymptote set by the per-packet
@@ -182,7 +182,7 @@ struct CacheRun {
 };
 
 /// Service-cost model of one soft-switch core (rx/tx + pipeline +
-/// cache accounting, exactly as SoftSwitch::service charges it),
+/// cache accounting, exactly as SoftSwitch bills a per-packet burst),
 /// driven CPU-bound: capacity = 1e9 / avg_ns packets per second.
 CacheRun skewed_capacity(bool flow_cache, int hosts, int acl_rules, std::size_t packets) {
   using namespace openflow;
@@ -220,8 +220,8 @@ struct BatchedRun {
 
 /// The batched datapath on the identical workload (same rng seed, so
 /// the exact same packet sequence): bursts of `burst_size` through
-/// Pipeline::run_burst, billed by DatapathCosts::burst_cost_ns —
-/// exactly as SoftSwitch::service_burst charges it.
+/// Pipeline::run_burst, billed by DatapathCosts::bill_ns — exactly as
+/// SoftSwitch::service_burst charges a batched burst.
 BatchedRun skewed_capacity_batched(std::size_t burst_size, int hosts, int acl_rules,
                                    std::size_t packets) {
   using namespace openflow;
@@ -244,8 +244,13 @@ BatchedRun skewed_capacity_batched(std::size_t burst_size, int hosts, int acl_ru
     BurstResult result = pipeline.run_burst(std::move(burst), now);
     burst.clear();
     burst.reserve(burst_size);
-    total_ns += costs.burst_cost_ns(result, /*cache_enabled=*/true, count,
-                                    /*queues_polled=*/static_cast<std::size_t>(hosts));
+    sim::SimNanos marginal_ns = 0;
+    for (const PipelineResult& packet_result : result.results)
+      marginal_ns += costs.marginal_cost_ns(packet_result, /*cache_enabled=*/true);
+    softswitch::DatapathCosts::BurstWork work;
+    work.queues_polled = static_cast<std::size_t>(hosts);
+    work.replay_groups = result.replay_groups;
+    total_ns += costs.bill_ns(work, count, 1, marginal_ns);
     ++bursts;
     groups += result.replay_groups;
     for (const PipelineResult& packet_result : result.results)

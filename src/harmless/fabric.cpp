@@ -53,12 +53,6 @@ Fabric Fabric::build(sim::Network& network, legacy::LegacySwitch& device, const 
 }
 
 void Fabric::register_faults(sim::FaultInjector& injector) {
-  // Legacy aliases (the original hard-coded four): whole-trunk, the
-  // control channel, and the two switches.
-  for (sim::Channel* channel : trunk_channels_) injector.register_link("trunk", *channel);
-  if (channel_) injector.register_point("control", *channel_);
-  if (ss1_ != nullptr) injector.register_point("ss1", *ss1_);
-  if (ss2_ != nullptr) injector.register_point("ss2", *ss2_);
   // Derived names — every component self-registers, so plans scale to
   // any fabric shape without new hard-coding here.
   if (ss1_ != nullptr) injector.register_point("switch:SS_1", *ss1_);

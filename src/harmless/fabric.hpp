@@ -106,10 +106,8 @@ class Fabric {
   ///   "switch:<name>"  — each soft switch (crash/restart faults)
   ///   "control:<name>" — each control channel (named by its switch)
   ///   "trunk:leg<k>"   — each bonded trunk leg (both directions)
-  /// The legacy four ("trunk" = all legs, "control", "ss1", "ss2")
-  /// stay registered as aliases — existing plans keep working. The
-  /// caller registers its Controller separately (the fabric does not
-  /// own one).
+  /// The caller registers its Controller separately (the fabric does
+  /// not own one).
   void register_faults(sim::FaultInjector& injector);
 
   /// Same, plus every channel of `network` under "link:<label>" (e.g.

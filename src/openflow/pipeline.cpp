@@ -360,25 +360,34 @@ void Pipeline::install_learned(MegaflowEntry entry, const FieldView& original_vi
 
 PipelineResult Pipeline::run(net::Packet&& packet, std::uint32_t in_port, sim::SimNanos now,
                              std::size_t shard) {
-  FieldView view = cached_field_view(packet, in_port);
-  return run_with_view(std::move(packet), in_port, now, std::move(view), shard);
+  return run_packet(std::move(packet), in_port, now, shard, /*replayed=*/nullptr);
+}
+
+PipelineResult Pipeline::run_packet(net::Packet&& packet, std::uint32_t in_port,
+                                    sim::SimNanos now, std::size_t shard,
+                                    const MegaflowEntry** replayed) {
+  // The shard-bounds check of the per-packet entry, ahead of the
+  // conntrack prelude's unchecked trackers_[shard] index.
+  (void)caches_.at(shard);
+  FieldView view;
+  cached_field_view_into(packet, in_port, &view);
+  // Conntrack prelude, *before* any cache probe: the classification is
+  // part of the packet's identity from here on, so both cache tiers
+  // key on it and stale state decisions are structurally impossible.
+  const bool classified = ct_annotate(view, shard, now);
+  PipelineResult result =
+      run_with_view(std::move(packet), in_port, now, std::move(view), shard, replayed);
+  if (classified) ++result.ct_lookups;
+  return result;
 }
 
 PipelineResult Pipeline::run_with_view(net::Packet&& packet, std::uint32_t in_port,
                                        sim::SimNanos now, FieldView view, std::size_t shard,
-                                       bool ct_annotated, const MegaflowEntry** replayed) {
+                                       const MegaflowEntry** replayed) {
   PipelineResult result;
-  // The one shard-bounds check on the per-packet entry path (run() and
-  // the run_burst residue both come through here); install_learned
-  // only ever receives this same validated shard.
-  FlowCache& cache = *caches_.at(shard);
+  FlowCache& cache = *caches_[shard];  // bounds-checked by run_packet / run_burst
   current_shard_ = shard;
   ct_now_ = now;
-
-  // Conntrack prelude, *before* any cache probe: the classification is
-  // part of the packet's identity from here on, so both cache tiers
-  // key on it and stale state decisions are structurally impossible.
-  if (!ct_annotated && ct_annotate(view, shard, now)) ++result.ct_lookups;
 
   if (cache_enabled_) {
     std::uint32_t scanned = 0;
@@ -530,22 +539,17 @@ PipelineResult Pipeline::run_with_view(net::Packet&& packet, std::uint32_t in_po
 
 void Pipeline::run_burst(std::vector<BurstPacket>& burst, sim::SimNanos now,
                          std::size_t shard, BurstResult& out) {
-  out.reset(burst.size());
-  FlowCache& cache = *caches_.at(shard);
-  if (!cache_enabled_) {
-    // No cache, nothing to group: the burst amortizes only the
-    // datapath's rx/tx overhead (charged by the caller).
-    for (std::size_t i = 0; i < burst.size(); ++i)
-      out.results[i] = run(std::move(burst[i].packet), burst[i].in_port, now, shard);
-    return;
-  }
-  if (ct_enabled_) {
-    // Connection state is order-sensitive within a burst (packet i's
+  if (!cache_enabled_ || ct_enabled_) {
+    // No cache: nothing to group, so the burst amortizes only the
+    // datapath's rx/tx overhead (charged by the caller). Conntrack:
+    // connection state is order-sensitive within a burst (packet i's
     // commit changes packet i+1's classification), so the phased
     // probe/replay below would diverge from per-packet execution.
     run_burst_sequential(burst, now, shard, out);
     return;
   }
+  out.reset(burst.size());
+  FlowCache& cache = *caches_.at(shard);
 
   // Phase 1: probe the cache for the whole burst. Misses are not
   // counted here (probe()); the residue's run() accounts each exactly
@@ -605,18 +609,15 @@ void Pipeline::run_burst(std::vector<BurstPacket>& burst, sim::SimNanos now,
 
 void Pipeline::run_burst_sequential(std::vector<BurstPacket>& burst, sim::SimNanos now,
                                     std::size_t shard, BurstResult& out) {
-  // Strictly arrival-order per-packet processing — observationally
-  // identical to calling run() per packet. Replay-group amortization
-  // survives as the count of distinct megaflow entries replayed.
+  // Strictly arrival-order per-packet processing — exactly run() per
+  // packet. Replay-group amortization survives as the count of
+  // distinct megaflow entries replayed.
+  out.reset(burst.size());
   burst_replayed_.clear();
   for (std::size_t i = 0; i < burst.size(); ++i) {
-    FieldView view;
-    cached_field_view_into(burst[i].packet, burst[i].in_port, &view);
-    const bool classified = ct_annotate(view, shard, now);
     const MegaflowEntry* replayed = nullptr;
-    out.results[i] = run_with_view(std::move(burst[i].packet), burst[i].in_port, now,
-                                   std::move(view), shard, /*ct_annotated=*/true, &replayed);
-    if (classified) ++out.results[i].ct_lookups;
+    out.results[i] =
+        run_packet(std::move(burst[i].packet), burst[i].in_port, now, shard, &replayed);
     if (replayed != nullptr &&
         std::find(burst_replayed_.begin(), burst_replayed_.end(), replayed) ==
             burst_replayed_.end())

@@ -227,12 +227,20 @@ class Pipeline {
   /// re-probing, so the second packet of a new flow within one burst
   /// hits the megaflow the first one installed. Observationally
   /// identical to running the packets one at a time (the burst
-  /// equivalence property test pins this). `shard` as in run().
-  /// Consumes the packets but not the vector (the caller's burst
+  /// equivalence property test pins this). With the cache off or
+  /// conntrack on it runs run_burst_sequential instead. `shard` as in
+  /// run(). Consumes the packets but not the vector (the caller's burst
   /// buffer keeps its capacity); `out` is reset and refilled, so a
   /// caller-owned BurstResult recycles all result storage.
   void run_burst(std::vector<BurstPacket>& burst, sim::SimNanos now, std::size_t shard,
                  BurstResult& out);
+
+  /// Run one burst strictly in arrival order, each packet exactly as
+  /// run() would — the per-packet datapath. Replay-group amortization
+  /// survives as the count of distinct megaflow entries replayed.
+  /// Contract otherwise as run_burst.
+  void run_burst_sequential(std::vector<BurstPacket>& burst, sim::SimNanos now,
+                            std::size_t shard, BurstResult& out);
 
   /// Convenience overload returning a fresh BurstResult.
   BurstResult run_burst(std::vector<BurstPacket>&& burst, sim::SimNanos now,
@@ -265,17 +273,22 @@ class Pipeline {
                                 PipelineResult& result, bool& view_dirty, FieldUse* learn,
                                 int depth, bool consume = false);
 
-  /// run() body once the packet's FieldView is built — run_burst
-  /// residue packets enter here with their phase-1 view, so a burst
-  /// parses each packet exactly once. `shard` is the serving core's
-  /// cache shard (lookup and learning both land there).
-  /// `ct_annotated` marks a view the caller already ran the conntrack
-  /// prelude on (the sequential ct burst path), so classification — a
-  /// stats-bearing tracker lookup — happens exactly once per packet.
+  /// The one per-packet entry, behind run() and run_burst_sequential:
+  /// bounds-check `shard`, build the packet's view, run the conntrack
+  /// prelude (one stats-bearing classification, counted into
+  /// ct_lookups), then run_with_view. `replayed` as in run_with_view.
+  PipelineResult run_packet(net::Packet&& packet, std::uint32_t in_port, sim::SimNanos now,
+                            std::size_t shard, const MegaflowEntry** replayed);
+
+  /// Cache probe, then replay or slow path, for a packet whose view is
+  /// built and classified — run_burst residue packets enter here with
+  /// their phase-1 view, so a burst parses each packet exactly once.
+  /// `shard` is the serving core's cache shard (lookup and learning
+  /// both land there), already bounds-checked by the caller.
   /// `replayed` (optional) reports the megaflow entry a cache hit
   /// replayed, for the caller's replay-group accounting.
   PipelineResult run_with_view(net::Packet&& packet, std::uint32_t in_port, sim::SimNanos now,
-                               FieldView view, std::size_t shard, bool ct_annotated = false,
+                               FieldView view, std::size_t shard,
                                const MegaflowEntry** replayed = nullptr);
 
   /// Conntrack prelude: classify the packet's 5-tuple against `shard`'s
@@ -291,14 +304,6 @@ class Pipeline {
   /// in one state — a cached decision can never go stale.
   void ct_execute(const CtAction& spec, net::Packet& packet, PipelineResult& result,
                   FieldUse* learn, bool& view_dirty);
-
-  /// run_burst body when conntrack is on: strictly sequential per-packet
-  /// processing (classification is order-sensitive — an earlier packet's
-  /// commit changes a later packet's ct_state, so phase-grouping would
-  /// diverge from per-packet execution). Replay-group amortization is
-  /// preserved by counting distinct replayed entries.
-  void run_burst_sequential(std::vector<BurstPacket>& burst, sim::SimNanos now,
-                            std::size_t shard, BurstResult& out);
 
   /// Fast path: replay a cached traversal against `packet`.
   void replay(const MegaflowEntry& entry, net::Packet& packet, std::uint32_t in_port,

@@ -141,9 +141,13 @@ std::size_t ServicedNode::port_queue_peak_depth(std::size_t port) const {
   return peak;
 }
 
+SimNanos ServicedNode::service(int, net::Packet&&) {
+  throw util::ConfigError(name() + ": overrides neither service() nor service_burst()");
+}
+
 void ServicedNode::emit(std::size_t out_port, net::Packet&& packet) {
   if (!in_service_)
-    throw util::ConfigError(name() + ": emit() called outside service()");
+    throw util::ConfigError(name() + ": emit() called outside a service burst");
   pending_out_.emplace_back(out_port, std::move(packet));
 }
 
@@ -171,8 +175,9 @@ SimNanos ServicedNode::serve_core(std::size_t core_index, SimNanos step_start) {
   }
   pending_out_.clear();
   // One poll sweep over every RX queue this core owns, empty or not —
-  // a batched-datapath cost only; the per-packet mode keeps the flat
-  // rx_tx_ns model and counts no sweeps.
+  // a batched-datapath cost only. A budget-1 burst is the per-packet
+  // datapath and sweeps nothing (queues_polled() == 0 tells
+  // service_burst which of the two it is serving).
   queues_polled_ = budget <= 1 ? 0 : core.view.size();
   rx_polls_ += queues_polled_;
   core.rx_polls += queues_polled_;
@@ -192,13 +197,7 @@ SimNanos ServicedNode::serve_core(std::size_t core_index, SimNanos step_start) {
   total_depth_ -= burst.size();
   core.backlog -= burst.size();
   core.packets += burst.size();
-  SimNanos cost = 0;
-  if (budget <= 1) {
-    auto& [in_port, packet] = burst.front();
-    cost = service(in_port, std::move(packet));
-  } else {
-    cost = service_burst(std::move(burst));
-  }
+  const SimNanos cost = service_burst(std::move(burst));
   burst.clear();  // drop the moved-from shells, keep the capacity
   in_service_ = false;
   ++bursts_served_;

@@ -23,15 +23,17 @@
 // slowest core's bill, never a free lunch. With cores == 1 the loop
 // degrades bit-exactly to the single-core datapath of PR 2-4.
 //
-// With `burst_size == 1` a core degrades to the classic single-server
-// queue, serving one packet per `service(...)` call — the per-packet
-// datapath of PR 1, kept as the batching ablation baseline.
-// `SchedulerSpec::adaptive_burst` makes the budget track each core's
-// backlog between adaptive_min_burst and burst_size, so light load
-// takes the per-packet path (no idle poll sweep) and overload keeps
-// the full batch. The bounded queues are what turn per-packet (and
-// per-burst) costs into throughput limits, so the relative numbers in
-// E1/E2 come from code, not from constants pasted into benches.
+// With a budget of 1 a core degrades to the classic single-server
+// queue: each burst is one packet and sweeps no queues
+// (queues_polled() == 0) — the per-packet datapath, kept as the
+// batching ablation baseline. Every burst, of any size, enters the node
+// through service_burst(). `SchedulerSpec::adaptive_burst` makes the
+// budget track each core's backlog between adaptive_min_burst and
+// burst_size, so light load takes the per-packet path (no idle poll
+// sweep) and overload keeps the full batch. The bounded queues are what
+// turn per-packet (and per-burst) costs into throughput limits, so the
+// relative numbers in E1/E2 come from code, not from constants pasted
+// into benches.
 #pragma once
 
 #include <cstdint>
@@ -133,8 +135,8 @@ class ServicedNode : public Node {
   void handle(int in_port, net::Packet&& packet) final;
 
   /// Maximum packets drained per core per service burst. 1 = per-packet
-  /// service (the classic single-server queue; `service()` is called
-  /// directly and `service_burst()` never runs).
+  /// service (the classic single-server queue: bursts of one that sweep
+  /// no queues).
   void set_burst_size(std::size_t burst_size) { burst_size_ = burst_size == 0 ? 1 : burst_size; }
   [[nodiscard]] std::size_t burst_size() const { return burst_size_; }
 
@@ -204,43 +206,45 @@ class ServicedNode : public Node {
   /// for silence too; the datapath charges rx_poll_ns each).
   [[nodiscard]] std::uint64_t rx_polls() const { return rx_polls_; }
 
-  /// Total simulated compute spent in service()/service_burst().
+  /// Total simulated compute spent in service bursts.
   [[nodiscard]] SimNanos busy_ns() const { return busy_ns_; }
   /// Service bursts drained (equals packets served when burst_size==1).
   [[nodiscard]] std::uint64_t bursts_served() const { return bursts_served_; }
 
  protected:
-  /// Process one packet: mutate/forward it via port(i).send(...) and
-  /// return the compute cost in ns. Outputs scheduled inside service()
-  /// are delayed by that same cost (they leave when processing ends).
-  virtual SimNanos service(int in_port, net::Packet&& packet) = 0;
-
-  /// Process one burst and return its total compute cost. The default
-  /// serves packets one by one through service(), so nodes that never
-  /// override it keep per-packet semantics (costs sum; outputs still
-  /// leave together when the burst completes). SoftSwitch overrides
-  /// this with the batched cache-replay datapath.
+  /// The node's one ingress path: process one burst and return its
+  /// total compute cost; outputs emitted meanwhile leave when the burst
+  /// completes. The default serves the packets one by one through
+  /// service() (costs sum), so per-packet nodes override only that.
+  /// SoftSwitch overrides this with its batched cache-replay datapath.
   virtual SimNanos service_burst(Burst&& burst) {
     SimNanos cost = 0;
     for (auto& [in_port, packet] : burst) cost += service(in_port, std::move(packet));
     return cost;
   }
 
-  /// Emit a packet from `out_port` once the current service completes.
-  /// Only valid while inside service().
+  /// Per-packet hook of the default service_burst: process one packet,
+  /// forward it via emit(...) and return its compute cost in ns. Nodes
+  /// that override service_burst need not implement it (the default
+  /// throws).
+  virtual SimNanos service(int in_port, net::Packet&& packet);
+
+  /// Emit a packet from `out_port` once the current burst completes.
+  /// Only valid inside a service burst.
   void emit(std::size_t out_port, net::Packet&& packet);
 
-  /// True while service() is executing (emit() is legal).
+  /// True while a service burst is executing (emit() is legal).
   [[nodiscard]] bool in_service() const { return in_service_; }
 
   /// RX queues polled by the burst currently in service (the serving
-  /// core's whole queue subset) — service_burst() implementations bill
-  /// their per-queue poll cost from this.
+  /// core's whole queue subset; 0 for a budget-1 per-packet burst) —
+  /// service_burst() implementations bill their per-queue poll cost
+  /// from this.
   [[nodiscard]] std::size_t queues_polled() const { return queues_polled_; }
 
   /// The worker core whose burst is currently in service — SoftSwitch
   /// keys its flow-cache shard (and per-core billing) off this. Only
-  /// meaningful inside service()/service_burst().
+  /// meaningful inside a service burst.
   [[nodiscard]] std::size_t current_core() const { return current_core_; }
 
   /// Pre-size the RX queue array for `port_count` ports (one queue per

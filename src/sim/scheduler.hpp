@@ -130,10 +130,11 @@ struct SchedulerSpec {
   /// Adaptive burst sizing: each service step, a core's burst budget
   /// tracks its own backlog, clamped to [adaptive_min_burst, the
   /// node's burst_size]. Light load degrades to the per-packet
-  /// datapath (budget 1: flat rx_tx_ns, no per-queue poll sweep — the
-  /// idle-poll bill disappears); overload runs the full batch and
-  /// keeps the whole amortization win. Off by default: a fixed budget
-  /// is what the burst-sweep ablations compare against.
+  /// datapath (budget 1: bursts of one with no per-queue poll sweep and
+  /// no replay setup — the idle-poll bill disappears); overload runs
+  /// the full batch and keeps the whole amortization win. Off by
+  /// default: a fixed budget is what the burst-sweep ablations compare
+  /// against.
   bool adaptive_burst = false;
   /// Floor of the adaptive budget (1 = allow the per-packet path).
   std::size_t adaptive_min_burst = 1;

@@ -30,7 +30,7 @@ SoftSwitch::SoftSwitch(sim::Engine& engine, std::string name, std::uint64_t data
 }
 
 void SoftSwitch::observe_cache_epoch() {
-  // Hot path (called per packet / per burst): O(1) epoch bookkeeping
+  // Hot path (called per burst): O(1) epoch bookkeeping
   // only. The per-shard tier/classifier totals are summed lazily when
   // counters() is read.
   const std::uint64_t epoch = pipeline_.cache().epoch();
@@ -281,12 +281,12 @@ void SoftSwitch::fault_restart() {
   if (failover_.enabled() && channel_ != nullptr && connected_) on_control_lost();
 }
 
-sim::SimNanos SoftSwitch::standalone_forward(std::uint32_t in_of_port, net::Packet&& packet,
-                                             sim::SimNanos charge_ns) {
+void SoftSwitch::standalone_forward(std::uint32_t in_of_port, net::Packet&& packet,
+                                    sim::SimNanos charge_ns) {
   ++failover_stats_.standalone_packets;
   packet.charge(charge_ns);
   const net::ParsedPacket parsed = net::parse_cached(packet).parsed;
-  if (!parsed.l2_valid) return costs_.standalone_ns;  // not bridgeable: drop
+  if (!parsed.l2_valid) return;  // not bridgeable: drop
   const net::VlanId vlan = parsed.has_vlan() ? parsed.vlan_vid() : 0;
   if (!parsed.eth_src.is_multicast() && !parsed.eth_src.is_zero())
     standalone_macs_.learn(vlan, parsed.eth_src, static_cast<int>(in_of_port), engine_.now());
@@ -294,14 +294,13 @@ sim::SimNanos SoftSwitch::standalone_forward(std::uint32_t in_of_port, net::Pack
   if (!parsed.eth_dst.is_multicast())
     out = standalone_macs_.lookup(vlan, parsed.eth_dst, engine_.now());
   if (out && static_cast<std::uint32_t>(*out) == in_of_port)
-    return costs_.standalone_ns;  // destination on the ingress segment: filter
+    return;  // destination on the ingress segment: filter
   if (out) {
     resolve_output(static_cast<std::uint32_t>(*out), in_of_port, std::move(packet));
-    return costs_.standalone_ns;
+    return;
   }
   ++failover_stats_.standalone_floods;
   resolve_output(kPortFlood, in_of_port, std::move(packet));
-  return costs_.standalone_ns;
 }
 
 bool SoftSwitch::port_up(std::uint32_t of_port) const {
@@ -941,143 +940,68 @@ void SoftSwitch::dispatch_result(PipelineResult& result, std::uint32_t in_of_por
   }
 }
 
-sim::SimNanos SoftSwitch::service(int in_port, net::Packet&& packet) {
-  const std::uint32_t in_of_port = static_cast<std::uint32_t>(in_port) + 1;
-  ++counters_.pipeline_runs;
-  packet.add_hop();
-
-  // Multi-core: one RSS steering hash per packet (cores=1 makes no
-  // steering decision and bills nothing — bit-exact with PR 4).
-  sim::SimNanos rss_ns = 0;
-  if (core_count() > 1) {
-    ++counters_.rss_steered;
-    rss_ns = costs_.rss_hash_ns;
-  }
-
-  if (restarting_) {
-    ++failover_stats_.dropped_restarting;
-    return costs_.rx_tx_ns + rss_ns;
-  }
-  if (!port_up(in_of_port)) {
-    ++counters_.drops_port_down;
-    return costs_.rx_tx_ns + rss_ns;
-  }
-  if (standalone_active()) {
-    // Fail-standalone degraded mode: MAC-learning datapath, no
-    // pipeline, no cache.
-    const sim::SimNanos bill = costs_.rx_tx_ns + rss_ns + costs_.standalone_ns;
-    return costs_.rx_tx_ns + rss_ns +
-           standalone_forward(in_of_port, std::move(packet), bill);
-  }
-
-  PipelineResult result =
-      pipeline_.run(std::move(packet), in_of_port, engine_.now(), current_core());
-  const sim::SimNanos cost =
-      costs_.packet_cost_ns(result, pipeline_.cache_enabled()) + rss_ns;
-  if (pipeline_.cache_enabled()) {
-    if (result.cache_hit)
-      ++counters_.cache_hits;
-    else
-      ++counters_.cache_misses;
-    observe_cache_epoch();
-  }
-
-  if (result.ct_commits != 0) {
-    schedule_ct_sweep();
-    schedule_ct_checkpoint();
-  }
-  dispatch_result(result, in_of_port, cost);
-  return cost;
-}
-
 sim::SimNanos SoftSwitch::service_burst(sim::ServicedNode::Burst&& burst) {
-  ++counters_.service_bursts;
+  // A burst that swept no queues is a budget-1 burst: the per-packet
+  // datapath, which runs strictly sequentially and pays no replay setup.
+  const bool per_packet = queues_polled() == 0;
+  if (!per_packet) ++counters_.service_bursts;
   const std::size_t rx_packets = burst.size();
+  DatapathCosts::BurstWork work;
+  work.queues_polled = queues_polled();
+  work.steered = core_count() > 1;  // one RSS hash per packet pulled
+  counters_.rx_queue_polls += work.queues_polled;
+  if (work.steered) counters_.rss_steered += rx_packets;
 
-  if (restarting_ || standalone_active()) {
-    // Degraded-mode burst: the rx/poll overhead is still paid, but no
-    // pipeline or cache runs — packets are dropped (rebooting box) or
-    // MAC-bridged (fail-standalone) one by one.
-    const std::size_t rss_hashes = core_count() > 1 ? rx_packets : 0;
-    counters_.rss_steered += rss_hashes;
-    counters_.rx_queue_polls += queues_polled();
-    sim::SimNanos cost = costs_.rx_tx_burst_ns +
-                         static_cast<sim::SimNanos>(queues_polled()) * costs_.rx_poll_ns +
-                         static_cast<sim::SimNanos>(rx_packets) * costs_.rx_tx_pkt_ns +
-                         static_cast<sim::SimNanos>(rss_hashes) * costs_.rss_hash_ns;
-    sim::SimNanos shared_ns = costs_.rx_tx_pkt_ns;
-    if (rss_hashes != 0) shared_ns += costs_.rss_hash_ns;
-    if (rx_packets != 0)
-      shared_ns += (costs_.rx_tx_burst_ns +
-                    static_cast<sim::SimNanos>(queues_polled()) * costs_.rx_poll_ns) /
-                   static_cast<sim::SimNanos>(rx_packets);
-    for (auto& [in_port, packet] : burst) {
-      const std::uint32_t in_of_port = static_cast<std::uint32_t>(in_port) + 1;
-      ++counters_.pipeline_runs;
-      packet.add_hop();
-      if (restarting_) {
-        ++failover_stats_.dropped_restarting;
-        continue;
-      }
-      if (!port_up(in_of_port)) {
-        ++counters_.drops_port_down;
-        continue;
-      }
-      cost +=
-          standalone_forward(in_of_port, std::move(packet), shared_ns + costs_.standalone_ns);
-    }
-    return cost;
-  }
-
-  // Ingress admission per packet; down ports drop before the pipeline
-  // (they still occupied a slot in the rx burst). The staging vectors
-  // are members recycled across bursts — the service loop of one
-  // switch never re-enters itself.
+  // Ingress admission per packet: a rebooting box drops everything and
+  // down ports drop before the pipeline (both still occupied a slot in
+  // the rx burst). The staging vector is a member recycled across
+  // bursts — the service loop of one switch never re-enters itself.
   std::vector<BurstPacket>& items = burst_items_;
-  std::vector<std::uint32_t>& in_of_ports = burst_in_ports_;  // parallel to items/results
   items.clear();
-  in_of_ports.clear();
   items.reserve(rx_packets);
-  in_of_ports.reserve(rx_packets);
   for (auto& [in_port, packet] : burst) {
     const std::uint32_t in_of_port = static_cast<std::uint32_t>(in_port) + 1;
     ++counters_.pipeline_runs;
     packet.add_hop();
+    if (restarting_) {
+      ++failover_stats_.dropped_restarting;
+      continue;
+    }
     if (!port_up(in_of_port)) {
       ++counters_.drops_port_down;
       continue;
     }
     items.push_back(BurstPacket{std::move(packet), in_of_port});
-    in_of_ports.push_back(in_of_port);
   }
 
-  // Multi-core: one RSS steering hash per packet pulled by this core's
-  // rx burst (cores=1 bills nothing).
-  const std::size_t rss_hashes = core_count() > 1 ? rx_packets : 0;
-  counters_.rss_steered += rss_hashes;
+  if (restarting_ || standalone_active()) {
+    // Degraded mode: no pipeline or cache runs. A rebooting box dropped
+    // every packet above; fail-standalone MAC-bridges them one by one,
+    // sharing the burst overhead over everything the rx burst pulled.
+    const sim::SimNanos charge_ns = costs_.bill_ns(work, 1, rx_packets, costs_.standalone_ns);
+    for (BurstPacket& item : items)
+      standalone_forward(item.in_port, std::move(item.packet), charge_ns);
+    return costs_.bill_ns(work, rx_packets, 1,
+                          static_cast<sim::SimNanos>(items.size()) * costs_.standalone_ns);
+  }
 
   const bool cache = pipeline_.cache_enabled();
   BurstResult& result = burst_result_;
-  pipeline_.run_burst(items, engine_.now(), current_core(), result);
-  const sim::SimNanos cost =
-      costs_.burst_cost_ns(result, cache, rx_packets, queues_polled(), rss_hashes);
-  counters_.replay_groups += result.replay_groups;
-  counters_.rx_queue_polls += queues_polled();
+  if (per_packet)
+    pipeline_.run_burst_sequential(items, engine_.now(), current_core(), result);
+  else
+    pipeline_.run_burst(items, engine_.now(), current_core(), result);
+  work.replay_groups = per_packet ? 0 : result.replay_groups;
+  counters_.replay_groups += work.replay_groups;
 
   // Latency metadata: each packet carries its own marginal bill plus an
   // even share of the burst-level overhead (rx/tx setup, the per-queue
-  // poll sweep, its steering hash, group setups).
-  sim::SimNanos shared_ns = costs_.rx_tx_pkt_ns;
-  if (rss_hashes != 0) shared_ns += costs_.rss_hash_ns;
-  if (!result.results.empty()) {
-    sim::SimNanos overhead =
-        costs_.rx_tx_burst_ns + static_cast<sim::SimNanos>(queues_polled()) * costs_.rx_poll_ns;
-    if (cache)
-      overhead += static_cast<sim::SimNanos>(result.replay_groups) * costs_.replay_setup_ns;
-    shared_ns += overhead / static_cast<sim::SimNanos>(result.results.size());
-  }
-
-  for (std::size_t i = 0; i < result.results.size(); ++i) {
+  // poll sweep, group setups) and its own rx/tx and steering terms.
+  const std::size_t served = result.results.size();
+  const sim::SimNanos share_ns = served == 0 ? 0 : costs_.bill_ns(work, 1, served, 0);
+  sim::SimNanos marginal_ns = 0;
+  std::uint32_t ct_commits = 0;
+  for (std::size_t i = 0; i < served; ++i) {
     PipelineResult& packet_result = result.results[i];
     if (cache) {
       if (packet_result.cache_hit)
@@ -1085,13 +1009,20 @@ sim::SimNanos SoftSwitch::service_burst(sim::ServicedNode::Burst&& burst) {
       else
         ++counters_.cache_misses;
     }
-    dispatch_result(packet_result, in_of_ports[i],
-                    costs_.marginal_cost_ns(packet_result, cache) + shared_ns);
+    const sim::SimNanos marginal = costs_.marginal_cost_ns(packet_result, cache);
+    marginal_ns += marginal;
+    ct_commits += packet_result.ct_commits;
+    dispatch_result(packet_result, items[i].in_port, share_ns + marginal);
   }
   if (cache) observe_cache_epoch();
-  schedule_ct_sweep();       // arms only when live connections exist
-  schedule_ct_checkpoint();  // likewise (and only when checkpointing is on)
-  return cost;
+  // Both timers arm only when live connections (or a held checkpoint
+  // image) exist. A per-packet burst arms them only after a commit, as
+  // the per-packet datapath always has (its digests are pinned).
+  if (!per_packet || ct_commits != 0) {
+    schedule_ct_sweep();
+    schedule_ct_checkpoint();
+  }
+  return costs_.bill_ns(work, rx_packets, 1, marginal_ns);
 }
 
 void SoftSwitch::transmit(std::size_t out_port, net::Packet&& packet) {

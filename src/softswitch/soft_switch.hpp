@@ -8,18 +8,21 @@
 //     (the SS_1<->SS_2 interconnect of Fig. 1): delivery is a queue
 //     hand-off that costs kPatchNs of compute instead of wire time.
 //
-// The datapath is two-tier cached (openflow/flow_cache.hpp): service()
-// consults the microflow/megaflow cache first and only falls back to
-// the full multi-table traversal on a miss, which then installs the
-// learned megaflow. Flow-mods, group mods, entry expiry and port
+// The datapath is two-tier cached (openflow/flow_cache.hpp): every
+// packet consults the microflow/megaflow cache first and only falls
+// back to the full multi-table traversal on a miss, which then installs
+// the learned megaflow. Flow-mods, group mods, entry expiry and port
 // state changes invalidate cached entries through a shared epoch.
 //
-// The datapath is burst-oriented (OVS/DPDK style): the service loop
-// drains up to `burst_size` packets per gulp (default 32) and runs
-// them through Pipeline::run_burst — probe the cache for the whole
-// burst, replay hits grouped by megaflow (one replay setup per group),
-// slow-path only the residue. With burst_size 1 it degrades to the
-// per-packet datapath (the batching ablation baseline).
+// The datapath is burst-oriented (OVS/DPDK style) with one ingress
+// path, service_burst(): the service loop drains up to `burst_size`
+// packets per gulp (default 32) and runs them through
+// Pipeline::run_burst — probe the cache for the whole burst, replay
+// hits grouped by megaflow (one replay setup per group), slow-path only
+// the residue. A budget-1 burst (burst_size 1, or an adaptive budget at
+// light load) is the per-packet datapath, the batching ablation
+// baseline: it runs Pipeline::run_burst_sequential and pays no poll
+// sweep and no replay setup.
 //
 // The datapath is multi-core capable (IngressSpec::cores): each worker
 // core owns a subset of the per-port RX queues (RSS-hash steered, pin
@@ -34,9 +37,9 @@
 // Steering bills DatapathCosts::rss_hash_ns per packet (multi-core
 // only); cores=1 is bit-exact with the single-core datapath.
 //
-// The datapath charges simulated nanoseconds accordingly: per burst, a
-// fixed rx/tx overhead plus a smaller per-packet marginal (their sum
-// at burst size 1 equals the per-packet rx_tx_ns — batching buys the
+// The datapath charges simulated nanoseconds accordingly, all through
+// DatapathCosts::bill_ns: per burst, a fixed rx/tx overhead plus a
+// smaller per-packet marginal (batching amortizes the fixed part — the
 // super-linear gain real switches see), a replay setup per distinct
 // megaflow group, and per packet either the flat cache-hit cost plus
 // replayed actions or the full parse/lookup/action bill the pipeline
@@ -89,20 +92,16 @@
 namespace harmless::softswitch {
 
 struct DatapathCosts {
-  sim::SimNanos rx_tx_ns = 55;   // NIC RX + TX per packet (per-packet datapath, burst_size 1)
-  /// Batched rx/tx: one poll-mode rx burst + tx burst costs a fixed
-  /// setup plus a small marginal per packet. Defaults keep the
-  /// identity rx_tx_burst_ns + rx_tx_pkt_ns == rx_tx_ns, so a
-  /// one-packet burst pays what the per-packet datapath pays for rx/tx
-  /// (the batched path still adds its replay_setup_ns — polling for a
-  /// single packet is how batching loses at burst size 1).
+  /// NIC rx/tx: one poll-mode rx burst + tx burst costs a fixed setup
+  /// plus a small marginal per packet. A per-packet (budget-1) burst
+  /// pays both — 55 ns of rx/tx with the defaults — and nothing else
+  /// burst-level: no poll sweep, no replay setup.
   sim::SimNanos rx_tx_burst_ns = 40;  // fixed per rx/tx burst call
   sim::SimNanos rx_tx_pkt_ns = 15;    // marginal per packet within a burst
-  /// Poll-mode rx sweep: every service burst polls every per-port RX
-  /// queue the serving core owns once, empty or not — port density
-  /// costs cycles even when the ports are silent (charged per queue
-  /// per burst; the per-packet burst_size-1 datapath keeps the flat
-  /// rx_tx_ns instead).
+  /// Poll-mode rx sweep: every batched service burst polls every
+  /// per-port RX queue the serving core owns once, empty or not — port
+  /// density costs cycles even when the ports are silent (charged per
+  /// queue per burst; a per-packet burst sweeps nothing).
   sim::SimNanos rx_poll_ns = 2;
   /// RSS steering: one hash per packet deciding which worker core's
   /// queue it lands in (what a NIC's RSS indirection table computes
@@ -130,7 +129,9 @@ struct DatapathCosts {
   sim::SimNanos cache_insert_ns = 30;
   /// Fetching one cached action program + setting up its replay
   /// context. The batched datapath pays this once per distinct
-  /// megaflow group in a burst — the amortization elephants buy.
+  /// megaflow group in a burst — the amortization elephants buy (and
+  /// what polling for a single packet costs: a budget-32 burst of one
+  /// still pays it, a per-packet burst does not).
   sim::SimNanos replay_setup_ns = 12;
   /// Fail-standalone MAC-learning datapath, per packet (learn + FDB
   /// lookup in software): cheaper than a pipeline slow-path miss but
@@ -154,8 +155,35 @@ struct DatapathCosts {
   /// checkpoints honestly.
   sim::SimNanos checkpoint_entry_ns = 40;
 
-  /// Everything but rx/tx for one pipeline result: the pipeline's own
-  /// bill plus the cache accounting.
+  /// What one service burst did beyond its packets' own work, in the
+  /// units bill_ns charges.
+  struct BurstWork {
+    std::size_t queues_polled = 0;  // RX queues the poll sweep visited (0 per-packet)
+    std::size_t replay_groups = 0;  // megaflow groups replayed (0 per-packet)
+    bool steered = false;           // multi-core: one RSS hash per packet
+  };
+
+  /// The one bill. A burst pays its fixed terms once — the rx/tx burst
+  /// setup, one poll per queue swept, one replay setup per megaflow
+  /// group — plus, per packet, the rx/tx marginal and (multi-core) one
+  /// steering hash, plus `marginal_ns`: the packets' own work
+  /// (marginal_cost_ns, or standalone_ns while degraded). `packets` is
+  /// how many packets the bill covers and `sharers` how many split the
+  /// fixed terms: a burst costs bill_ns(work, rx_packets, 1, Σ marginal),
+  /// and each of its n served packets is charged bill_ns(work, 1, n, 0)
+  /// plus its own marginal as latency metadata.
+  [[nodiscard]] sim::SimNanos bill_ns(const BurstWork& work, std::size_t packets,
+                                      std::size_t sharers, sim::SimNanos marginal_ns) const {
+    const sim::SimNanos fixed = rx_tx_burst_ns +
+                                static_cast<sim::SimNanos>(work.queues_polled) * rx_poll_ns +
+                                static_cast<sim::SimNanos>(work.replay_groups) * replay_setup_ns;
+    const sim::SimNanos per_packet = rx_tx_pkt_ns + (work.steered ? rss_hash_ns : 0);
+    return fixed / static_cast<sim::SimNanos>(sharers) +
+           static_cast<sim::SimNanos>(packets) * per_packet + marginal_ns;
+  }
+
+  /// One packet's own work for one pipeline result: the pipeline's
+  /// bill plus the conntrack and cache accounting.
   [[nodiscard]] sim::SimNanos marginal_cost_ns(const openflow::PipelineResult& result,
                                                bool cache_enabled) const {
     sim::SimNanos cost = result.cost_ns +
@@ -172,36 +200,12 @@ struct DatapathCosts {
     return cost;
   }
 
-  /// The full per-packet bill for one pipeline result on the
-  /// per-packet datapath — the single source of truth shared by
-  /// SoftSwitch::service and the capacity benches (bench_throughput
-  /// Table 3).
+  /// The whole bill of one packet on the single-core per-packet
+  /// datapath: bill_ns's one-packet case (the capacity benches,
+  /// bench_throughput Tables 3 and 6, bill with this).
   [[nodiscard]] sim::SimNanos packet_cost_ns(const openflow::PipelineResult& result,
                                              bool cache_enabled) const {
-    return rx_tx_ns + marginal_cost_ns(result, cache_enabled);
-  }
-
-  /// The full bill for one service burst — shared by
-  /// SoftSwitch::service_burst and the burst-sweep bench.
-  /// `rx_packets` is what the rx burst actually pulled (may exceed
-  /// burst.results when ingress-down packets were dropped pre-pipeline);
-  /// `queues_polled` is the per-port RX queues the serving core's poll
-  /// sweep visited (all of its own, every burst — empty-port polling
-  /// isn't free); `rss_hashes` is the steering decisions billed to the
-  /// burst (one per packet on a multi-core datapath, 0 single-core).
-  [[nodiscard]] sim::SimNanos burst_cost_ns(const openflow::BurstResult& burst,
-                                            bool cache_enabled, std::size_t rx_packets,
-                                            std::size_t queues_polled,
-                                            std::size_t rss_hashes = 0) const {
-    sim::SimNanos cost = rx_tx_burst_ns +
-                         static_cast<sim::SimNanos>(queues_polled) * rx_poll_ns +
-                         static_cast<sim::SimNanos>(rx_packets) * rx_tx_pkt_ns +
-                         static_cast<sim::SimNanos>(rss_hashes) * rss_hash_ns;
-    if (cache_enabled)
-      cost += static_cast<sim::SimNanos>(burst.replay_groups) * replay_setup_ns;
-    for (const openflow::PipelineResult& result : burst.results)
-      cost += marginal_cost_ns(result, cache_enabled);
-    return cost;
+    return bill_ns(BurstWork{}, 1, 1, marginal_cost_ns(result, cache_enabled));
   }
 };
 
@@ -331,7 +335,7 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   [[nodiscard]] util::Status install_group(const openflow::GroupModMsg& mod);
 
   struct Counters {
-    std::uint64_t pipeline_runs = 0;
+    std::uint64_t pipeline_runs = 0;    // packets the ingress path took in
     std::uint64_t packets_out = 0;      // data-plane outputs emitted
     std::uint64_t packet_ins = 0;       // punts to controller
     std::uint64_t drops_no_match = 0;   // pipeline produced nothing
@@ -347,9 +351,10 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
     std::uint64_t cache_subtables = 0;     // live per-mask subtables (distinct signatures)
     std::uint64_t cache_subtable_probes = 0;  // cumulative hashed tier-2 probes; divide by
                                               // tier-2 lookups for probes-per-lookup
-    // Burst service loop (zero when burst_size is 1):
-    std::uint64_t service_bursts = 0;      // bursts drained by service_burst
-    std::uint64_t replay_groups = 0;       // megaflow groups replayed across bursts
+    // Batched bursts only (zero while every burst is per-packet, e.g.
+    // burst_size 1):
+    std::uint64_t service_bursts = 0;      // batched bursts served
+    std::uint64_t replay_groups = 0;       // replay setups billed across bursts
     std::uint64_t rx_queue_polls = 0;      // per-port RX queues polled across bursts
     // Multi-core datapath (zero with one core):
     std::uint64_t rss_steered = 0;         // per-packet steering hashes billed
@@ -510,7 +515,6 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   }
 
  protected:
-  sim::SimNanos service(int in_port, net::Packet&& packet) override;
   sim::SimNanos service_burst(sim::ServicedNode::Burst&& burst) override;
   void transmit(std::size_t out_port, net::Packet&& packet) override;
 
@@ -586,11 +590,11 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   void schedule_reconnect_attempt();
   void on_control_reconnected();
   void complete_resync();
-  /// MAC-learn + forward one packet on the standalone fallback path;
-  /// charges `charge_ns` onto the packet and returns the marginal
-  /// datapath cost (the caller owns rx/tx billing).
-  sim::SimNanos standalone_forward(std::uint32_t in_of_port, net::Packet&& packet,
-                                   sim::SimNanos charge_ns);
+  /// MAC-learn + forward one packet on the standalone fallback path,
+  /// charging `charge_ns` onto it (the caller bills standalone_ns per
+  /// packet forwarded here).
+  void standalone_forward(std::uint32_t in_of_port, net::Packet&& packet,
+                          sim::SimNanos charge_ns);
 
   std::uint64_t datapath_id_;
   std::size_t of_port_count_;
@@ -605,8 +609,7 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   /// epoch exactly once), and mirror the cache's eviction count.
   void observe_cache_epoch();
   /// Route one pipeline result's outputs and packet-ins out of the
-  /// datapath, charging `packet_cost` across the outputs (shared by the
-  /// per-packet and burst service paths).
+  /// datapath, charging `packet_cost` across the outputs.
   void dispatch_result(openflow::PipelineResult& result, std::uint32_t in_of_port,
                        sim::SimNanos packet_cost);
 
@@ -658,7 +661,6 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   /// service_burst staging + result scratch, recycled across bursts
   /// (one switch's service loop never re-enters itself).
   std::vector<openflow::BurstPacket> burst_items_;
-  std::vector<std::uint32_t> burst_in_ports_;
   openflow::BurstResult burst_result_;
 };
 

@@ -254,9 +254,9 @@ TEST(FaultEquivalence, DerivedTargetNamesCoverTheFabric) {
   sim::FaultInjector injector(rig.network.engine());
   rig.fabric->register_faults(injector, rig.network);
 
-  // Legacy aliases stay registered — existing plans keep working.
+  // Only derived names: the old hard-coded aliases are gone.
   for (const char* name : {"trunk", "control", "ss1", "ss2"})
-    EXPECT_TRUE(injector.has_target(name)) << name;
+    EXPECT_FALSE(injector.has_target(name)) << name;
   // Derived names: every component self-registers.
   for (const char* name : {"switch:SS_1", "switch:SS_2", "control:SS_2", "trunk:leg0"})
     EXPECT_TRUE(injector.has_target(name)) << name;
