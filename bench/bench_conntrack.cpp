@@ -163,8 +163,8 @@ ScalingRun connection_scaling(std::size_t connections, std::size_t packets) {
   run.wall_ms = wall * 1e3;
   run.ns_per_pkt = wall * 1e9 / static_cast<double>(packets);
   run.mpps = static_cast<double>(packets) / wall / 1e6;
-  run.ct_lookups = sw.counters().ct_lookups;
-  run.ct_hits = sw.counters().ct_hits;
+  run.ct_lookups = sw.pipeline().ct_stats().lookups;
+  run.ct_hits = sw.pipeline().ct_stats().hits;
   if (b.counters().rx_udp != packets) {
     std::fprintf(stderr, "connection_scaling: delivered %llu of %zu\n",
                  static_cast<unsigned long long>(b.counters().rx_udp), packets);
@@ -290,8 +290,8 @@ NatRun nat_core_scaling(std::size_t cores, std::size_t packets_per_port) {
   run.delivered = rx_at_end - rx_at_t0;
   run.delivered_mpps =
       static_cast<double>(run.delivered) * 1e3 / static_cast<double>(offer_ns - t0);
-  run.connections = sw.counters().ct_created;
-  run.nat_allocated = sw.counters().ct_nat_allocated;
+  run.connections = sw.pipeline().ct_stats().created;
+  run.nat_allocated = sw.pipeline().ct_stats().nat_allocated;
   return run;
 }
 
@@ -380,9 +380,9 @@ PathRun firewall_path(bool established, bool flow_cache, std::size_t packets,
   PathRun run;
   run.path = name;
   run.packets = packets;
-  run.busy_ns_per_pkt = sw.core_stats(0).busy_ns / static_cast<sim::SimNanos>(packets);
+  run.busy_ns_per_pkt = sw.core_busy_ns(0) / static_cast<sim::SimNanos>(packets);
   run.cache_hits = sw.counters().cache_hits;
-  run.connections = sw.counters().ct_created;
+  run.connections = sw.pipeline().ct_stats().created;
   if (b.counters().rx_tcp != packets) {
     std::fprintf(stderr, "firewall_path(%s): delivered %llu of %zu\n", name.c_str(),
                  static_cast<unsigned long long>(b.counters().rx_tcp), packets);

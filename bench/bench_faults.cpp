@@ -458,7 +458,7 @@ HaRow run_takeover(sim::SimNanos lag_ns, double loss, bool auto_monitor) {
   sim::Engine& engine = network.engine();
   engine.schedule_at(kHaCrashAt, [&act] { act.fault_crash(); });
   if (!auto_monitor)
-    engine.schedule_at(kHaCrashAt + 2 * kMs, [&stb] { stb.ha_takeover(); });
+    engine.schedule_at(kHaCrashAt + 2 * kMs, [&stb] { stb.ha().takeover(); });
 
   std::uint64_t offered = 0;
   std::uint64_t delivered = 0;

@@ -497,10 +497,11 @@ CoreScaleRun core_scaling_run(std::size_t cores, int ports, bool skewed,
                      : static_cast<double>(counters.cache_hits) / static_cast<double>(cache_total);
   sim::SimNanos busy_sum = 0, busy_max = 0;
   for (std::size_t core = 0; core < rig.datapath->core_count(); ++core) {
-    const auto stats = rig.datapath->core_stats(core);
-    busy_sum += stats.busy_ns;
-    busy_max = std::max(busy_max, stats.busy_ns);
-    run.busiest_core_queues = std::max(run.busiest_core_queues, stats.rx_queues);
+    const sim::SimNanos busy = rig.datapath->core_busy_ns(core);
+    busy_sum += busy;
+    busy_max = std::max(busy_max, busy);
+    run.busiest_core_queues =
+        std::max(run.busiest_core_queues, rig.datapath->core_queue_count(core));
   }
   run.busy_imbalance = busy_sum == 0 ? 0
                                      : static_cast<double>(busy_max) * static_cast<double>(cores) /

@@ -162,9 +162,9 @@ int main(int argc, char** argv) {
   std::printf("web3 new connections after drain: %s\n",
               drained ? "none (good)" : "STILL RECEIVING (bad)");
 
-  const auto counters = sw.counters();
-  std::printf("\nconntrack: %zu live connections, %llu created\n", counters.ct_connections,
-              static_cast<unsigned long long>(counters.ct_created));
+  const openflow::CtStats ct = sw.pipeline().ct_stats();
+  std::printf("\nconntrack: %zu live connections, %llu created\n", sw.pipeline().ct_connection_count(),
+              static_cast<unsigned long long>(ct.created));
 
   const bool ok = ok_round1 == clients && affinity_held && drained;
   return ok ? 0 : 1;

@@ -87,16 +87,16 @@ int main() {
   std::printf("Unsolicited inbound SYN to %s: %s\n", nat.external_ip.to_string().c_str(),
               h1.counters().rx_total == h1_rx_before ? "dropped (good)" : "DELIVERED (bad)");
 
-  const auto counters = sw.counters();
+  const openflow::CtStats ct = sw.pipeline().ct_stats();
   std::printf(
       "\nconntrack: %zu live connections, %llu created, %llu NAT ports allocated, "
       "%llu lookups (%llu hits)\n",
-      counters.ct_connections, static_cast<unsigned long long>(counters.ct_created),
-      static_cast<unsigned long long>(counters.ct_nat_allocated),
-      static_cast<unsigned long long>(counters.ct_lookups),
-      static_cast<unsigned long long>(counters.ct_hits));
+      sw.pipeline().ct_connection_count(), static_cast<unsigned long long>(ct.created),
+      static_cast<unsigned long long>(ct.nat_allocated),
+      static_cast<unsigned long long>(ct.lookups),
+      static_cast<unsigned long long>(ct.hits));
 
   const bool ok = h1.counters().http_ok_received == 1 && h2.counters().http_ok_received == 1 &&
-                  h1.counters().rx_total == h1_rx_before && counters.ct_nat_allocated == 2;
+                  h1.counters().rx_total == h1_rx_before && ct.nat_allocated == 2;
   return ok ? 0 : 1;
 }

@@ -89,9 +89,9 @@ int main() {
 
   std::cout << table.to_string();
 
-  const auto counters = sw.counters();
+  const openflow::CtStats ct = sw.pipeline().ct_stats();
   std::printf("\nconntrack: %zu live connections, %llu created, %llu invalid classifications\n",
-              counters.ct_connections, static_cast<unsigned long long>(counters.ct_created),
-              static_cast<unsigned long long>(counters.ct_invalid));
+              sw.pipeline().ct_connection_count(), static_cast<unsigned long long>(ct.created),
+              static_cast<unsigned long long>(ct.invalid));
   return outbound_ok && syn_blocked && ack_blocked ? 0 : 1;
 }

@@ -447,22 +447,29 @@ std::optional<CtSnapshot> CtSnapshot::parse(const std::vector<std::uint8_t>& byt
   snap.taken_at = static_cast<sim::SimNanos>(in.u64());
   const std::uint32_t count = in.u32();
   if (!in.ok) return std::nullopt;
+  // The count must account for exactly the bytes that follow (no
+  // truncation, no trailing garbage) — checked before reserving, so a
+  // forged count cannot drive the allocation.
+  if (static_cast<std::uint64_t>(count) * 42 != bytes.size() - in.at) return std::nullopt;
   snap.entries.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     CtSnapshotEntry e;
     e.orig = in.tuple();
     e.reply = in.tuple();
-    e.nat.kind = static_cast<CtAction::Nat>(in.u8());
+    // Unknown NAT kinds and flag bits are refused rather than carried:
+    // whatever parses must re-serialize to the same bytes.
+    const std::uint8_t nat_kind = in.u8();
+    if (nat_kind > static_cast<std::uint8_t>(CtAction::Nat::kDest)) return std::nullopt;
+    e.nat.kind = static_cast<CtAction::Nat>(nat_kind);
     e.nat.ip = in.u32();
     e.nat.port = in.u16();
     const std::uint8_t flags = in.u8();
+    if ((flags & ~3u) != 0) return std::nullopt;
     e.seen_reply = (flags & 1) != 0;
     e.closing = (flags & 2) != 0;
     e.remaining_ns = static_cast<sim::SimNanos>(in.u64());
-    if (!in.ok) return std::nullopt;
     snap.entries.push_back(e);
   }
-  if (in.at != bytes.size()) return std::nullopt;  // trailing garbage
   return snap;
 }
 

@@ -173,7 +173,7 @@ struct CtRestoreResult {
   std::size_t dropped = 0;  // mid-handshake, expired, collisions, capacity
 };
 
-/// Shard-summable counters (Counters/CoreStats surface them).
+/// Shard-summable counters (Pipeline::ct_stats sums the shards).
 struct CtStats {
   std::uint64_t lookups = 0;    // prelude classifications
   std::uint64_t hits = 0;       // classifications that found an entry
@@ -191,6 +191,25 @@ struct CtStats {
   std::uint64_t deltas_emitted = 0;   // replication events published
   std::uint64_t deltas_applied = 0;   // replication events consumed
   std::uint64_t fenced_rejects = 0;   // new commits refused while fenced
+
+  CtStats& operator+=(const CtStats& other) {
+    lookups += other.lookups;
+    hits += other.hits;
+    created += other.created;
+    refreshed += other.refreshed;
+    expired += other.expired;
+    evicted += other.evicted;
+    invalid += other.invalid;
+    nat_allocated += other.nat_allocated;
+    nat_failures += other.nat_failures;
+    checkpoints += other.checkpoints;
+    restored += other.restored;
+    restore_dropped += other.restore_dropped;
+    deltas_emitted += other.deltas_emitted;
+    deltas_applied += other.deltas_applied;
+    fenced_rejects += other.fenced_rejects;
+    return *this;
+  }
 };
 
 /// What one `ct` action traversal did (see ConnTracker::process).

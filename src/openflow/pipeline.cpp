@@ -92,13 +92,10 @@ std::size_t Pipeline::ct_expire(sim::SimNanos now) {
   return expired;
 }
 
-std::optional<sim::SimNanos> Pipeline::ct_next_deadline() const {
-  std::optional<sim::SimNanos> next;
-  for (const auto& tracker : trackers_) {
-    const std::optional<sim::SimNanos> deadline = tracker->next_deadline();
-    if (deadline && (!next || *deadline < *next)) next = deadline;
-  }
-  return next;
+CtStats Pipeline::ct_stats() const {
+  CtStats total;
+  for (const auto& tracker : trackers_) total += tracker->stats();
+  return total;
 }
 
 void Pipeline::ct_clear() {

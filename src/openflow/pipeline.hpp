@@ -207,8 +207,8 @@ class Pipeline {
   [[nodiscard]] std::size_t ct_connection_count() const;
   /// Sweep every shard's expiry wheel; returns connections expired.
   std::size_t ct_expire(sim::SimNanos now);
-  /// Earliest expiry deadline across shards, if any connection lives.
-  [[nodiscard]] std::optional<sim::SimNanos> ct_next_deadline() const;
+  /// Conntrack counters summed across shards (zero when ct is disabled).
+  [[nodiscard]] CtStats ct_stats() const;
   /// Wipe all connection state (datapath crash), keeping shard stats.
   void ct_clear();
 

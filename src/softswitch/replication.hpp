@@ -16,8 +16,8 @@
 // Liveness rides the same pipe: the active publishes heartbeats on a
 // timer (paused while it is crashed), and the standby's monitor trips
 // a takeover after `takeover_miss_threshold` silent intervals. The
-// channel only transports; the takeover decision lives in SoftSwitch
-// (enable_ha_standby / ha_takeover).
+// channel only transports; the takeover decision lives in each
+// switch's HaAgent (ha_agent.hpp: enable_standby / takeover).
 #pragma once
 
 #include <cstdint>

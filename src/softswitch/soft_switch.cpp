@@ -17,7 +17,9 @@ SoftSwitch::SoftSwitch(sim::Engine& engine, std::string name, std::uint64_t data
       of_port_count_(of_port_count),
       pipeline_(table_count, specialized, flow_cache),
       port_up_(of_port_count + 1, true),
-      seen_cache_epoch_(pipeline_.cache().epoch()) {
+      seen_cache_epoch_(pipeline_.cache().epoch()),
+      ha_(engine_, this->name(), pipeline_, failover_, failover_stats_, restarting_,
+          costs_.checkpoint_entry_ns) {
   ensure_ports(of_port_count);
   // One flow-cache shard per worker core: each core learns into (and
   // probes) only its own shard; all shards share the pipeline's one
@@ -30,71 +32,10 @@ SoftSwitch::SoftSwitch(sim::Engine& engine, std::string name, std::uint64_t data
 }
 
 void SoftSwitch::observe_cache_epoch() {
-  // Hot path (called per burst): O(1) epoch bookkeeping
-  // only. The per-shard tier/classifier totals are summed lazily when
-  // counters() is read.
+  // Hot path (called per burst): O(1) epoch bookkeeping only.
   const std::uint64_t epoch = pipeline_.cache().epoch();
   counters_.cache_invalidations += epoch - seen_cache_epoch_;
   seen_cache_epoch_ = epoch;
-}
-
-const SoftSwitch::Counters& SoftSwitch::counters() const {
-  // Reporting time: aggregate the monotone per-shard stats across the
-  // cache shards (one per worker core; one shard total single-core).
-  counters_.cache_evictions = 0;
-  counters_.cache_subtables = 0;
-  counters_.cache_subtable_probes = 0;
-  for (std::size_t shard = 0; shard < pipeline_.shard_count(); ++shard) {
-    counters_.cache_evictions += pipeline_.cache(shard).stats().evictions;
-    counters_.cache_subtables += pipeline_.cache(shard).subtable_count();
-    counters_.cache_subtable_probes += pipeline_.cache(shard).stats().subtable_probes;
-  }
-  counters_.ct_lookups = 0;
-  counters_.ct_hits = 0;
-  counters_.ct_created = 0;
-  counters_.ct_expired = 0;
-  counters_.ct_evicted = 0;
-  counters_.ct_invalid = 0;
-  counters_.ct_nat_allocated = 0;
-  counters_.ct_nat_failures = 0;
-  counters_.ct_connections = 0;
-  if (pipeline_.conntrack_enabled()) {
-    for (std::size_t shard = 0; shard < pipeline_.shard_count(); ++shard) {
-      const openflow::CtStats& ct = pipeline_.conntrack(shard).stats();
-      counters_.ct_lookups += ct.lookups;
-      counters_.ct_hits += ct.hits;
-      counters_.ct_created += ct.created;
-      counters_.ct_expired += ct.expired;
-      counters_.ct_evicted += ct.evicted;
-      counters_.ct_invalid += ct.invalid;
-      counters_.ct_nat_allocated += ct.nat_allocated;
-      counters_.ct_nat_failures += ct.nat_failures;
-      counters_.ct_connections += pipeline_.conntrack(shard).size();
-    }
-  }
-  return counters_;
-}
-
-SoftSwitch::CoreStats SoftSwitch::core_stats(std::size_t core) const {
-  CoreStats stats;
-  stats.busy_ns = core_busy_ns(core);
-  stats.bursts = core_bursts(core);
-  stats.packets = core_packets(core);
-  stats.rx_queue_polls = core_rx_polls(core);
-  stats.rx_queues = core_queue_count(core);
-  const openflow::FlowCache& shard = pipeline_.cache(core);
-  stats.cache_hits = shard.stats().hits;
-  stats.cache_misses = shard.stats().misses;
-  stats.cache_evictions = shard.stats().evictions;
-  stats.cache_megaflows = shard.megaflow_count();
-  stats.cache_subtables = shard.subtable_count();
-  if (pipeline_.conntrack_enabled()) {
-    const openflow::ConnTracker& tracker = pipeline_.conntrack(core);
-    stats.ct_connections = tracker.size();
-    stats.ct_created = tracker.stats().created;
-    stats.ct_lookups = tracker.stats().lookups;
-  }
-  return stats;
 }
 
 void SoftSwitch::bind_patch(std::uint32_t of_port, SoftSwitch& peer,
@@ -203,12 +144,12 @@ void SoftSwitch::complete_resync() {
   resync_window_ = false;
   ++failover_stats_.resyncs;
   failover_stats_.last_resync_at = engine_.now();
-  if (ct_state_restored_) {
+  if (warm_resync_pending_) {
     // Warm resync: the restored connection table means surviving flows
     // hit their ct_established rules instead of punting, so there is no
     // cold-flow herd for the warm-up governor to throttle — arming it
     // would only tax the (few) genuinely new flows.
-    ct_state_restored_ = false;
+    warm_resync_pending_ = false;
     ++failover_stats_.warm_resyncs;
     return;
   }
@@ -241,7 +182,7 @@ void SoftSwitch::fault_crash() {
   for (std::size_t t = 0; t < pipeline_.table_count(); ++t)
     pipeline_.table(t).remove(Match{}, /*strict=*/false);
   pipeline_.groups().clear();
-  if (pipeline_.conntrack_enabled()) pipeline_.ct_clear();
+  pipeline_.ct_clear();
   if (pipeline_.cache_enabled()) {
     pipeline_.cache().invalidate_all();
     observe_cache_epoch();
@@ -257,24 +198,7 @@ void SoftSwitch::fault_restart() {
   // checkpoint before the control plane even notices. Restored entries
   // come back demoted (ConnTracker::restore) — established flows keep
   // their fast path but must re-confirm through real traffic.
-  if (failover_.checkpointing() && pipeline_.conntrack_enabled() && !ct_checkpoint_.empty()) {
-    const std::size_t shards =
-        ct_checkpoint_.size() < pipeline_.shard_count() ? ct_checkpoint_.size()
-                                                        : pipeline_.shard_count();
-    std::size_t restored = 0;
-    for (std::size_t shard = 0; shard < shards; ++shard) {
-      const openflow::CtRestoreResult result =
-          pipeline_.conntrack(shard).restore(ct_checkpoint_[shard], engine_.now());
-      restored += result.restored;
-      failover_stats_.ct_restored += result.restored;
-      failover_stats_.ct_restore_dropped += result.dropped;
-    }
-    if (restored > 0) {
-      ct_state_restored_ = true;   // the next resync is warm
-      schedule_ct_sweep();         // re-arm expiry for the re-filed wheel
-      schedule_ct_checkpoint();    // keep checkpointing the restored table
-    }
-  }
+  if (ha_.restore_checkpoint()) warm_resync_pending_ = true;
   // The control session died with the box. Come back up disconnected
   // and re-handshake, so the controller reprograms the empty tables;
   // without failover the switch just waits to be reprogrammed.
@@ -413,362 +337,6 @@ void SoftSwitch::schedule_expiry_sweep() {
         }
     if (timed_entries_remain) schedule_expiry_sweep();
   });
-}
-
-void SoftSwitch::schedule_ct_sweep() {
-  if (ct_sweep_scheduled_ || !pipeline_.conntrack_enabled()) return;
-  if (pipeline_.ct_connection_count() == 0) return;
-  ct_sweep_scheduled_ = true;
-  // Sweep at the configured cadence (the timer wheel quantizes entry
-  // deadlines to the same interval, so one sweep per bucket suffices);
-  // re-arm only while connections remain — idle engines still drain.
-  engine_.schedule_after(pipeline_.conntrack(0).config().sweep_interval, [this] {
-    ct_sweep_scheduled_ = false;
-    pipeline_.ct_expire(engine_.now());
-    schedule_ct_sweep();
-  });
-}
-
-void SoftSwitch::take_ct_checkpoint() {
-  const std::size_t shards = pipeline_.shard_count();
-  // Incremental mode only works against a held image of the same
-  // shape; the first cadence (or a shape change) is always full.
-  const bool incremental =
-      failover_.incremental_checkpoints && ct_checkpoint_.size() == shards;
-  if (!incremental) ct_checkpoint_.assign(shards, openflow::CtSnapshot{});
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    openflow::ConnTracker& ct = pipeline_.conntrack(shard);
-    if (incremental && !ct.dirty()) {
-      // Untouched since its last capture: the held image is still
-      // exact (every commit/refresh/kill dirties), so reuse it free.
-      ++failover_stats_.checkpoint_shards_skipped;
-      continue;
-    }
-    openflow::CtSnapshot snap = ct.checkpoint(engine_.now());
-    ct.clear_dirty();
-    failover_stats_.checkpoint_entries += snap.entries.size();
-    failover_stats_.checkpoint_bytes += snap.wire_bytes();
-    failover_stats_.checkpoint_ns_billed +=
-        static_cast<sim::SimNanos>(snap.entries.size()) * costs_.checkpoint_entry_ns;
-    ct_checkpoint_[shard] = std::move(snap);
-  }
-  ++failover_stats_.checkpoints;
-}
-
-void SoftSwitch::schedule_ct_checkpoint() {
-  if (ct_checkpoint_scheduled_ || !failover_.checkpointing() || !pipeline_.conntrack_enabled())
-    return;
-  if (pipeline_.ct_connection_count() == 0 && ct_checkpoint_.empty()) return;
-  ct_checkpoint_scheduled_ = true;
-  engine_.schedule_after(failover_.checkpoint_interval_ns, [this] {
-    ct_checkpoint_scheduled_ = false;
-    // A crashed switch takes no checkpoints — overwriting the held
-    // image with the wiped table would defeat the restore it feeds.
-    if (restarting_) return;
-    take_ct_checkpoint();
-    // Re-arm while connections remain; the final firing after the
-    // table empties snapshots it as empty (never leaves a stale image)
-    // and then disarms, so engines driven by run() still drain.
-    if (pipeline_.ct_connection_count() > 0) schedule_ct_checkpoint();
-  });
-}
-
-// ---- stateful HA: active–standby pairing ----
-
-void SoftSwitch::install_ha_delta_sinks() {
-  for (std::size_t shard = 0; shard < pipeline_.shard_count(); ++shard) {
-    pipeline_.conntrack(shard).set_delta_sink([this, shard](const openflow::CtDelta& delta) {
-      // Only an unfenced active publishes state: a fenced box must not
-      // leak even kUpdate/kClose advances of established flows, and a
-      // standby's resync-driven kills must never echo back out.
-      if (ha_fenced_ || ha_role_ != HaRole::kActive) return;
-      openflow::CtDelta stamped = delta;
-      stamped.epoch = ha_epoch_;
-      repl_out_->publish(shard, stamped);
-    });
-  }
-}
-
-void SoftSwitch::install_ha_receivers(ReplicationChannel& channel) {
-  channel.set_delta_handler([this](const ReplicationRecord& record) { on_ha_delta(record); });
-  channel.set_heartbeat_handler([this](std::uint64_t epoch) { on_ha_heartbeat(epoch); });
-  channel.set_snapshot_handler(
-      [this](std::size_t shard, const openflow::CtSnapshot& snapshot, std::uint64_t epoch) {
-        on_ha_snapshot(shard, snapshot, epoch);
-      });
-  channel.set_sync_request_handler([this] { on_ha_sync_request(); });
-}
-
-void SoftSwitch::enable_ha_active(ReplicationChannel& channel, ReplicationChannel* reverse) {
-  repl_out_ = &channel;
-  repl_in_ = reverse;
-  ha_role_ = HaRole::kActive;
-  install_ha_delta_sinks();
-  if (repl_in_ != nullptr) install_ha_receivers(*repl_in_);
-  if (ha_witness_ != nullptr) {
-    // Fail-closed: fenced until the witness grants. The very first
-    // renewal (one rtt away) lifts it in the healthy case.
-    ha_apply_fence(true);
-    ha_renew_lease();
-    schedule_ha_lease_renew();
-  }
-  schedule_ha_heartbeat();
-}
-
-void SoftSwitch::schedule_ha_heartbeat() {
-  if (ha_heartbeat_armed_ || repl_out_ == nullptr) return;
-  const sim::SimNanos interval = repl_out_->spec().heartbeat_interval_ns;
-  if (interval <= 0) return;
-  ha_heartbeat_armed_ = true;
-  engine_.schedule_after(interval, [this] {
-    ha_heartbeat_armed_ = false;
-    // A crashed or fenced active is silent — silence *is* the takeover
-    // signal, and a fenced box advertising liveness would stall a
-    // standby that could otherwise win the lease and serve. The timer
-    // keeps running so heartbeats resume on restart/unfence.
-    if (!restarting_ && ha_role_ == HaRole::kActive && !ha_fenced_)
-      repl_out_->publish_heartbeat(ha_epoch_);
-    schedule_ha_heartbeat();
-  });
-}
-
-void SoftSwitch::enable_ha_standby(ReplicationChannel& channel, ReplicationChannel* reverse) {
-  repl_in_ = &channel;
-  repl_out_ = reverse;
-  ha_role_ = HaRole::kStandby;
-  last_ha_heartbeat_ = engine_.now();
-  install_ha_receivers(channel);
-  // A standby never mints state; with a witness attached the fence
-  // stays up until this box is actually promoted under a lease.
-  if (ha_witness_ != nullptr) ha_apply_fence(true);
-  schedule_ha_monitor();
-}
-
-void SoftSwitch::set_ha_witness(sim::WitnessLink& link) {
-  ha_witness_ = &link;
-  // Fail-closed from the moment arbitration is configured: nobody
-  // mints state without a lease.
-  ha_apply_fence(true);
-  if (ha_role_ == HaRole::kActive) {
-    ha_renew_lease();
-    schedule_ha_lease_renew();
-  }
-}
-
-void SoftSwitch::schedule_ha_monitor() {
-  if (ha_monitor_armed_ || repl_in_ == nullptr || ha_role_ != HaRole::kStandby) return;
-  const ReplicationSpec& spec = repl_in_->spec();
-  if (spec.heartbeat_interval_ns <= 0) return;
-  ha_monitor_armed_ = true;
-  engine_.schedule_after(spec.heartbeat_interval_ns, [this] {
-    ha_monitor_armed_ = false;
-    if (ha_role_ != HaRole::kStandby) return;  // promotion stops the monitor
-    const ReplicationSpec& spec = repl_in_->spec();
-    const sim::SimNanos silence = engine_.now() - last_ha_heartbeat_;
-    // A demoted ex-active still begging for its warm resync retries
-    // here (the first sync request may have died on the wire).
-    if (ha_failback_pending_ && !restarting_ && repl_out_ != nullptr)
-      repl_out_->publish_sync_request();
-    // Never self-promote before first contact: until a heartbeat has
-    // actually arrived the standby cannot distinguish a dead active
-    // from sync latency longer than the miss threshold (bootstrap
-    // promotion is the operator's call, not the monitor's).
-    if (!restarting_ && ha_heartbeat_seen_ &&
-        silence > static_cast<sim::SimNanos>(spec.takeover_miss_threshold) *
-                      spec.heartbeat_interval_ns) {
-      ha_request_promotion();
-      // Keep monitoring: with a witness the promotion is asynchronous
-      // (and may be denied); the role flip stops the re-arm naturally.
-    }
-    schedule_ha_monitor();
-  });
-}
-
-void SoftSwitch::ha_request_promotion() {
-  if (ha_witness_ == nullptr) {
-    // Witness-less PR-9 pair: heartbeat silence alone decides.
-    ha_takeover();
-    return;
-  }
-  ha_witness_->request_lease([this](bool granted, std::uint64_t epoch,
-                                    sim::SimNanos expires_at) {
-    if (ha_role_ != HaRole::kStandby) return;  // raced with another path
-    if (!granted) {
-      ++failover_stats_.ha_lease_denials;
-      ++failover_stats_.ha_promotions_denied;
-      if (epoch > ha_epoch_) ha_epoch_ = epoch;
-      return;
-    }
-    ++failover_stats_.ha_lease_grants;
-    ha_epoch_ = epoch;
-    ha_lease_expires_ = expires_at;
-    ha_takeover();
-  });
-}
-
-void SoftSwitch::ha_takeover() {
-  if (ha_role_ == HaRole::kActive || ha_promoted_) return;
-  ha_promoted_ = true;
-  ha_role_ = HaRole::kActive;
-  ++failover_stats_.takeovers;
-  // Takeover hygiene: every replicated connection is only as fresh as
-  // the sync stream was — demote them all so the ones that died while
-  // replication lagged expire on the transient timeout, while live
-  // flows re-confirm through their own traffic.
-  if (pipeline_.conntrack_enabled()) {
-    for (std::size_t shard = 0; shard < pipeline_.shard_count(); ++shard)
-      pipeline_.conntrack(shard).demote_all(engine_.now());
-    schedule_ct_sweep();
-  }
-  // The promotion lease (when arbitrated) was taken in
-  // ha_request_promotion; lift the fence and start acting the part:
-  // publish deltas/heartbeats on the reverse channel, keep renewing.
-  ha_set_fenced(false);
-  if (repl_out_ != nullptr) {
-    if (pipeline_.conntrack_enabled()) install_ha_delta_sinks();
-    schedule_ha_heartbeat();
-  }
-  if (ha_witness_ != nullptr) {
-    ha_arm_fence_check(ha_lease_expires_);
-    schedule_ha_lease_renew();
-  }
-  if (ha_takeover_handler_) ha_takeover_handler_();
-}
-
-// ---- witness-arbitrated fencing + warm failback ----
-
-void SoftSwitch::ha_apply_fence(bool fenced) {
-  ha_fenced_ = fenced;
-  if (!pipeline_.conntrack_enabled()) return;
-  for (std::size_t shard = 0; shard < pipeline_.shard_count(); ++shard)
-    pipeline_.conntrack(shard).set_fenced(fenced);
-}
-
-void SoftSwitch::ha_set_fenced(bool fenced) {
-  if (ha_fenced_ == fenced) return;
-  if (fenced)
-    ++failover_stats_.ha_fences;
-  else
-    ++failover_stats_.ha_unfences;
-  ha_apply_fence(fenced);
-}
-
-void SoftSwitch::ha_renew_lease() {
-  if (ha_witness_ == nullptr || ha_role_ != HaRole::kActive || restarting_) return;
-  ha_witness_->request_lease([this](bool granted, std::uint64_t epoch,
-                                    sim::SimNanos expires_at) {
-    if (ha_role_ != HaRole::kActive) return;  // demoted while in flight
-    if (granted) {
-      ++failover_stats_.ha_lease_grants;
-      ha_epoch_ = epoch;
-      ha_lease_expires_ = expires_at;
-      ha_set_fenced(false);
-      ha_arm_fence_check(expires_at);
-      return;
-    }
-    ++failover_stats_.ha_lease_denials;
-    // Someone else holds the lease: fence immediately (do not wait for
-    // expiry) and, since the denial proves a newer holder epoch, step
-    // down and ask the new active for our state back.
-    ha_set_fenced(true);
-    if (epoch > ha_epoch_) ha_demote(epoch);
-  });
-}
-
-void SoftSwitch::schedule_ha_lease_renew() {
-  if (ha_renew_armed_ || ha_witness_ == nullptr) return;
-  const sim::SimNanos interval = ha_witness_->spec().renew_interval_ns;
-  if (interval <= 0) return;
-  ha_renew_armed_ = true;
-  engine_.schedule_after(interval, [this] {
-    ha_renew_armed_ = false;
-    if (ha_role_ != HaRole::kActive) return;  // a standby does not renew
-    ha_renew_lease();  // no-ops while restarting_, resumes after
-    schedule_ha_lease_renew();
-  });
-}
-
-void SoftSwitch::ha_arm_fence_check(sim::SimNanos expires_at) {
-  engine_.schedule_at(expires_at, [this, expires_at] {
-    // Stale checks no-op: a renewal moved ha_lease_expires_ forward.
-    (void)expires_at;
-    if (ha_role_ != HaRole::kActive || ha_fenced_) return;
-    if (engine_.now() >= ha_lease_expires_) ha_set_fenced(true);
-  });
-}
-
-void SoftSwitch::ha_demote(std::uint64_t epoch) {
-  if (ha_role_ != HaRole::kActive) return;
-  ha_role_ = HaRole::kStandby;
-  ha_promoted_ = false;
-  ++failover_stats_.ha_demotions;
-  if (epoch > ha_epoch_) ha_epoch_ = epoch;
-  // The fence stays up: a standby never mints state. (apply_delta and
-  // resync bypass the conntrack fence by design — it only gates
-  // process()'s miss path.)
-  ha_set_fenced(true);
-  last_ha_heartbeat_ = engine_.now();  // restart the silence clock
-  ha_heartbeat_seen_ = false;          // and require fresh contact
-  // Warm failback: beg the new active to stream its table back. The
-  // monitor retries this while pending, in case the request is lost.
-  ha_failback_pending_ = true;
-  if (repl_out_ != nullptr && !restarting_) repl_out_->publish_sync_request();
-  schedule_ha_monitor();
-}
-
-void SoftSwitch::on_ha_heartbeat(std::uint64_t epoch) {
-  ha_heartbeat_seen_ = true;
-  last_ha_heartbeat_ = engine_.now();
-  if (epoch > ha_epoch_) {
-    // The peer provably holds a newer lease than we ever did. An
-    // active hearing this steps down — this is how a healed partition
-    // resolves without the witness having to referee twice.
-    const bool was_active = ha_role_ == HaRole::kActive;
-    ha_epoch_ = epoch;
-    if (was_active) ha_demote(epoch);
-  }
-}
-
-void SoftSwitch::on_ha_delta(const ReplicationRecord& record) {
-  // Epoch gate first: stale-epoch deltas are refused no matter the
-  // role — a promoted active must still count (and drop) a fenced
-  // ex-active's in-flight state.
-  if (record.delta.epoch < ha_epoch_) {
-    ++failover_stats_.ha_deltas_rejected_epoch;
-    return;
-  }
-  if (ha_role_ != HaRole::kStandby || restarting_) return;
-  if (!pipeline_.conntrack_enabled() || record.shard >= pipeline_.shard_count()) return;
-  if (record.delta.epoch > ha_epoch_) ha_epoch_ = record.delta.epoch;
-  pipeline_.conntrack(record.shard).apply_delta(record.delta, engine_.now());
-  schedule_ct_sweep();  // replicated entries must expire here too
-}
-
-void SoftSwitch::on_ha_snapshot(std::size_t shard, const openflow::CtSnapshot& snapshot,
-                                std::uint64_t epoch) {
-  // Failback stream from the current active: only a standby consumes
-  // it, and only at the current (or a newer) epoch.
-  if (ha_role_ != HaRole::kStandby || restarting_) return;
-  if (epoch < ha_epoch_) return;
-  if (!pipeline_.conntrack_enabled() || shard >= pipeline_.shard_count()) return;
-  if (epoch > ha_epoch_) ha_epoch_ = epoch;
-  const std::size_t upserts = pipeline_.conntrack(shard).resync(snapshot, engine_.now());
-  failover_stats_.ha_failback_entries += upserts;
-  if (ha_failback_pending_ && shard + 1 == pipeline_.shard_count()) {
-    ha_failback_pending_ = false;
-    ++failover_stats_.ha_failbacks;  // rejoined warm
-  }
-  schedule_ct_sweep();
-}
-
-void SoftSwitch::on_ha_sync_request() {
-  // Only a live unfenced active is authoritative enough to stream its
-  // table to a rejoining peer.
-  if (ha_role_ != HaRole::kActive || ha_fenced_ || restarting_) return;
-  if (repl_out_ == nullptr || !pipeline_.conntrack_enabled()) return;
-  for (std::size_t shard = 0; shard < pipeline_.shard_count(); ++shard)
-    repl_out_->publish_snapshot(shard, pipeline_.conntrack(shard).checkpoint(engine_.now()),
-                                ha_epoch_);
 }
 
 void SoftSwitch::handle_controller_message(Message&& message) {
@@ -1015,13 +583,11 @@ sim::SimNanos SoftSwitch::service_burst(sim::ServicedNode::Burst&& burst) {
     dispatch_result(packet_result, items[i].in_port, share_ns + marginal);
   }
   if (cache) observe_cache_epoch();
-  // Both timers arm only when live connections (or a held checkpoint
-  // image) exist. A per-packet burst arms them only after a commit, as
-  // the per-packet datapath always has (its digests are pinned).
-  if (!per_packet || ct_commits != 0) {
-    schedule_ct_sweep();
-    schedule_ct_checkpoint();
-  }
+  // The agent's timers arm only when live connections (or a held
+  // checkpoint image) exist. A per-packet burst arms them only after a
+  // commit, as the per-packet datapath always has (its digests are
+  // pinned). Without conntrack this is the one inline branch.
+  if (pipeline_.conntrack_enabled() && (!per_packet || ct_commits != 0)) ha_.arm_ct_timers();
   return costs_.bill_ns(work, rx_packets, 1, marginal_ns);
 }
 

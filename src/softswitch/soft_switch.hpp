@@ -72,6 +72,10 @@
 // optional warm-up window rate-limits packet-ins while the control
 // plane refills its own state. All of it is opt-in: the default
 // FailoverSpec is disabled and the datapath is bit-exact with PR 6.
+//
+// Connection state beyond one packet lives in the switch's HaAgent
+// (ha_agent.hpp, reached through ha()): the conntrack expiry sweep,
+// checkpoint/restore and the active–standby HA pairing.
 #pragma once
 
 #include <cstdint>
@@ -85,8 +89,7 @@
 #include "openflow/pipeline.hpp"
 #include "sim/faults.hpp"
 #include "sim/node.hpp"
-#include "sim/witness.hpp"
-#include "softswitch/replication.hpp"
+#include "softswitch/ha_agent.hpp"
 #include "util/rng.hpp"
 
 namespace harmless::softswitch {
@@ -209,101 +212,6 @@ struct DatapathCosts {
   }
 };
 
-/// Controller-loss behaviour (OF1.3 §6.4). Disabled by default
-/// (echo_interval_ns == 0): no probes, no degraded modes, no backoff —
-/// the PR-6 datapath exactly. NOTE: enabling liveness probing makes the
-/// echo timer self-perpetuating, so drive the engine with run_until(),
-/// not run().
-struct FailoverSpec {
-  enum class Mode {
-    kFailSecure,      // drop packet-ins; installed flows keep working
-    kFailStandalone,  // fall back to MAC learning (OFPP_NORMAL)
-  };
-  Mode mode = Mode::kFailSecure;
-  /// Liveness probe cadence; 0 disables the whole failover machinery.
-  sim::SimNanos echo_interval_ns = 0;
-  /// Consecutive unanswered probes before the controller is declared
-  /// lost (so detection takes ~threshold * interval).
-  int echo_miss_threshold = 3;
-  /// Reconnect backoff: initial delay, doubling per attempt up to the
-  /// cap, plus a uniform jitter of up to `backoff_jitter` * delay drawn
-  /// from a seeded Rng (deterministic; decorrelates fleets).
-  sim::SimNanos backoff_initial_ns = 1'000'000;  // 1 ms
-  sim::SimNanos backoff_cap_ns = 8'000'000;      // 8 ms
-  double backoff_jitter = 0.25;
-  std::uint64_t seed = 0xfa11'0f3aULL;
-  /// Post-resync warm-up: for `warmup_ns` after the resync barrier, at
-  /// most `warmup_packet_in_budget` packet-ins are admitted (a governor
-  /// protecting the just-restarted controller from the thundering herd
-  /// of cold flows). 0 disables the window.
-  sim::SimNanos warmup_ns = 0;
-  std::uint64_t warmup_packet_in_budget = 32;
-  /// Conntrack checkpoint cadence: every interval the switch snapshots
-  /// all connection shards into an off-box image that fault_restart
-  /// restores (see ConnTracker::checkpoint/restore). 0 (default) = no
-  /// checkpointing — a crash loses every connection, the PR-8
-  /// behaviour exactly. Independent of echo_interval_ns: a switch with
-  /// no controller-liveness probing can still checkpoint. The timer is
-  /// self-disarming (it stops once the connection table empties), so
-  /// run() engines still drain.
-  sim::SimNanos checkpoint_interval_ns = 0;
-  /// Incremental checkpoints: each cadence serializes only the shards
-  /// mutated since their last capture (ConnTracker dirty tracking);
-  /// clean shards keep their previous image. Off (default) = every
-  /// cadence re-serializes every shard, the PR-9 behaviour. The held
-  /// image stays exact either way — any commit/refresh/kill dirties
-  /// its shard — modulo entries that lazily expired unswept (they are
-  /// filtered again at restore, so the slack is cosmetic).
-  bool incremental_checkpoints = false;
-
-  [[nodiscard]] bool enabled() const { return echo_interval_ns > 0; }
-  [[nodiscard]] bool checkpointing() const { return checkpoint_interval_ns > 0; }
-};
-
-/// Everything the failover machinery observed, for tests and Table 8.
-struct FailoverStats {
-  std::uint64_t disconnects = 0;        // controller declared lost
-  std::uint64_t reconnects = 0;         // sessions re-established
-  std::uint64_t resyncs = 0;            // resync barriers observed
-  std::uint64_t echo_sent = 0;
-  std::uint64_t echo_replies = 0;
-  std::uint64_t echo_misses = 0;        // probe intervals that elapsed unanswered
-  std::uint64_t reconnect_attempts = 0; // backoff Hellos sent
-  std::uint64_t packet_ins_dropped = 0; // suppressed while degraded (fail-secure)
-  std::uint64_t warmup_packet_ins_dropped = 0;  // over-budget during warm-up
-  std::uint64_t standalone_packets = 0; // served by the MAC-learning fallback
-  std::uint64_t standalone_floods = 0;
-  std::uint64_t flows_expired_degraded = 0;  // expiries while disconnected
-  std::uint64_t flows_reinstalled = 0;  // adds between reconnect and resync barrier
-  std::uint64_t crashes = 0;            // switch-level crash faults
-  std::uint64_t restarts = 0;
-  std::uint64_t dropped_restarting = 0; // ingress dropped while rebooting
-  // Stateful HA (PR 9):
-  std::uint64_t checkpoints = 0;        // whole-switch conntrack snapshots taken
-  std::uint64_t ct_restored = 0;        // connections rebuilt by fault_restart
-  std::uint64_t ct_restore_dropped = 0; // snapshot entries restore refused
-  std::uint64_t takeovers = 0;          // standby promotions (ha_takeover)
-  std::uint64_t warm_resyncs = 0;       // resyncs completed with restored ct state
-  // Split-brain-safe HA (PR 10):
-  std::uint64_t ha_fences = 0;             // fencing engaged (lease lost/lapsed)
-  std::uint64_t ha_unfences = 0;           // fencing lifted (lease regained)
-  std::uint64_t ha_lease_grants = 0;       // witness grants/renewals received
-  std::uint64_t ha_lease_denials = 0;      // witness denials received
-  std::uint64_t ha_promotions_denied = 0;  // standby takeovers blocked by the witness
-  std::uint64_t ha_demotions = 0;          // active stepped down (newer epoch seen)
-  std::uint64_t ha_failbacks = 0;          // warm resync streams completed
-  std::uint64_t ha_failback_entries = 0;   // connections upserted by failback resync
-  std::uint64_t ha_deltas_rejected_epoch = 0;  // stale-epoch deltas refused
-  std::uint64_t checkpoint_entries = 0;    // entries serialized across cadences
-  std::uint64_t checkpoint_bytes = 0;      // wire bytes serialized across cadences
-  std::uint64_t checkpoint_shards_skipped = 0;  // clean shards reusing their image
-  sim::SimNanos checkpoint_ns_billed = 0;  // serialization cost (reported, not injected)
-  sim::SimNanos degraded_ns = 0;        // cumulative disconnected time
-  sim::SimNanos last_disconnect_at = -1;
-  sim::SimNanos last_reconnect_at = -1;
-  sim::SimNanos last_resync_at = -1;    // Table 8 recovery = this - heal time
-};
-
 class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
  public:
   SoftSwitch(sim::Engine& engine, std::string name, std::uint64_t datapath_id,
@@ -347,10 +255,6 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
     std::uint64_t cache_misses = 0;        // packets that took the slow path
     std::uint64_t cache_invalidations = 0; // epoch bumps observed (flow/group mods,
                                            // expiry, port state changes)
-    std::uint64_t cache_evictions = 0;     // megaflows displaced by CLOCK at capacity
-    std::uint64_t cache_subtables = 0;     // live per-mask subtables (distinct signatures)
-    std::uint64_t cache_subtable_probes = 0;  // cumulative hashed tier-2 probes; divide by
-                                              // tier-2 lookups for probes-per-lookup
     // Batched bursts only (zero while every burst is per-packet, e.g.
     // burst_size 1):
     std::uint64_t service_bursts = 0;      // batched bursts served
@@ -358,44 +262,10 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
     std::uint64_t rx_queue_polls = 0;      // per-port RX queues polled across bursts
     // Multi-core datapath (zero with one core):
     std::uint64_t rss_steered = 0;         // per-packet steering hashes billed
-    // Conntrack tier (zero while conntrack is disabled); aggregated
-    // across the per-core shards at read time, like the cache fields:
-    std::uint64_t ct_lookups = 0;       // prelude classifications
-    std::uint64_t ct_hits = 0;          // classifications that found an entry
-    std::uint64_t ct_created = 0;       // connections committed
-    std::uint64_t ct_expired = 0;       // idle-timeout kills
-    std::uint64_t ct_evicted = 0;       // LRU reclaims at capacity
-    std::uint64_t ct_invalid = 0;       // unclassifiable (mid-stream TCP, NAT failures)
-    std::uint64_t ct_nat_allocated = 0;
-    std::uint64_t ct_nat_failures = 0;
-    std::size_t ct_connections = 0;     // live entries across shards
   };
-  /// Datapath counters. The cache eviction/classifier fields are
-  /// aggregated across the per-core shards at read time (they are
-  /// monotone per-shard totals; summing them per packet would put
-  /// O(cores) work on the hot path for numbers only reports consume).
-  [[nodiscard]] const Counters& counters() const;
-
-  /// One worker core's slice of the datapath: its service-loop bill
-  /// (from ServicedNode's per-core accounting) joined with its own
-  /// flow-cache shard's stats — the per-core numbers the core-scaling
-  /// bench table and the sharding tests read.
-  struct CoreStats {
-    sim::SimNanos busy_ns = 0;
-    std::uint64_t bursts = 0;
-    std::uint64_t packets = 0;          // packets this core served
-    std::uint64_t rx_queue_polls = 0;
-    std::size_t rx_queues = 0;          // queues steered to this core
-    std::uint64_t cache_hits = 0;       // this shard's lookup hits
-    std::uint64_t cache_misses = 0;     // this shard's lookup misses
-    std::uint64_t cache_evictions = 0;  // CLOCK evictions in this shard
-    std::size_t cache_megaflows = 0;    // resident megaflows in this shard
-    std::size_t cache_subtables = 0;    // live subtables in this shard
-    std::size_t ct_connections = 0;     // live conntrack entries in this shard
-    std::uint64_t ct_created = 0;       // connections committed on this shard
-    std::uint64_t ct_lookups = 0;       // prelude classifications on this shard
-  };
-  [[nodiscard]] CoreStats core_stats(std::size_t core) const;
+  /// Datapath counters. Per-shard cache and conntrack totals are read
+  /// from pipeline().cache(shard) and pipeline().ct_stats().
+  [[nodiscard]] const Counters& counters() const { return counters_; }
 
   /// Per-OF-port ingress queue stats (of_port is 1-based, like every
   /// OF-facing API here). Depth is the live backlog; drops and peak
@@ -416,9 +286,9 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   [[nodiscard]] const DatapathCosts& costs() const { return costs_; }
 
   /// Enable the stateful conntrack tier (one connection-table shard per
-  /// worker core; see openflow/conntrack.hpp). Call before traffic,
-  /// like the other datapath shape knobs. Idle connections expire off a
-  /// self-disarming sweep timer (CtConfig::sweep_interval cadence).
+  /// worker core; see openflow/conntrack.hpp). Call before traffic and
+  /// HA wiring, like the other datapath shape knobs. Idle connections
+  /// expire off a self-disarming sweep timer (CtConfig::sweep_interval).
   void enable_conntrack(const openflow::CtConfig& config) {
     pipeline_.enable_conntrack(config);
   }
@@ -426,76 +296,25 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   /// Enable (or reconfigure) controller-loss handling. With the probe
   /// timer armed the engine's queue never drains — use run_until().
   void set_failover(const FailoverSpec& spec);
-  [[nodiscard]] const FailoverSpec& failover() const { return failover_; }
   [[nodiscard]] const FailoverStats& failover_stats() const { return failover_stats_; }
 
-  // ---- stateful HA: active–standby pairing (PR 9/10) ----
-  // Wire two switches (same shard count, same rules, conntrack enabled
-  // on both) through one ReplicationChannel: the active publishes its
-  // conntrack deltas and heartbeats into it, the standby applies the
-  // deltas and promotes itself when the heartbeats go silent. Both
-  // calls are opt-in and arm perpetual timers — drive the engine with
-  // run_until(). A takeover does not rewire traffic by itself; the
-  // harness observes it through set_ha_takeover_handler and re-steers.
-  //
-  // PR 10 adds witness arbitration: attach a WitnessLink to both boxes
-  // and promotion requires a lease quorum (heartbeat silence AND a
-  // witness grant), while an active that cannot renew fences itself —
-  // stops minting conntrack/NAT state — at lease expiry. Fencing is
-  // fail-closed: a box with a witness attached is fenced until its
-  // first grant. With no witness, behaviour is the PR-9 machinery
-  // exactly. Pass the reverse channel to enable warm failback: a
-  // demoted ex-active asks over it and the new active streams its
-  // shard snapshots back.
-
-  enum class HaRole : std::uint8_t { kNone, kActive, kStandby };
-
-  /// Attach this box's wire to the lease witness. Call before (or
-  /// after) enable_ha_active/standby; engages fail-closed fencing
-  /// immediately on an active. The link must outlive the switch.
-  void set_ha_witness(sim::WitnessLink& link);
-
-  /// Become the active of an HA pair: every conntrack shard's delta
-  /// stream is published into `channel` (stamped with the fencing
-  /// epoch), and a heartbeat fires every heartbeat_interval_ns (silent
-  /// while crashed or fenced). `reverse` (standby→active direction),
-  /// when given, is listened on for failback sync requests and the
-  /// peer's snapshots/heartbeats after a role swap. Requires conntrack
-  /// to be enabled first.
-  void enable_ha_active(ReplicationChannel& channel, ReplicationChannel* reverse = nullptr);
-
-  /// Become the standby of an HA pair: apply replicated deltas into the
-  /// local conntrack shards and monitor the active's heartbeats; after
-  /// ReplicationSpec::takeover_miss_threshold silent intervals the
-  /// standby promotes itself (with a witness attached, only after a
-  /// lease grant). `reverse` is the standby→active channel this box
-  /// publishes on once promoted (and begs for failback on when
-  /// demoted). Requires conntrack enabled.
-  void enable_ha_standby(ReplicationChannel& channel, ReplicationChannel* reverse = nullptr);
-
-  /// Promote this switch: demote every replicated connection to the
-  /// transient timeout (ConnTracker::demote_all — flows that died
-  /// while replication lagged must not linger as ESTABLISHED), become
-  /// the publishing active, count the takeover, and fire the takeover
-  /// handler. Idempotent. NOTE: bypasses the witness — callers gating
-  /// promotion on a lease go through the monitor path instead.
-  void ha_takeover();
-
-  /// Observer the harness uses to re-steer traffic after a promotion.
+  /// The conntrack expiry, checkpoint and HA machinery (ha_agent.hpp);
+  /// the ha_* calls below forward to it.
+  [[nodiscard]] HaAgent& ha() { return ha_; }
+  [[nodiscard]] const HaAgent& ha() const { return ha_; }
+  void set_ha_witness(sim::WitnessLink& link) { ha_.set_witness(link); }
+  void enable_ha_active(ReplicationChannel& channel, ReplicationChannel* reverse = nullptr) {
+    ha_.enable_active(channel, reverse);
+  }
+  void enable_ha_standby(ReplicationChannel& channel, ReplicationChannel* reverse = nullptr) {
+    ha_.enable_standby(channel, reverse);
+  }
   void set_ha_takeover_handler(std::function<void()> handler) {
-    ha_takeover_handler_ = std::move(handler);
+    ha_.set_takeover_handler(std::move(handler));
   }
+  [[nodiscard]] bool ha_promoted() const { return ha_.promoted(); }
+  [[nodiscard]] bool ha_unfenced_active() const { return ha_.unfenced_active(); }
 
-  [[nodiscard]] bool ha_promoted() const { return ha_promoted_; }
-  [[nodiscard]] HaRole ha_role() const { return ha_role_; }
-  [[nodiscard]] bool ha_fenced() const { return ha_fenced_; }
-  [[nodiscard]] std::uint64_t ha_epoch() const { return ha_epoch_; }
-  /// The split-brain invariant's probe: true iff this box would mint
-  /// new conntrack/NAT state right now. The chaos suite asserts at
-  /// most one box of a pair satisfies this at any simulated time.
-  [[nodiscard]] bool ha_unfenced_active() const {
-    return ha_role_ == HaRole::kActive && !ha_fenced_ && !restarting_;
-  }
   /// Control-session view: true when the switch believes its controller
   /// is reachable (always true with failover disabled).
   [[nodiscard]] bool control_connected() const { return connected_; }
@@ -529,51 +348,6 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   /// Resolve a (possibly reserved) OF output port into concrete ports.
   void resolve_output(std::uint32_t of_port, std::uint32_t in_of_port, net::Packet&& packet);
   void schedule_expiry_sweep();
-  /// Arm the conntrack expiry sweep (no-op when already armed or no
-  /// connections are live). Mirrors schedule_expiry_sweep: re-arms
-  /// itself only while entries remain, so idle engines still drain.
-  void schedule_ct_sweep();
-  /// Arm the conntrack checkpoint timer (no-op when checkpointing is
-  /// off or already armed). Self-disarming like schedule_ct_sweep: a
-  /// firing re-arms only while connections remain — but it always
-  /// overwrites the held image first, so an emptied table checkpoints
-  /// as empty rather than leaving a stale snapshot behind.
-  void schedule_ct_checkpoint();
-  /// Snapshot every conntrack shard into ct_checkpoint_ (the off-box
-  /// image fault_restart restores from).
-  void take_ct_checkpoint();
-  void schedule_ha_heartbeat();
-  void schedule_ha_monitor();
-
-  // ---- witness-arbitrated fencing + warm failback (PR 10) ----
-  /// Install delta/heartbeat/snapshot/sync-request receivers on the
-  /// channel this box listens on (standby: the forward channel;
-  /// active: the reverse channel, when wired).
-  void install_ha_receivers(ReplicationChannel& channel);
-  /// Install the epoch-stamping conntrack delta sinks onto repl_out_.
-  void install_ha_delta_sinks();
-  /// Propagate the fencing latch to every conntrack shard (no
-  /// accounting); ha_set_fenced is the counted idempotent wrapper.
-  void ha_apply_fence(bool fenced);
-  void ha_set_fenced(bool fenced);
-  /// Active: ask the witness to (re)grant the lease; a denial fences
-  /// and, when it reveals a newer epoch, demotes.
-  void ha_renew_lease();
-  void schedule_ha_lease_renew();
-  /// Arm the self-fencing deadline: at `expires_at`, fence unless the
-  /// lease was renewed past it in the meantime.
-  void ha_arm_fence_check(sim::SimNanos expires_at);
-  /// Standby monitor tripped: promote directly (no witness) or request
-  /// the lease and promote only on a grant.
-  void ha_request_promotion();
-  /// Active that learned of a newer epoch: step down to standby,
-  /// keep the fence up, and beg the new active for a warm resync.
-  void ha_demote(std::uint64_t epoch);
-  void on_ha_heartbeat(std::uint64_t epoch);
-  void on_ha_delta(const ReplicationRecord& record);
-  void on_ha_snapshot(std::size_t shard, const openflow::CtSnapshot& snapshot,
-                      std::uint64_t epoch);
-  void on_ha_sync_request();
 
   // ---- failover machinery (all inert while failover_.enabled() is
   // false — the default) ----
@@ -600,13 +374,11 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   std::size_t of_port_count_;
   openflow::Pipeline pipeline_;
   DatapathCosts costs_;
-  /// mutable: counters() aggregates the per-shard cache totals into
-  /// the cache_* fields at read time (see its comment).
-  mutable Counters counters_;
+  Counters counters_;
   openflow::ControlChannel* channel_ = nullptr;
   /// Fold any epoch advance since the last observation into the
   /// cache_invalidations counter (each table/group mutation bumps the
-  /// epoch exactly once), and mirror the cache's eviction count.
+  /// epoch exactly once).
   void observe_cache_epoch();
   /// Route one pipeline result's outputs and packet-ins out of the
   /// datapath, charging `packet_cost` across the outputs.
@@ -616,7 +388,6 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   std::unordered_map<std::uint32_t, PatchBinding> patches_;
   std::vector<bool> port_up_;
   bool sweep_scheduled_ = false;
-  bool ct_sweep_scheduled_ = false;
   // Failover state. connected_ means "the switch believes its control
   // session is alive"; it starts true (attaching a channel is the
   // session) and only ever changes when failover is enabled.
@@ -633,35 +404,16 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   sim::SimNanos degraded_since_ = 0;
   sim::SimNanos warmup_until_ = 0;
   std::uint64_t warmup_budget_ = 0;
-  // Stateful HA. The checkpoint image lives *outside* the datapath
-  // state fault_crash wipes — it models a snapshot persisted off-box
-  // (disk / peer), which is the entire point of checkpointing.
-  std::vector<openflow::CtSnapshot> ct_checkpoint_;
-  bool ct_checkpoint_scheduled_ = false;
-  bool ct_state_restored_ = false;  // restore happened; next resync is warm
-  ReplicationChannel* repl_out_ = nullptr;  // publish direction (this -> peer)
-  ReplicationChannel* repl_in_ = nullptr;   // listen direction (peer -> this)
-  bool ha_heartbeat_armed_ = false;
-  bool ha_monitor_armed_ = false;
-  bool ha_promoted_ = false;
-  bool ha_heartbeat_seen_ = false;  // monitor only trips after first contact
-  sim::SimNanos last_ha_heartbeat_ = 0;
-  std::function<void()> ha_takeover_handler_;
-  // Witness-arbitrated fencing + failback (PR 10). All inert without
-  // set_ha_witness / a reverse channel — the PR-9 pair exactly.
-  sim::WitnessLink* ha_witness_ = nullptr;
-  HaRole ha_role_ = HaRole::kNone;
-  bool ha_fenced_ = false;
-  std::uint64_t ha_epoch_ = 0;
-  sim::SimNanos ha_lease_expires_ = 0;
-  bool ha_renew_armed_ = false;
-  bool ha_failback_pending_ = false;  // demoted, waiting for the peer's stream
+  bool warm_resync_pending_ = false;  // ct state was restored; next resync is warm
   legacy::MacTable standalone_macs_;
   std::uint64_t seen_cache_epoch_ = 0;
   /// service_burst staging + result scratch, recycled across bursts
   /// (one switch's service loop never re-enters itself).
   std::vector<openflow::BurstPacket> burst_items_;
   openflow::BurstResult burst_result_;
+  /// Declared last: it holds references to pipeline_, failover_,
+  /// failover_stats_, restarting_ and costs_.
+  HaAgent ha_;
 };
 
 }  // namespace harmless::softswitch

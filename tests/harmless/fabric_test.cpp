@@ -141,10 +141,9 @@ TEST(Fabric, MultiCoreFabricForwardsAndBillsSteering) {
     std::uint64_t packets = 0;
     std::size_t queues = 0;
     for (std::size_t core = 0; core < ss->core_count(); ++core) {
-      const auto stats = ss->core_stats(core);
-      busy += stats.busy_ns;
-      packets += stats.packets;
-      queues += stats.rx_queues;
+      busy += ss->core_busy_ns(core);
+      packets += ss->core_packets(core);
+      queues += ss->core_queue_count(core);
     }
     EXPECT_EQ(busy, ss->busy_ns()) << ss->name();
     EXPECT_EQ(queues, ss->rx_queue_count()) << ss->name();

@@ -223,6 +223,29 @@ TEST(ConnTracker, CheckpointSerializeParseRoundTrips) {
   EXPECT_FALSE(CtSnapshot::parse(padded).has_value());
 }
 
+TEST(CtSnapshot, ParseRejectsForgedCountUnknownNatKindAndFlagBits) {
+  // A bare header claiming 0xFFFFFFFF entries: refused by length, before
+  // any allocation is sized from it.
+  std::vector<std::uint8_t> forged = CtSnapshot{}.serialize();
+  ASSERT_EQ(forged.size(), 18u);
+  for (std::size_t i = 14; i < 18; ++i) forged[i] = 0xff;
+  EXPECT_FALSE(CtSnapshot::parse(forged).has_value());
+
+  ConnTracker ct(CtConfig{}, 1);
+  const CtAction snat{CtAction::Nat::kSource, 0xc0a80001, 49152, 65535};
+  ct.process(tuple(0x0a000001, 40000, 0x08080808, 80), net::kTcpSyn, 100, snat);
+  const std::vector<std::uint8_t> bytes = ct.checkpoint(1'000).serialize();
+  ASSERT_TRUE(CtSnapshot::parse(bytes).has_value());
+  // Entry 0 starts at byte 18: its NAT kind sits after the two 13-byte
+  // tuples, its flags after the NAT ip and port.
+  std::vector<std::uint8_t> bad_nat = bytes;
+  bad_nat[18 + 26] = 0x7f;
+  EXPECT_FALSE(CtSnapshot::parse(bad_nat).has_value());
+  std::vector<std::uint8_t> bad_flags = bytes;
+  bad_flags[18 + 33] |= 0x04;
+  EXPECT_FALSE(CtSnapshot::parse(bad_flags).has_value());
+}
+
 TEST(ConnTracker, RestoreDropsMidHandshakeEntriesAndCollisions) {
   ConnTracker ct(CtConfig{}, 1);
   // One fully established connection and one SYN-only half-open.

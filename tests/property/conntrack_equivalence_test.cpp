@@ -209,16 +209,16 @@ Observed run_nat_workload(const std::vector<Conn>& conns, std::size_t cores) {
 
   for (sim::Host* host : hosts) observed.host_ok.push_back(host->counters().http_ok_received);
   std::sort(observed.server_frames.begin(), observed.server_frames.end());
-  const auto& counters = sw.counters();
-  observed.created = counters.ct_created;
-  observed.nat_allocated = counters.ct_nat_allocated;
-  observed.nat_failures = counters.ct_nat_failures;
-  observed.evicted = counters.ct_evicted;
-  observed.lookups = counters.ct_lookups;
-  observed.hits = counters.ct_hits;
-  observed.invalid = counters.ct_invalid;
-  EXPECT_EQ(counters.ct_expired, counters.ct_created) << "drain must expire every connection";
-  EXPECT_EQ(counters.ct_connections, 0u);
+  const openflow::CtStats ct = sw.pipeline().ct_stats();
+  observed.created = ct.created;
+  observed.nat_allocated = ct.nat_allocated;
+  observed.nat_failures = ct.nat_failures;
+  observed.evicted = ct.evicted;
+  observed.lookups = ct.lookups;
+  observed.hits = ct.hits;
+  observed.invalid = ct.invalid;
+  EXPECT_EQ(ct.expired, ct.created) << "drain must expire every connection";
+  EXPECT_EQ(sw.pipeline().ct_connection_count(), 0u);
   EXPECT_EQ(sw.queue_drops(), 0u);
   return observed;
 }
@@ -295,7 +295,7 @@ TEST(ConntrackEquivalence, DisabledConntrackSymmetricRssMatchesSingleCore) {
     network.run();
     std::vector<std::uint64_t> rx;
     for (sim::Host* host : hosts) rx.push_back(host->counters().rx_udp);
-    EXPECT_EQ(sw.counters().ct_lookups, 0u);
+    EXPECT_EQ(sw.pipeline().ct_stats().lookups, 0u);
     return rx;
   };
   const auto single = run(1);

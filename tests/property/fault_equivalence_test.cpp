@@ -24,6 +24,8 @@
 #include "net/build.hpp"
 #include "sim/faults.hpp"
 #include "sim/network.hpp"
+#include "sim/witness.hpp"
+#include "softswitch/replication.hpp"
 #include "softswitch/soft_switch.hpp"
 #include "util/status.hpp"
 
@@ -506,33 +508,148 @@ TEST(FaultChaos, DoubleFailureInsideResyncWindowConverges) {
 
 // ---- (d) split-brain safety under chaos (PR 10) ----------------------
 
-/// The PR-10 safety property: whatever the partition/crash schedule —
-/// replication cut in either direction, witness links cut, active
-/// crashed, even the witness itself crashed — the lease quorum plus
-/// fail-closed fencing admit AT MOST ONE unfenced active at any
-/// simulated instant, and fencing epochs never move backwards.
-TEST(FaultChaos, AtMostOneUnfencedActiveUnderAnySchedule) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    sim::Network network;
-    auto& act = network.add_node<SoftSwitch>("act", 0xA1, 2, /*table_count=*/1);
-    auto& stb = network.add_node<SoftSwitch>("stb", 0xA2, 2, /*table_count=*/1);
+/// SNAT gateway rules for the HA pair's traffic case: outbound TCP is
+/// source-translated and committed, reverse traffic follows the stored
+/// mapping, everything else drops.
+std::vector<openflow::FlowModMsg> snat_rules(net::MacAddr a_mac, net::MacAddr b_mac) {
+  openflow::FlowModMsg out;
+  out.priority = 100;
+  out.match.in_port(1).eth_type(0x0800).ip_proto(6);
+  out.instructions = openflow::apply({openflow::ct_snat(net::Ipv4Addr(192, 0, 2, 1), 50000, 50100),
+                                      openflow::set_eth_dst(b_mac), openflow::output(2)});
+  openflow::FlowModMsg back;
+  back.priority = 100;
+  back.match.in_port(2).eth_type(0x0800).ip_proto(6).ct_tracked();
+  back.instructions =
+      openflow::apply({openflow::ct_commit(), openflow::set_eth_dst(a_mac), openflow::output(1)});
+  return {out, back, openflow::FlowModMsg{}};  // the last is the priority-0 drop
+}
+
+/// An active/standby pair with conntrack, a duplex replication channel
+/// and a lease witness, wired in the order every HA harness uses:
+/// conntrack first, then the witness, then the roles. With `traffic`,
+/// hosts a and b hang off the active and both boxes get snat_rules.
+struct HaPair {
+  sim::Network network;
+  SoftSwitch& act = network.add_node<SoftSwitch>("act", 0xA1, 2, /*table_count=*/1);
+  SoftSwitch& stb = network.add_node<SoftSwitch>("stb", 0xA2, 2, /*table_count=*/1);
+  sim::Host* a = nullptr;
+  sim::Host* b = nullptr;
+  softswitch::ReplicationChannel ab{network.engine()};  // act -> stb
+  softswitch::ReplicationChannel ba{network.engine()};  // stb -> act
+  sim::Witness witness;
+  sim::WitnessLink wl_act{network.engine(), witness, 0xA1};
+  sim::WitnessLink wl_stb{network.engine(), witness, 0xA2};
+
+  explicit HaPair(bool traffic) {
     act.enable_conntrack(openflow::CtConfig{});
     stb.enable_conntrack(openflow::CtConfig{});
-    softswitch::ReplicationChannel ab(network.engine());  // act -> stb
-    softswitch::ReplicationChannel ba(network.engine());  // stb -> act
-    sim::Witness witness;
-    sim::WitnessLink wl_act(network.engine(), witness, 0xA1);
-    sim::WitnessLink wl_stb(network.engine(), witness, 0xA2);
+    if (traffic) {
+      a = &network.add_host("a", host_mac(0), host_ip(0));
+      b = &network.add_host("b", host_mac(1), host_ip(1));
+      network.connect(*a, 0, act, 0, sim::LinkSpec::gbps(10));
+      network.connect(*b, 0, act, 1, sim::LinkSpec::gbps(10));
+      for (const openflow::FlowModMsg& rule : snat_rules(a->mac(), b->mac())) {
+        act.install(rule).check();
+        stb.install(rule).check();
+      }
+    }
     act.set_ha_witness(wl_act);
     stb.set_ha_witness(wl_stb);
     act.enable_ha_active(ab, &ba);
     stb.enable_ha_standby(ab, &ba);
+  }
+
+  /// Everything the pair observed, folded in a fixed order: per box
+  /// every FailoverStats field, the fencing epoch, the promotion flag
+  /// and the pipeline's conntrack totals; then both replication
+  /// directions, both witness links, the witness and the engine's
+  /// dispatched-event count.
+  std::uint64_t digest() {
+    Digest digest;
+    for (const SoftSwitch* sw : {&act, &stb}) {
+      const softswitch::FailoverStats& f = sw->failover_stats();
+      for (const std::uint64_t value :
+           {f.disconnects, f.reconnects, f.resyncs, f.echo_sent, f.echo_replies, f.echo_misses,
+            f.reconnect_attempts, f.packet_ins_dropped, f.warmup_packet_ins_dropped,
+            f.standalone_packets, f.standalone_floods, f.flows_expired_degraded,
+            f.flows_reinstalled, f.crashes, f.restarts, f.dropped_restarting, f.checkpoints,
+            f.ct_restored, f.ct_restore_dropped, f.takeovers, f.warm_resyncs, f.ha_fences,
+            f.ha_unfences, f.ha_lease_grants, f.ha_lease_denials, f.ha_promotions_denied,
+            f.ha_demotions, f.ha_failbacks, f.ha_failback_entries, f.ha_deltas_rejected_epoch,
+            f.checkpoint_entries, f.checkpoint_bytes, f.checkpoint_shards_skipped})
+        digest.fold(value);
+      for (const sim::SimNanos value : {f.checkpoint_ns_billed, f.degraded_ns,
+                                        f.last_disconnect_at, f.last_reconnect_at,
+                                        f.last_resync_at})
+        digest.fold(static_cast<std::uint64_t>(value));
+      digest.fold(sw->ha().epoch());
+      digest.fold(sw->ha_promoted() ? 1 : 0);
+      const openflow::CtStats ct = sw->pipeline().ct_stats();
+      for (const std::uint64_t value :
+           {ct.lookups, ct.hits, ct.created, ct.refreshed, ct.expired, ct.evicted, ct.invalid,
+            ct.nat_allocated, ct.nat_failures, ct.checkpoints, ct.restored, ct.restore_dropped,
+            ct.deltas_emitted, ct.deltas_applied, ct.fenced_rejects})
+        digest.fold(value);
+    }
+    for (const softswitch::ReplicationChannel* channel : {&ab, &ba}) {
+      const softswitch::ReplicationChannel::Stats& r = channel->stats();
+      for (const std::uint64_t value :
+           {r.deltas_published, r.deltas_delivered, r.batches_sent, r.batches_delivered,
+            r.batches_dropped_down, r.batches_dropped_loss, r.heartbeats_sent,
+            r.heartbeats_delivered, r.heartbeats_dropped_down, r.heartbeats_dropped_loss,
+            r.sync_requests_sent, r.sync_requests_delivered, r.snapshots_sent,
+            r.snapshots_delivered, r.snapshot_bytes})
+        digest.fold(value);
+    }
+    for (const sim::WitnessLink* link : {&wl_act, &wl_stb}) {
+      const sim::WitnessLink::Stats& l = link->stats();
+      for (const std::uint64_t value :
+           {l.requests_sent, l.requests_dropped, l.responses_dropped, l.granted, l.denied})
+        digest.fold(value);
+    }
+    const sim::Witness::Stats& w = witness.stats();
+    for (const std::uint64_t value : {w.grants, w.renewals, w.denials, w.epoch_bumps, w.crashes})
+      digest.fold(value);
+    digest.fold(network.engine().events_dispatched());
+    return digest.value;
+  }
+};
+
+/// Sample the split-brain invariant every 50 us up to `until`: counts
+/// instants with two unfenced actives into `double_active`.
+void probe_double_active(HaPair& pair, sim::SimNanos until, std::uint64_t& double_active) {
+  for (sim::SimNanos at = 0; at <= until; at += 50'000) {
+    pair.network.engine().schedule_at(at, [&pair, &double_active] {
+      if (pair.act.ha_unfenced_active() && pair.stb.ha_unfenced_active()) ++double_active;
+    });
+  }
+}
+
+/// The split-brain safety property: whatever the partition/crash schedule —
+/// replication cut in either direction, witness links cut, active
+/// crashed, even the witness itself crashed — the lease quorum plus
+/// fail-closed fencing admit AT MOST ONE unfenced active at any
+/// simulated instant, and fencing epochs never move backwards. Each
+/// seed's whole-pair digest is pinned, so the HA machinery's behaviour
+/// under chaos is frozen, not only its invariants.
+TEST(FaultChaos, AtMostOneUnfencedActiveUnderAnySchedule) {
+  constexpr std::uint64_t kPinnedDigest[8] = {
+      10832390903659757866ULL, 12500164641579857433ULL, 636510693528022632ULL,
+      16067066905038338843ULL, 14826130353516864979ULL, 1119465174331116857ULL,
+      16808067374179429992ULL, 15288768553898882685ULL};
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    HaPair pair(/*traffic=*/false);
+    SoftSwitch& act = pair.act;
+    SoftSwitch& stb = pair.stb;
+    sim::Witness& witness = pair.witness;
+    sim::Network& network = pair.network;
 
     sim::FaultInjector injector(network.engine());
-    injector.register_point("repl:ab", ab);
-    injector.register_point("repl:ba", ba);
-    injector.register_point("wit:act", wl_act);
-    injector.register_point("wit:stb", wl_stb);
+    injector.register_point("repl:ab", pair.ab);
+    injector.register_point("repl:ba", pair.ba);
+    injector.register_point("wit:act", pair.wl_act);
+    injector.register_point("wit:stb", pair.wl_stb);
     injector.register_point("act", act);
     injector.register_point("witness", witness);
 
@@ -556,12 +673,12 @@ TEST(FaultChaos, AtMostOneUnfencedActiveUnderAnySchedule) {
     for (sim::SimNanos at = 0; at <= 90 * kMs; at += 50'000) {
       network.engine().schedule_at(at, [&] {
         if (act.ha_unfenced_active() && stb.ha_unfenced_active()) ++double_active_samples;
-        if (act.ha_epoch() < last_epoch_act || stb.ha_epoch() < last_epoch_stb)
+        if (act.ha().epoch() < last_epoch_act || stb.ha().epoch() < last_epoch_stb)
           ++epoch_regressions;
-        if (act.ha_epoch() > witness.epoch() || stb.ha_epoch() > witness.epoch())
+        if (act.ha().epoch() > witness.epoch() || stb.ha().epoch() > witness.epoch())
           ++epoch_overruns;
-        last_epoch_act = act.ha_epoch();
-        last_epoch_stb = stb.ha_epoch();
+        last_epoch_act = act.ha().epoch();
+        last_epoch_stb = stb.ha().epoch();
       });
     }
 
@@ -579,7 +696,38 @@ TEST(FaultChaos, AtMostOneUnfencedActiveUnderAnySchedule) {
                   static_cast<int>(stb.ha_unfenced_active()),
               1)
         << "seed " << seed;
+    EXPECT_EQ(pair.digest(), kPinnedDigest[seed - 1]) << "seed " << seed;
   }
+}
+
+/// The same property with traffic, over the warm-failback scenario:
+/// two SNATed connections through the active, which crashes; the
+/// standby takes over under a bumped epoch; the ex-active restarts
+/// amnesiac, is demoted by the newer epoch and rejoins warm from the
+/// new active's snapshot stream. The whole-pair digest is pinned.
+TEST(FaultChaos, AtMostOneUnfencedActiveThroughWarmFailback) {
+  constexpr std::uint64_t kPinnedDigest = 899960556383035292ULL;
+  HaPair pair(/*traffic=*/true);
+  std::uint64_t double_active = 0;
+  probe_double_active(pair, 25 * kMs, double_active);
+
+  pair.network.run_until(kMs);
+  for (int i = 0; i < 2; ++i) {
+    const net::FlowKey flow{pair.a->mac(), pair.b->mac(), pair.a->ip(), pair.b->ip(),
+                            static_cast<std::uint16_t>(40000 + i), 80};
+    pair.a->send(net::make_tcp(flow, net::kTcpSyn));
+    pair.network.run_until(pair.network.now() + kMs);
+  }
+  pair.act.fault_crash();
+  pair.network.run_until(pair.network.now() + 10 * kMs);
+  EXPECT_TRUE(pair.stb.ha_promoted());
+  pair.act.fault_restart();
+  pair.network.run_until(pair.network.now() + 10 * kMs);
+
+  EXPECT_EQ(double_active, 0u);
+  EXPECT_EQ(pair.act.failover_stats().ha_failbacks, 1u);
+  EXPECT_EQ(pair.act.pipeline().ct_connection_count(), 2u);
+  EXPECT_EQ(pair.digest(), kPinnedDigest);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Robustness fuzzing for every parser that consumes external input:
-// vendor config text, OIDs, raw frames, pcap files. The property is
-// uniform — any byte soup either parses or returns a clean error;
-// nothing throws, crashes or reads out of bounds (ASAN-clean by
-// construction: all paths go through bounds-checked span reads).
+// vendor config text, OIDs, raw frames, pcap files, conntrack
+// checkpoint images. The property is uniform — any byte soup either
+// parses or returns a clean error; nothing throws, crashes or reads out
+// of bounds (ASAN-clean by construction: all paths go through
+// bounds-checked span reads). Snapshot images add one more: any blob
+// the parser accepts re-serializes to exactly the same bytes.
 #include <gtest/gtest.h>
 
 #include "mgmt/dialects.hpp"
@@ -10,6 +12,7 @@
 #include "net/build.hpp"
 #include "net/parse.hpp"
 #include "net/pcap.hpp"
+#include "openflow/conntrack.hpp"
 #include "util/rng.hpp"
 
 namespace harmless {
@@ -139,6 +142,84 @@ TEST_P(ParserFuzz, PcapParserHandlesRandomBytes) {
       for (auto& byte : file) byte = static_cast<std::uint8_t>(rng.below(256));
     }
     EXPECT_NO_THROW({ auto records = net::pcap_parse(file); (void)records; });
+  }
+}
+
+/// A valid checkpoint image of up to four connections with random
+/// tuples, every NAT kind and every flag combination.
+std::vector<std::uint8_t> valid_snapshot(util::Rng& rng) {
+  openflow::CtSnapshot snap;
+  snap.taken_at = static_cast<sim::SimNanos>(rng.below(1'000'000'000));
+  const auto random_tuple = [&rng] {
+    return openflow::CtTuple{static_cast<std::uint32_t>(rng.next()),
+                             static_cast<std::uint32_t>(rng.next()),
+                             static_cast<std::uint16_t>(rng.below(65536)),
+                             static_cast<std::uint16_t>(rng.below(65536)),
+                             rng.chance(0.5) ? std::uint8_t{6} : std::uint8_t{17}};
+  };
+  const std::size_t count = rng.below(5);
+  for (std::size_t i = 0; i < count; ++i) {
+    openflow::CtSnapshotEntry entry;
+    entry.orig = random_tuple();
+    entry.reply = random_tuple();
+    entry.nat.kind = static_cast<openflow::CtAction::Nat>(rng.below(3));
+    entry.nat.ip = static_cast<std::uint32_t>(rng.next());
+    entry.nat.port = static_cast<std::uint16_t>(rng.below(65536));
+    entry.seen_reply = rng.chance(0.5);
+    entry.closing = rng.chance(0.5);
+    entry.remaining_ns = static_cast<sim::SimNanos>(rng.below(60'000'000'000ULL));
+    snap.entries.push_back(entry);
+  }
+  return snap.serialize();
+}
+
+/// The snapshot parser never throws, and whatever it accepts
+/// re-serializes byte-identically.
+void expect_snapshot_parse_is_clean(const std::vector<std::uint8_t>& bytes) {
+  std::optional<openflow::CtSnapshot> parsed;
+  EXPECT_NO_THROW(parsed = openflow::CtSnapshot::parse(bytes));
+  if (parsed) {
+    EXPECT_EQ(parsed->serialize(), bytes);
+  }
+}
+
+TEST_P(ParserFuzz, CtSnapshotParserHandlesRandomBytes) {
+  util::Rng rng(GetParam());
+  // Half the inputs start with a valid magic + version so the count
+  // check and the entry decoder are reached, not just the magic gate.
+  const std::vector<std::uint8_t> header = openflow::CtSnapshot{}.serialize();
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::uint8_t> bytes;
+    if (rng.chance(0.5)) bytes.assign(header.begin(), header.begin() + 6);
+    const std::size_t extra = rng.below(200);
+    for (std::size_t i = 0; i < extra; ++i)
+      bytes.push_back(static_cast<std::uint8_t>(rng.below(256)));
+    expect_snapshot_parse_is_clean(bytes);
+  }
+}
+
+TEST_P(ParserFuzz, CtSnapshotParserHandlesMutatedValidSnapshots) {
+  util::Rng rng(GetParam());
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<std::uint8_t> bytes = valid_snapshot(rng);
+    ASSERT_TRUE(openflow::CtSnapshot::parse(bytes).has_value());
+    // Overwrite, truncate, or extend — and sometimes forge the count
+    // field (bytes 14..17), including the all-ones count.
+    for (int edit = 0; edit < 3; ++edit) {
+      switch (rng.below(4)) {
+        case 0:
+          bytes[rng.below(bytes.size())] = static_cast<std::uint8_t>(rng.below(256));
+          break;
+        case 1: bytes.resize(rng.below(bytes.size() + 1)); break;
+        case 2: bytes.push_back(static_cast<std::uint8_t>(rng.below(256))); break;
+        default:
+          if (bytes.size() >= 18)
+            for (std::size_t i = 14; i < 18; ++i)
+              bytes[i] = rng.chance(0.5) ? 0xff : static_cast<std::uint8_t>(rng.below(256));
+      }
+      if (bytes.empty()) break;
+    }
+    expect_snapshot_parse_is_clean(bytes);
   }
 }
 

@@ -166,13 +166,24 @@ struct Rig {
     digest.fold_signed(sw->busy_ns());
     digest.fold(network.engine().events_dispatched());
     const SoftSwitch::Counters& c = sw->counters();
+    // Per-shard cache and conntrack totals, summed where they live.
+    const openflow::Pipeline& pipeline = sw->pipeline();
+    std::uint64_t cache_evictions = 0;
+    std::uint64_t cache_subtables = 0;
+    std::uint64_t cache_subtable_probes = 0;
+    for (std::size_t shard = 0; shard < pipeline.shard_count(); ++shard) {
+      cache_evictions += pipeline.cache(shard).stats().evictions;
+      cache_subtables += pipeline.cache(shard).subtable_count();
+      cache_subtable_probes += pipeline.cache(shard).stats().subtable_probes;
+    }
+    const openflow::CtStats ct = pipeline.ct_stats();
     for (const std::uint64_t value :
          {c.pipeline_runs, c.packets_out, c.packet_ins, c.drops_no_match, c.drops_port_down,
           c.flow_mods, c.errors, c.cache_hits, c.cache_misses, c.cache_invalidations,
-          c.cache_evictions, c.cache_subtables, c.cache_subtable_probes, c.service_bursts,
-          c.replay_groups, c.rx_queue_polls, c.rss_steered, c.ct_lookups, c.ct_hits,
-          c.ct_created, c.ct_expired, c.ct_evicted, c.ct_invalid, c.ct_nat_allocated,
-          c.ct_nat_failures, static_cast<std::uint64_t>(c.ct_connections)})
+          cache_evictions, cache_subtables, cache_subtable_probes, c.service_bursts,
+          c.replay_groups, c.rx_queue_polls, c.rss_steered, ct.lookups, ct.hits, ct.created,
+          ct.expired, ct.evicted, ct.invalid, ct.nat_allocated, ct.nat_failures,
+          static_cast<std::uint64_t>(pipeline.ct_connection_count())})
       digest.fold(value);
     const softswitch::FailoverStats& f = sw->failover_stats();
     for (const std::uint64_t value :

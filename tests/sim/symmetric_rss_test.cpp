@@ -108,7 +108,7 @@ TEST(SymmetricRss, BothFlowDirectionsLandOnOneCore) {
   for (int flow = 0; flow < 20; ++flow) {
     std::uint64_t packets_before[4];
     for (std::size_t core = 0; core < 4; ++core)
-      packets_before[core] = sw.core_stats(core).packets;
+      packets_before[core] = sw.core_packets(core);
 
     net::FlowKey key;
     key.eth_src = a.mac();
@@ -130,7 +130,7 @@ TEST(SymmetricRss, BothFlowDirectionsLandOnOneCore) {
 
     int cores_touched = 0;
     for (std::size_t core = 0; core < 4; ++core) {
-      const std::uint64_t delta = sw.core_stats(core).packets - packets_before[core];
+      const std::uint64_t delta = sw.core_packets(core) - packets_before[core];
       if (delta != 0) {
         ++cores_touched;
         EXPECT_EQ(delta, 2u) << "flow " << flow << " split across cores";

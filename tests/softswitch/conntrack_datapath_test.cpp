@@ -202,9 +202,9 @@ TEST(ConntrackDatapath, SnatRewriteReplaysThroughTheCache) {
   EXPECT_EQ(restored.ipv4->dst, rig.a->ip());
   EXPECT_EQ(restored.dst_port(), 40000u);
 
-  const auto counters = rig.sw->counters();
-  EXPECT_EQ(counters.ct_nat_allocated, 1u);
-  EXPECT_EQ(counters.ct_created, 1u);
+  const CtStats ct = rig.sw->pipeline().ct_stats();
+  EXPECT_EQ(ct.nat_allocated, 1u);
+  EXPECT_EQ(ct.created, 1u);
 }
 
 TEST(ConntrackDatapath, SweepExpiresIdleConnectionsOnTheEngine) {
@@ -217,10 +217,10 @@ TEST(ConntrackDatapath, SweepExpiresIdleConnectionsOnTheEngine) {
 
   rig.a->send(make_tcp(rig.forward(), kTcpSyn));
   rig.network.run();  // drains: the sweep runs until the table is empty
-  const auto counters = rig.sw->counters();
-  EXPECT_EQ(counters.ct_created, 1u);
-  EXPECT_EQ(counters.ct_expired, 1u);
-  EXPECT_EQ(counters.ct_connections, 0u);
+  const CtStats ct = rig.sw->pipeline().ct_stats();
+  EXPECT_EQ(ct.created, 1u);
+  EXPECT_EQ(ct.expired, 1u);
+  EXPECT_EQ(rig.sw->pipeline().ct_connection_count(), 0u);
   // The engine drained — the sweep must disarm itself once the table
   // is empty (otherwise network.run() would never have returned).
 }
@@ -230,14 +230,14 @@ TEST(ConntrackDatapath, CtCostsAreBilled) {
   rig.install_firewall();
   rig.a->send(make_tcp(rig.forward(), kTcpSyn));
   rig.network.run();
-  const auto counters = rig.sw->counters();
-  EXPECT_GE(counters.ct_lookups, 1u);
-  EXPECT_EQ(counters.ct_created, 1u);
+  const CtStats ct = rig.sw->pipeline().ct_stats();
+  EXPECT_GE(ct.lookups, 1u);
+  EXPECT_EQ(ct.created, 1u);
   // The busy bill must include the ct lookup and commit costs.
   const DatapathCosts costs;
   EXPECT_GT(costs.ct_lookup_ns, 0u);
   EXPECT_GT(costs.ct_commit_ns, 0u);
-  EXPECT_GT(rig.sw->core_stats(0).busy_ns, 0);
+  EXPECT_GT(rig.sw->core_busy_ns(0), 0);
 }
 
 TEST(ConntrackDatapath, DisabledConntrackReportsZeroes) {
@@ -263,10 +263,10 @@ TEST(ConntrackDatapath, DisabledConntrackReportsZeroes) {
   a.send(make_tcp(key, kTcpSyn));
   network.run();
   EXPECT_EQ(b.counters().rx_tcp, 1u);
-  const auto counters = sw.counters();
-  EXPECT_EQ(counters.ct_lookups, 0u);
-  EXPECT_EQ(counters.ct_created, 0u);
-  EXPECT_EQ(counters.ct_connections, 0u);
+  const CtStats ct = sw.pipeline().ct_stats();
+  EXPECT_EQ(ct.lookups, 0u);
+  EXPECT_EQ(ct.created, 0u);
+  EXPECT_EQ(sw.pipeline().ct_connection_count(), 0u);
 }
 
 }  // namespace

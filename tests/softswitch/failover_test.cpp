@@ -10,6 +10,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "controller/apps/static_flows.hpp"
@@ -21,6 +22,7 @@
 #include "sim/witness.hpp"
 #include "softswitch/replication.hpp"
 #include "softswitch/soft_switch.hpp"
+#include "util/status.hpp"
 
 namespace {
 
@@ -505,8 +507,46 @@ TEST(StatefulHa, StandbyTakeoverPreservesEstablishedState) {
             openflow::kCtTracked | openflow::kCtEstablished);
 
   // Takeover is idempotent and one-way.
-  stb.ha_takeover();
+  stb.ha().takeover();
   EXPECT_EQ(stb.failover_stats().takeovers, 1u);
+}
+
+/// HA wiring on a switch without conntrack must fail loudly: a
+/// ConfigError naming the switch, never a library range error and never
+/// a pairing that silently drops every delta or fences nothing.
+template <typename Wire>
+void expect_config_error_naming(const std::string& name, Wire&& wire) {
+  try {
+    wire();
+    ADD_FAILURE() << "HA wiring without conntrack was accepted";
+  } catch (const util::ConfigError& error) {
+    EXPECT_NE(std::string(error.what()).find(name), std::string::npos) << error.what();
+  }
+}
+
+TEST(StatefulHa, EnableActiveWithoutConntrackThrowsConfigError) {
+  sim::Network network;
+  auto& sw = network.add_node<SoftSwitch>("gw-a", 0xA1, 2, /*table_count=*/1);
+  softswitch::ReplicationChannel repl(network.engine());
+  expect_config_error_naming("gw-a", [&] { sw.enable_ha_active(repl); });
+}
+
+TEST(StatefulHa, EnableStandbyWithoutConntrackThrowsConfigError) {
+  sim::Network network;
+  auto& sw = network.add_node<SoftSwitch>("gw-b", 0xA2, 2, /*table_count=*/1);
+  softswitch::ReplicationChannel repl(network.engine());
+  expect_config_error_naming("gw-b", [&] { sw.enable_ha_standby(repl); });
+}
+
+TEST(WitnessFencing, WitnessBeforeConntrackThrowsConfigError) {
+  // Attaching the witness first would report the box fenced while its
+  // (not yet existing) conntrack shards could still mint NAT state.
+  sim::Network network;
+  auto& sw = network.add_node<SoftSwitch>("gw-a", 0xA1, 2, /*table_count=*/1);
+  sim::Witness witness;
+  sim::WitnessLink link(network.engine(), witness, 0xA1);
+  expect_config_error_naming("gw-a", [&] { sw.set_ha_witness(link); });
+  EXPECT_FALSE(sw.ha().fenced());
 }
 
 TEST(ReplicationChannelFailable, AttributesEveryLoss) {
@@ -650,14 +690,14 @@ TEST(WitnessFencing, StandbyPromotionRequiresLeaseQuorum) {
   act.set_ha_witness(wl_act);
   stb.set_ha_witness(wl_stb);
   // Witness-attached boxes start fenced: fail closed until a grant.
-  EXPECT_TRUE(act.ha_fenced());
-  EXPECT_TRUE(stb.ha_fenced());
+  EXPECT_TRUE(act.ha().fenced());
+  EXPECT_TRUE(stb.ha().fenced());
 
   act.enable_ha_active(repl);
   stb.enable_ha_standby(repl);
   network.run_until(5 * kMs);
   EXPECT_TRUE(act.ha_unfenced_active());  // first grant landed, epoch 1
-  EXPECT_EQ(act.ha_epoch(), 1u);
+  EXPECT_EQ(act.ha().epoch(), 1u);
 
   // Partition ONLY the replication channel. The standby hears silence —
   // but the witness still hears the active's renewals, so heartbeat
@@ -700,7 +740,7 @@ TEST(WitnessFencing, ActiveSelfFencesWhenWitnessUnreachable) {
   const net::FlowKey flow{a.mac(), b.mac(), a.ip(), b.ip(), 40000, 80};
   const net::FlowKey reply{b.mac(), a.mac(), b.ip(), a.ip(), 80, 40000};
   network.run_until(kMs);
-  ASSERT_FALSE(sw.ha_fenced());
+  ASSERT_FALSE(sw.ha().fenced());
   a.send(net::make_tcp(flow, net::kTcpSyn));
   network.run_until(network.now() + kMs);
   b.send(net::make_tcp(reply, net::kTcpSyn | net::kTcpAck));
@@ -711,7 +751,7 @@ TEST(WitnessFencing, ActiveSelfFencesWhenWitnessUnreachable) {
   // its local lease expiry — before the witness could grant elsewhere.
   link.set_up(false);
   network.run_until(network.now() + 3 * kMs);
-  EXPECT_TRUE(sw.ha_fenced());
+  EXPECT_TRUE(sw.ha().fenced());
   EXPECT_GE(sw.failover_stats().ha_fences, 1u);
   EXPECT_FALSE(sw.ha_unfenced_active());
 
@@ -734,7 +774,7 @@ TEST(WitnessFencing, ActiveSelfFencesWhenWitnessUnreachable) {
   // re-arms the lease and lifts the fence; commits work again.
   link.set_up(true);
   network.run_until(network.now() + 2 * kMs);
-  EXPECT_FALSE(sw.ha_fenced());
+  EXPECT_FALSE(sw.ha().fenced());
   EXPECT_GE(sw.failover_stats().ha_unfences, 1u);
   a.send(net::make_tcp(fresh, net::kTcpSyn));
   network.run_until(network.now() + kMs);
@@ -788,7 +828,7 @@ TEST(WitnessFailback, ExActiveRejoinsWarmWithNatBindings) {
   network.run_until(network.now() + 10 * kMs);
   EXPECT_TRUE(stb.ha_promoted());
   EXPECT_TRUE(stb.ha_unfenced_active());
-  EXPECT_EQ(stb.ha_epoch(), 2u);
+  EXPECT_EQ(stb.ha().epoch(), 2u);
 
   // Restart the ex-active amnesiac (no checkpointing). The new
   // active's higher epoch demotes it into a fenced standby, and the
@@ -797,13 +837,13 @@ TEST(WitnessFailback, ExActiveRejoinsWarmWithNatBindings) {
   act.fault_restart();
   ASSERT_EQ(act.pipeline().conntrack(0).size(), 0u);
   network.run_until(network.now() + 10 * kMs);
-  EXPECT_EQ(act.ha_role(), SoftSwitch::HaRole::kStandby);
+  EXPECT_EQ(act.ha().role(), softswitch::HaAgent::Role::kStandby);
   EXPECT_GE(act.failover_stats().ha_demotions, 1u);
   EXPECT_FALSE(act.ha_unfenced_active());
   EXPECT_TRUE(stb.ha_unfenced_active());
   EXPECT_EQ(act.failover_stats().ha_failbacks, 1u);
   EXPECT_GE(act.failover_stats().ha_failback_entries, 2u);
-  EXPECT_EQ(act.ha_epoch(), 2u);
+  EXPECT_EQ(act.ha().epoch(), 2u);
 
   // Warm: both connections are back with their NAT bindings intact.
   const auto entries = act.pipeline().conntrack(0).snapshot();
