@@ -48,8 +48,7 @@ void Engine::push_calendar(Event event) {
   ++calendar_size_;
 }
 
-void Engine::commit(SimNanos at, std::uint32_t slot) {
-  Event event{std::max(at, now_), next_seq_++, slot};
+void Engine::enqueue(Event event) {
   if (day_of(event.at) < cursor_day_ + config_.bucket_count) {
     push_calendar(event);
   } else {
@@ -154,14 +153,21 @@ void Engine::dispatch_from(Bucket& bucket) {
   // stays valid even when running it schedules more events. The slot is
   // recycled only afterwards, so a reschedule cannot overwrite it.
   EventFn& fn = fn_slot(event.fn);
+  dispatch_seq_ = event.seq;
   fn();
+  dispatch_seq_ = event.seq + 1;
   fn.reset();
   free_fns_.push_back(event.fn);
 }
 
 bool Engine::step() {
   Bucket* bucket = next_bucket(std::numeric_limits<SimNanos>::max());
-  if (bucket == nullptr) return false;
+  if (bucket == nullptr) {
+    // The eager engine would have dispatched every claimed no-op by now.
+    now_ = std::max(now_, latest_claim_);
+    dispatch_seq_ = next_seq_;
+    return false;
+  }
   dispatch_from(*bucket);
   return true;
 }
@@ -177,7 +183,10 @@ void Engine::run_until(SimNanos deadline) {
     if (bucket == nullptr) break;
     dispatch_from(*bucket);
   }
-  now_ = std::max(now_, deadline);
+  if (deadline >= now_) {
+    now_ = deadline;
+    dispatch_seq_ = next_seq_;
+  }
 }
 
 }  // namespace harmless::sim

@@ -6,6 +6,29 @@
 // the queue below is free to change *how* it finds the minimum as long
 // as it never changes *which* event is the minimum.
 //
+// Claimed keys. Much of a fabric's bookkeeping is an event that would
+// only flip a counter or find nothing to do: a link slot freeing at its
+// departure instant, a drain re-arm that finds its node empty. Instead
+// of queueing such a closure, a component takes its place in the total
+// order: claim(at) returns the (at, seq) key schedule_at(at, ...) would
+// have assigned and uses up that seq, so every later seq — and with it
+// every tie-break — is what it would have been had the event been
+// queued. The component then asks passed(key): true once an event under
+// that key would already have run, i.e.
+//
+//   key.at < now()  ||  (key.at == now() && key.seq < dispatch_seq)
+//
+// where dispatch_seq is the seq of the event now running, one past the
+// last dispatched seq between events, and the next unissued seq after
+// run_until(d) (d >= now) and after run() — both of which would have
+// run every claimed no-op due by then, so run() also leaves now() at
+// the latest claimed time when that is later than the last real event.
+// If the component finds it does need the event after all (a packet
+// arrived before the key passed), schedule_claimed(key, fn) queues the
+// closure under the claimed key, where it dispatches exactly where the
+// eager event would have. Claimed keys never enter the queue, so they
+// cost no heap work and do not count in events_dispatched().
+//
 // The store is a calendar queue (Brown 1988), tuned for the dominant
 // event shape — service completions and link deliveries tens to
 // hundreds of nanoseconds out, i.e. nearly-FIFO:
@@ -49,6 +72,7 @@
 // schedules more events and grows the slab.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <type_traits>
@@ -107,20 +131,53 @@ class Engine {
     commit(at, slot);
   }
 
+  /// A position in the total order: what schedule_at assigns an event.
+  struct Key {
+    SimNanos at;
+    std::uint64_t seq;
+  };
+
+  /// Take the key schedule_at(at, ...) would assign now (time clamped
+  /// to now) and use up its seq, without queueing anything.
+  [[nodiscard]] Key claim(SimNanos at) {
+    const Key key{std::max(at, now_), next_seq_++};
+    latest_claim_ = std::max(latest_claim_, key.at);
+    return key;
+  }
+
+  /// Queue `fn` under a key claimed earlier. Requires !passed(key): the
+  /// event then runs exactly where an event scheduled at claim time
+  /// would have.
+  template <typename F>
+  void schedule_claimed(Key key, F&& fn) {
+    const std::uint32_t slot = alloc_slot();
+    fn_slot(slot).emplace(std::forward<F>(fn));
+    enqueue(Event{key.at, key.seq, slot});
+  }
+
+  /// True once an event under `key` would already have run (an event
+  /// running under `key` right now has not passed).
+  [[nodiscard]] bool passed(Key key) const {
+    return key.at < now_ || (key.at == now_ && key.seq < dispatch_seq_);
+  }
+
   /// Schedule `fn` `delay` ns from now.
   template <typename F>
   void schedule_after(SimNanos delay, F&& fn) {
     schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
-  /// Run the next event. Returns false when the queue is empty.
+  /// Run the next event. Returns false when the queue is empty; every
+  /// claimed key has passed then, and now() is at least the latest
+  /// claimed time.
   bool step();
 
   /// Run until the queue drains.
   void run();
 
   /// Run events with time <= `deadline`; leaves later events queued and
-  /// advances now() to the deadline.
+  /// advances now() to the deadline (every key claimed at or before it
+  /// has passed then).
   void run_until(SimNanos deadline);
 
   [[nodiscard]] std::size_t pending() const {
@@ -182,7 +239,11 @@ class Engine {
   /// Cold path: append a fresh slot (and chunk, when needed).
   std::uint32_t grow_slot();
   /// Assign `slot` its (time, seq) key and enqueue it.
-  void commit(SimNanos at, std::uint32_t slot);
+  void commit(SimNanos at, std::uint32_t slot) {
+    enqueue(Event{std::max(at, now_), next_seq_++, slot});
+  }
+  /// Queue a keyed event: into the ring, or overflow when far ahead.
+  void enqueue(Event event);
   void push_calendar(Event event);
   /// The earliest far-future event across the sorted store and the
   /// staging area (nullptr when both are empty).
@@ -206,6 +267,10 @@ class Engine {
   CalendarConfig config_;
   SimNanos now_ = 0;
   std::uint64_t next_seq_ = 0;
+  /// passed()'s tie-break at now_ (see the file comment).
+  std::uint64_t dispatch_seq_ = 0;
+  /// The latest time any key was claimed at; run() ends no earlier.
+  SimNanos latest_claim_ = 0;
   std::uint64_t last_packet_id_ = 0;
   std::uint64_t events_dispatched_ = 0;
 

@@ -5,18 +5,35 @@
 namespace harmless::sim {
 
 Channel::Channel(Engine& engine, LinkSpec spec, std::string label)
-    : engine_(engine), spec_(spec), label_(std::move(label)) {}
+    : engine_(engine),
+      spec_(spec),
+      label_(std::move(label)),
+      departures_(spec.queue_capacity_packets) {}
+
+std::size_t Channel::queue_depth() const {
+  std::size_t departed = 0;
+  std::size_t index = head_;
+  while (departed < queued_ && engine_.passed(departures_[index])) {
+    ++departed;
+    if (++index == departures_.size()) index = 0;
+  }
+  return queued_ - departed;
+}
 
 void Channel::transmit(net::Packet&& packet) {
   if (!up_) {
     ++drops_down_;
     return;
   }
-  if (queued_ >= spec_.queue_capacity_packets) {
+  // Free the slots of every packet that has departed by now.
+  while (queued_ > 0 && engine_.passed(departures_[head_])) {
+    --queued_;
+    if (++head_ == departures_.size()) head_ = 0;
+  }
+  if (queued_ >= departures_.size()) {
     ++drops_overflow_;
     return;
   }
-  ++queued_;
 
   const SimNanos start = std::max(engine_.now(), transmitter_free_);
   if (packet.size() != memo_size_) {
@@ -29,9 +46,12 @@ void Channel::transmit(net::Packet&& packet) {
   transmitter_free_ = departs;
   busy_ns_ += serialization;
 
-  // The slot is freed when the last bit leaves the transmitter;
+  // The slot frees when the last bit leaves the transmitter;
   // propagation keeps the packet "in flight" but not "queued".
-  engine_.schedule_at(departs, [this] { --queued_; });
+  std::size_t tail = head_ + queued_;
+  if (tail >= departures_.size()) tail -= departures_.size();
+  departures_[tail] = engine_.claim(departs);
+  ++queued_;
 
   const std::size_t size = packet.size();
   engine_.schedule_at(arrives, [this, size, packet = std::move(packet)]() mutable {

@@ -9,13 +9,18 @@
 //   start  = max(t, transmitter_free)
 //   departs = start + serialization(size)
 //   arrives = departs + propagation_delay
-// Packets whose queue (packets waiting to start) exceeds the capacity
-// are dropped and counted.
+// Packets whose queue (packets accepted but not yet departed) exceeds
+// the capacity are dropped and counted. A queue slot frees when the
+// engine passes the packet's departure key: transmit() claims that key
+// (sim/event.hpp) rather than scheduling a release event, so a packet
+// costs one event (its arrival) while admission at a shared timestamp
+// still decides exactly as a release event at `departs` would have.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "sim/event.hpp"
@@ -74,7 +79,8 @@ class Channel {
   [[nodiscard]] std::uint64_t drops_down() const { return drops_down_; }
   /// Frames tail-dropped by the bounded transmit queue.
   [[nodiscard]] std::uint64_t drops_overflow() const { return drops_overflow_; }
-  [[nodiscard]] std::size_t queue_depth() const { return queued_; }
+  /// Packets accepted but not yet departed.
+  [[nodiscard]] std::size_t queue_depth() const;
   [[nodiscard]] const std::string& label() const { return label_; }
   [[nodiscard]] const LinkSpec& spec() const { return spec_; }
 
@@ -95,7 +101,12 @@ class Channel {
   /// frame size, and the divide + ceil shows up at per-packet rates.
   std::size_t memo_size_ = static_cast<std::size_t>(-1);
   SimNanos memo_serialization_ = 0;
-  std::size_t queued_ = 0;  // packets accepted but not yet departed
+  /// Ring of the departure keys of accepted packets, oldest first, one
+  /// slot per queue place. Departures are in key order, so the passed
+  /// keys are always a prefix; transmit() pops them before admission.
+  std::vector<Engine::Key> departures_;
+  std::size_t head_ = 0;
+  std::size_t queued_ = 0;  // keys in the ring, passed or not
   std::uint64_t drops_down_ = 0;
   std::uint64_t drops_overflow_ = 0;
   SimNanos busy_ns_ = 0;

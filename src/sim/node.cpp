@@ -111,7 +111,16 @@ void ServicedNode::handle(int in_port, net::Packet&& packet) {
   ++cores_[queue_core_[queue_index]].backlog;
   if (!draining_) {
     draining_ = true;
-    engine_.schedule_at(std::max(engine_.now(), busy_until_), [this] { drain(); });
+    // The last step left its re-arm as a claimed key: if that key has
+    // not passed, the drain runs under it, exactly where the eager
+    // re-arm would have run; otherwise the eager re-arm would already
+    // have found the node empty and gone idle.
+    if (rearm_claimed_ && !engine_.passed(rearm_)) {
+      engine_.schedule_claimed(rearm_, [this] { drain(); });
+    } else {
+      engine_.schedule_at(std::max(engine_.now(), busy_until_), [this] { drain(); });
+    }
+    rearm_claimed_ = false;
   }
 }
 
@@ -243,7 +252,15 @@ void ServicedNode::drain() {
   }
   busy_until_ = step_start + makespan;
 
-  // Serve the next step when this one's makespan elapses.
+  // Serve the next step when this one's makespan elapses. An empty node
+  // only claims that step's key: the drain would find nothing to do
+  // unless a packet arrives before the key passes (see handle()).
+  if (total_depth_ == 0) {
+    draining_ = false;
+    rearm_ = engine_.claim(busy_until_);
+    rearm_claimed_ = true;
+    return;
+  }
   engine_.schedule_at(busy_until_, [this] { drain(); });
 }
 

@@ -14,6 +14,14 @@
 // `service_burst(...)` nanoseconds of simulated compute; outputs
 // leave when their core's burst completes (a tx burst).
 //
+// After each step the node re-arms its drain at the step's end. When
+// the step emptied every queue, it only claims that re-arm's key
+// (sim/event.hpp) instead of queueing a drain that would find nothing:
+// a packet that arrives before the key passes queues the drain under
+// the claimed key, so it runs exactly where the eager re-arm would
+// have; one that arrives later starts a fresh drain, as it would after
+// the eager re-arm had gone idle. An idle node costs no events.
+//
 // The multi-core step model is bulk-synchronous run-to-completion:
 // every service step, each backlogged core drains one burst; each
 // core's busy nanoseconds accrue separately (busy_ns() sums them —
@@ -302,7 +310,13 @@ class ServicedNode : public Node {
   /// Delivered tx-burst vectors come back here so serve_core can reuse
   /// their capacity instead of reallocating one per burst.
   std::vector<std::vector<std::pair<std::size_t, net::Packet>>> out_pool_;
+  /// A drain event is queued (or running).
   bool draining_ = false;
+  /// The re-arm key an emptied step claimed instead of queueing a drain
+  /// that would find nothing to do; handle() queues the drain under it
+  /// if a packet arrives before it passes.
+  Engine::Key rearm_{};
+  bool rearm_claimed_ = false;
   bool in_service_ = false;
   SimNanos busy_until_ = 0;
   SimNanos busy_ns_ = 0;

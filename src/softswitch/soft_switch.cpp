@@ -50,6 +50,14 @@ void SoftSwitch::bind_patch(std::uint32_t of_port, SoftSwitch& peer,
   peer.patches_[peer_of_port] = PatchBinding{this, of_port};
 }
 
+void SoftSwitch::enable_conntrack(const openflow::CtConfig& config) {
+  if (core_count() > 1 && ingress().cores.rss != sim::RssPolicy::kSymmetric)
+    throw util::ConfigError(name() + ": conntrack on " + std::to_string(core_count()) +
+                            " cores needs RssPolicy::kSymmetric (replies must reach the "
+                            "shard that committed the connection)");
+  pipeline_.enable_conntrack(config);
+}
+
 void SoftSwitch::attach_channel(openflow::ControlChannel& channel) {
   channel_ = &channel;
   channel.set_switch_handler(

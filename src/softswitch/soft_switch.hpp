@@ -289,9 +289,10 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   /// worker core; see openflow/conntrack.hpp). Call before traffic and
   /// HA wiring, like the other datapath shape knobs. Idle connections
   /// expire off a self-disarming sweep timer (CtConfig::sweep_interval).
-  void enable_conntrack(const openflow::CtConfig& config) {
-    pipeline_.enable_conntrack(config);
-  }
+  /// On more than one core both directions of a connection must reach
+  /// the same shard, so any RSS policy but kSymmetric throws
+  /// util::ConfigError.
+  void enable_conntrack(const openflow::CtConfig& config);
 
   /// Enable (or reconfigure) controller-loss handling. With the probe
   /// timer armed the engine's queue never drains — use run_until().

@@ -6,8 +6,14 @@
 // must match event for event — across same-timestamp bursts,
 // far-future timers (the overflow path), run_until deadlines, and
 // deliberately mis-sized calendar rings.
+//
+// Claimed keys get the same treatment: the reference queues every
+// claim as a real no-op event, so its "already ran" flag is the ground
+// truth for Engine::passed(), and a claim materialised later must
+// dispatch exactly where its no-op would have.
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -79,6 +85,17 @@ class ReferenceEngine {
   std::uint64_t events_dispatched_ = 0;
 };
 
+/// A child event's delay, drawn from `h`: same-timestamp (0, the FIFO
+/// tie-break), nearly-FIFO, mid-range, or far-future (overflow-sized).
+SimNanos child_delta(std::uint64_t h) {
+  switch (h % 4) {
+    case 0: return 0;
+    case 1: return static_cast<SimNanos>((h >> 8) % 500);
+    case 2: return static_cast<SimNanos>(1'000 + (h >> 8) % 60'000);
+    default: return static_cast<SimNanos>(1'000'000 + (h >> 8) % 10'000'000);
+  }
+}
+
 /// Drives an engine with a self-expanding workload: each dispatched
 /// event logs (id, now) and schedules 0-2 children at deltas drawn
 /// deterministically from its id — same-timestamp (0), nearly-FIFO,
@@ -103,20 +120,13 @@ struct Driver {
     const int children = static_cast<int>(h % 3);
     for (int c = 0; c < children; ++c) {
       h = mix(h);
-      SimNanos delta = 0;
-      switch (h % 4) {
-        case 0: delta = 0; break;  // same-timestamp: FIFO tie-break
-        case 1: delta = static_cast<SimNanos>((h >> 8) % 500); break;
-        case 2: delta = static_cast<SimNanos>(1'000 + (h >> 8) % 60'000); break;
-        case 3: delta = static_cast<SimNanos>(1'000'000 + (h >> 8) % 10'000'000); break;
-      }
-      spawn(depth + 1, engine.now() + delta);
+      spawn(depth + 1, engine.now() + child_delta(h));
     }
   }
 };
 
-template <typename EngineT>
-void seed_initial(Driver<EngineT>& driver, std::uint64_t seed, std::size_t count) {
+template <typename DriverT>
+void seed_initial(DriverT& driver, std::uint64_t seed, std::size_t count) {
   std::uint64_t h = mix(seed);
   for (std::size_t i = 0; i < count; ++i) {
     h = mix(h);
@@ -242,6 +252,206 @@ TEST(EngineEquivalence, MisfitCalendarKnobsStillExact) {
     EXPECT_EQ(calendar.now(), reference.now());
     EXPECT_EQ(calendar.events_dispatched(), reference.events_dispatched());
   }
+}
+
+// ---- claimed keys ---------------------------------------------------
+
+/// Claims on the calendar engine: the key itself, never queued unless
+/// materialised.
+struct EngineClaims {
+  Engine& engine;
+  using Handle = Engine::Key;
+  Handle claim(SimNanos at) { return engine.claim(at); }
+  [[nodiscard]] bool passed(const Handle& key) const { return engine.passed(key); }
+  void materialise(const Handle& key, std::function<void()> fn) {
+    engine.schedule_claimed(key, std::move(fn));
+  }
+};
+
+/// Claims on the reference: a queued no-op that records that it ran, or
+/// runs the materialised closure in its place.
+struct ReferenceClaims {
+  ReferenceEngine& engine;
+  struct Slot {
+    bool ran = false;
+    std::function<void()> fn;
+  };
+  using Handle = std::shared_ptr<Slot>;
+  Handle claim(SimNanos at) {
+    auto slot = std::make_shared<Slot>();
+    engine.schedule_at(at, [slot] {
+      if (slot->fn) slot->fn();
+      slot->ran = true;
+    });
+    return slot;
+  }
+  [[nodiscard]] bool passed(const Handle& slot) const { return slot->ran; }
+  void materialise(const Handle& slot, std::function<void()> fn) { slot->fn = std::move(fn); }
+};
+
+/// Driver's workload with a third of all spawns claimed instead of
+/// scheduled. Every dispatched event logs passed() for each open claim
+/// and materialises some of the claims that have not passed; passed
+/// claims can never run, so they leave the open list.
+template <typename EngineT, typename Claims>
+struct ClaimDriver {
+  EngineT& engine;
+  Claims claims;
+  std::uint64_t seed;
+  int max_depth;
+  std::uint64_t next_id = 0;
+  std::vector<std::pair<std::uint64_t, SimNanos>> log{};
+  std::vector<bool> passed_log{};
+  std::uint64_t claimed = 0;
+  std::uint64_t materialised = 0;
+
+  struct Open {
+    std::uint64_t id;
+    int depth;
+    typename Claims::Handle handle;
+  };
+  std::vector<Open> open{};
+
+  void spawn(int depth, SimNanos at) {
+    const std::uint64_t id = next_id++;
+    if (mix(id ^ seed ^ 0xC1A1u) % 3 == 0) {
+      ++claimed;
+      open.push_back(Open{id, depth, claims.claim(at)});
+    } else {
+      engine.schedule_at(at, [this, id, depth] { fire(id, depth); });
+    }
+  }
+
+  /// Log passed() for every open claim, then forget the passed ones.
+  void check_passed() {
+    std::size_t kept = 0;
+    for (Open& claim : open) {
+      const bool passed = claims.passed(claim.handle);
+      passed_log.push_back(passed);
+      if (!passed) open[kept++] = std::move(claim);
+    }
+    open.resize(kept);
+  }
+
+  void fire(std::uint64_t id, int depth) {
+    log.emplace_back(id, engine.now());
+    check_passed();
+    std::size_t kept = 0;
+    for (Open& claim : open) {
+      if (mix((id * 31 + claim.id) ^ seed) % 5 == 0) {
+        ++materialised;
+        claims.materialise(claim.handle, [this, cid = claim.id, cdepth = claim.depth] {
+          fire(cid, cdepth);
+        });
+      } else {
+        open[kept++] = std::move(claim);
+      }
+    }
+    open.resize(kept);
+    if (depth >= max_depth) return;
+    std::uint64_t h = mix(id ^ seed);
+    const int children = static_cast<int>(h % 3);
+    for (int c = 0; c < children; ++c) {
+      h = mix(h);
+      spawn(depth + 1, engine.now() + child_delta(h));
+    }
+  }
+};
+
+using CalendarClaimDriver = ClaimDriver<Engine, EngineClaims>;
+using ReferenceClaimDriver = ClaimDriver<ReferenceEngine, ReferenceClaims>;
+
+void expect_claim_runs_equal(const CalendarClaimDriver& got, const ReferenceClaimDriver& want) {
+  expect_logs_equal(got.log, want.log);
+  ASSERT_EQ(got.passed_log.size(), want.passed_log.size());
+  for (std::size_t i = 0; i < got.passed_log.size(); ++i)
+    ASSERT_EQ(got.passed_log[i], want.passed_log[i]) << "passed() diverged at check " << i;
+  EXPECT_EQ(got.claimed, want.claimed);
+  EXPECT_EQ(got.materialised, want.materialised);
+}
+
+TEST(EngineEquivalence, ClaimedKeysKeepTheReferenceOrder) {
+  const CalendarConfig configs[] = {CalendarConfig{}, {.bucket_bits = 0, .bucket_count = 2},
+                                    {.bucket_bits = 6, .bucket_count = 64}};
+  for (const CalendarConfig& config : configs) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      Engine calendar(config);
+      ReferenceEngine reference;
+      CalendarClaimDriver got{calendar, EngineClaims{calendar}, seed, 8};
+      ReferenceClaimDriver want{reference, ReferenceClaims{reference}, seed, 8};
+      seed_initial(got, seed, 64);
+      seed_initial(want, seed, 64);
+      calendar.run();
+      reference.run();
+      expect_claim_runs_equal(got, want);
+      EXPECT_GT(got.claimed, got.materialised) << "seed " << seed;
+      EXPECT_GT(got.materialised, 0u) << "seed " << seed;
+      // After run() every claim has passed, as every no-op has run.
+      got.check_passed();
+      want.check_passed();
+      expect_claim_runs_equal(got, want);
+      EXPECT_TRUE(got.open.empty());
+      EXPECT_EQ(calendar.now(), reference.now()) << "seed " << seed;
+      EXPECT_EQ(calendar.events_dispatched(),
+                reference.events_dispatched() - (got.claimed - got.materialised))
+          << "seed " << seed;
+      EXPECT_EQ(calendar.pending(), 0u);
+    }
+  }
+}
+
+TEST(EngineEquivalence, ClaimedKeysPassAtRunUntilDeadlines) {
+  Engine calendar;
+  ReferenceEngine reference;
+  CalendarClaimDriver got{calendar, EngineClaims{calendar}, 11, 5};
+  ReferenceClaimDriver want{reference, ReferenceClaims{reference}, 11, 5};
+  seed_initial(got, 11, 32);
+  seed_initial(want, 11, 32);
+
+  std::uint64_t h = mix(171717);
+  SimNanos deadline = 0;
+  for (int round = 0; round < 60; ++round) {
+    h = mix(h);
+    // Deadlines often land exactly on a pending claim's time.
+    if (h % 3 == 0 && !got.open.empty()) {
+      deadline = std::max(deadline, got.open[(h >> 8) % got.open.size()].handle.at);
+    } else {
+      deadline += static_cast<SimNanos>(1 + h % 500'000);
+    }
+    calendar.run_until(deadline);
+    reference.run_until(deadline);
+    ASSERT_EQ(calendar.now(), reference.now()) << "round " << round;
+    got.check_passed();
+    want.check_passed();
+    // Claims and events spawned between deadlines, some right at now().
+    for (int extra = 0; extra < 3; ++extra) {
+      h = mix(h);
+      const auto delta = static_cast<SimNanos>(h % 3 == 0 ? 0 : h % 3'000'000);
+      got.spawn(0, calendar.now() + delta);
+      want.spawn(0, reference.now() + delta);
+    }
+  }
+  calendar.run();
+  reference.run();
+  got.check_passed();
+  want.check_passed();
+  expect_claim_runs_equal(got, want);
+  EXPECT_EQ(calendar.now(), reference.now());
+}
+
+TEST(EngineEquivalence, RunEndsAtTheLatestClaim) {
+  Engine engine;
+  engine.schedule_at(100, [] {});
+  const Engine::Key late = engine.claim(5'000);
+  const Engine::Key early = engine.claim(50);
+  EXPECT_FALSE(engine.passed(early));
+  engine.run();
+  EXPECT_EQ(engine.now(), 5'000);
+  EXPECT_TRUE(engine.passed(late));
+  EXPECT_TRUE(engine.passed(early));
+  EXPECT_EQ(engine.events_dispatched(), 1u);
+  // A claim after run() is in the future of the order again.
+  EXPECT_FALSE(engine.passed(engine.claim(5'000)));
 }
 
 TEST(EngineEquivalence, ScheduleAtInThePastClampsToNow) {

@@ -48,9 +48,18 @@ struct Digest {
   }
 };
 
+// Every digest below folds observables only; the engine's
+// dispatched-event count is compared (or pinned) beside it, so an
+// engine that skips no-op events moves the count and nothing else.
+
 // ---- (a) empty-plan equivalence --------------------------------------
 
-std::uint64_t run_harmless_workload(bool with_injector) {
+struct WorkloadOutcome {
+  std::uint64_t digest = 0;
+  std::uint64_t events = 0;
+};
+
+WorkloadOutcome run_harmless_workload(bool with_injector) {
   bench::RigOptions options;
   options.host_count = 4;
   bench::HarmlessRig rig(options);
@@ -68,7 +77,6 @@ std::uint64_t run_harmless_workload(bool with_injector) {
 
   Digest digest;
   digest.fold(static_cast<std::uint64_t>(rig.network.now()));
-  digest.fold(rig.network.engine().events_dispatched());
   for (const sim::Host* host : rig.hosts) {
     digest.fold(host->counters().rx_total);
     digest.fold(host->counters().rx_udp);
@@ -91,11 +99,14 @@ std::uint64_t run_harmless_workload(bool with_injector) {
     EXPECT_EQ(injector->stats().armed, 0u);
     EXPECT_EQ(injector->stats().fired, 0u);
   }
-  return digest.value;
+  return WorkloadOutcome{digest.value, rig.network.engine().events_dispatched()};
 }
 
 TEST(FaultEquivalence, EmptyPlanIsByteIdenticalToNoInjector) {
-  EXPECT_EQ(run_harmless_workload(false), run_harmless_workload(true));
+  const WorkloadOutcome without = run_harmless_workload(false);
+  const WorkloadOutcome with = run_harmless_workload(true);
+  EXPECT_EQ(without.digest, with.digest);
+  EXPECT_EQ(without.events, with.events);
 }
 
 // ---- (b) conservation under seeded chaos -----------------------------
@@ -109,6 +120,7 @@ net::Ipv4Addr host_ip(int index) {
 
 struct ChaosOutcome {
   std::uint64_t digest = 0;
+  std::uint64_t events = 0;
   bool duplicate_delivery = false;
 };
 
@@ -220,7 +232,6 @@ ChaosOutcome run_chaos(std::uint64_t seed) {
   }
 
   Digest digest;
-  digest.fold(network.engine().events_dispatched());
   for (const sim::Host* host : hosts) digest.fold(host->counters().rx_total);
   digest.fold(stats.disconnects);
   digest.fold(stats.reconnects);
@@ -230,6 +241,7 @@ ChaosOutcome run_chaos(std::uint64_t seed) {
   digest.fold(channel.to_controller().sent);
   digest.fold(channel.to_switch().sent);
   outcome.digest = digest.value;
+  outcome.events = network.engine().events_dispatched();
   return outcome;
 }
 
@@ -245,6 +257,7 @@ TEST(FaultChaos, SameSeedReplaysBitIdentically) {
   const ChaosOutcome again = run_chaos(7);
   EXPECT_FALSE(first.duplicate_delivery);
   EXPECT_EQ(first.digest, again.digest);
+  EXPECT_EQ(first.events, again.events);
 }
 
 // ---- derived fault-target names (auto-registration) ------------------
@@ -390,7 +403,6 @@ struct CtChaosRig {
 
   [[nodiscard]] std::uint64_t digest() {
     Digest digest;
-    digest.fold(network.engine().events_dispatched());
     digest.fold(a->counters().rx_total);
     digest.fold(a->counters().rx_tcp);
     digest.fold(b->counters().rx_total);
@@ -447,6 +459,7 @@ ChaosOutcome run_ct_chaos(std::uint64_t seed, sim::SimNanos checkpoint_interval)
   ChaosOutcome outcome;
   outcome.duplicate_delivery = rig.duplicate_delivery;
   outcome.digest = rig.digest();
+  outcome.events = rig.network.engine().events_dispatched();
   return outcome;
 }
 
@@ -465,6 +478,7 @@ TEST(FaultChaos, ConntrackSameSeedReplaysBitIdentically) {
     const ChaosOutcome again = run_ct_chaos(7, interval);
     EXPECT_FALSE(first.duplicate_delivery);
     EXPECT_EQ(first.digest, again.digest) << "interval " << interval;
+    EXPECT_EQ(first.events, again.events) << "interval " << interval;
   }
 }
 
@@ -563,8 +577,8 @@ struct HaPair {
   /// Everything the pair observed, folded in a fixed order: per box
   /// every FailoverStats field, the fencing epoch, the promotion flag
   /// and the pipeline's conntrack totals; then both replication
-  /// directions, both witness links, the witness and the engine's
-  /// dispatched-event count.
+  /// directions, both witness links and the witness. The engine's
+  /// dispatched-event count is pinned beside it, not folded in.
   std::uint64_t digest() {
     Digest digest;
     for (const SoftSwitch* sw : {&act, &stb}) {
@@ -611,7 +625,6 @@ struct HaPair {
     const sim::Witness::Stats& w = witness.stats();
     for (const std::uint64_t value : {w.grants, w.renewals, w.denials, w.epoch_bumps, w.crashes})
       digest.fold(value);
-    digest.fold(network.engine().events_dispatched());
     return digest.value;
   }
 };
@@ -631,13 +644,14 @@ void probe_double_active(HaPair& pair, sim::SimNanos until, std::uint64_t& doubl
 /// crashed, even the witness itself crashed — the lease quorum plus
 /// fail-closed fencing admit AT MOST ONE unfenced active at any
 /// simulated instant, and fencing epochs never move backwards. Each
-/// seed's whole-pair digest is pinned, so the HA machinery's behaviour
-/// under chaos is frozen, not only its invariants.
+/// seed's whole-pair digest (and event count) is pinned, so the HA
+/// machinery's behaviour under chaos is frozen, not only its invariants.
 TEST(FaultChaos, AtMostOneUnfencedActiveUnderAnySchedule) {
   constexpr std::uint64_t kPinnedDigest[8] = {
-      10832390903659757866ULL, 12500164641579857433ULL, 636510693528022632ULL,
-      16067066905038338843ULL, 14826130353516864979ULL, 1119465174331116857ULL,
-      16808067374179429992ULL, 15288768553898882685ULL};
+      16480882795246608092ULL, 3951092120880089080ULL, 8574558445121903518ULL,
+      6629049257868523444ULL,  9571722808637039461ULL, 3471024242230999766ULL,
+      15265882200526265224ULL, 16050299070884777519ULL};
+  constexpr std::uint64_t kPinnedEvents[8] = {3322, 3317, 3298, 3275, 3298, 3323, 3316, 3302};
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     HaPair pair(/*traffic=*/false);
     SoftSwitch& act = pair.act;
@@ -697,6 +711,7 @@ TEST(FaultChaos, AtMostOneUnfencedActiveUnderAnySchedule) {
               1)
         << "seed " << seed;
     EXPECT_EQ(pair.digest(), kPinnedDigest[seed - 1]) << "seed " << seed;
+    EXPECT_EQ(network.engine().events_dispatched(), kPinnedEvents[seed - 1]) << "seed " << seed;
   }
 }
 
@@ -704,9 +719,11 @@ TEST(FaultChaos, AtMostOneUnfencedActiveUnderAnySchedule) {
 /// two SNATed connections through the active, which crashes; the
 /// standby takes over under a bumped epoch; the ex-active restarts
 /// amnesiac, is demoted by the newer epoch and rejoins warm from the
-/// new active's snapshot stream. The whole-pair digest is pinned.
+/// new active's snapshot stream. The whole-pair digest and the event
+/// count are pinned.
 TEST(FaultChaos, AtMostOneUnfencedActiveThroughWarmFailback) {
-  constexpr std::uint64_t kPinnedDigest = 899960556383035292ULL;
+  constexpr std::uint64_t kPinnedDigest = 13842105134514570425ULL;
+  constexpr std::uint64_t kPinnedEvents = 814;
   HaPair pair(/*traffic=*/true);
   std::uint64_t double_active = 0;
   probe_double_active(pair, 25 * kMs, double_active);
@@ -728,6 +745,7 @@ TEST(FaultChaos, AtMostOneUnfencedActiveThroughWarmFailback) {
   EXPECT_EQ(pair.act.failover_stats().ha_failbacks, 1u);
   EXPECT_EQ(pair.act.pipeline().ct_connection_count(), 2u);
   EXPECT_EQ(pair.digest(), kPinnedDigest);
+  EXPECT_EQ(pair.network.engine().events_dispatched(), kPinnedEvents);
 }
 
 }  // namespace

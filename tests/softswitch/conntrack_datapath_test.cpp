@@ -4,10 +4,13 @@
 // calendar engine, and cost billing.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "net/build.hpp"
 #include "net/l4.hpp"
 #include "sim/network.hpp"
 #include "softswitch/soft_switch.hpp"
+#include "util/status.hpp"
 
 namespace harmless::softswitch {
 namespace {
@@ -267,6 +270,44 @@ TEST(ConntrackDatapath, DisabledConntrackReportsZeroes) {
   EXPECT_EQ(ct.lookups, 0u);
   EXPECT_EQ(ct.created, 0u);
   EXPECT_EQ(sw.pipeline().ct_connection_count(), 0u);
+}
+
+/// A switch on `cores` worker cores under `rss`.
+SoftSwitch& switch_with_cores(Network& network, std::size_t cores, sim::RssPolicy rss) {
+  sim::IngressSpec ingress;
+  ingress.cores.cores = cores;
+  ingress.cores.rss = rss;
+  return network.add_node<SoftSwitch>("gw", 0xC9, 4, 1, true, true, 32, ingress);
+}
+
+TEST(ConntrackDatapath, MultiCoreHashRssIsRejected) {
+  Network network;
+  SoftSwitch& sw = switch_with_cores(network, 4, sim::RssPolicy::kHash);
+  try {
+    sw.enable_conntrack(CtConfig{});
+    FAIL() << "conntrack on 4 kHash cores was accepted";
+  } catch (const util::ConfigError& error) {
+    EXPECT_NE(std::string(error.what()).find("gw"), std::string::npos) << error.what();
+  }
+  EXPECT_FALSE(sw.pipeline().conntrack_enabled());
+}
+
+TEST(ConntrackDatapath, MultiCoreStrideRssIsRejected) {
+  Network network;
+  SoftSwitch& sw = switch_with_cores(network, 2, sim::RssPolicy::kStride);
+  EXPECT_THROW(sw.enable_conntrack(CtConfig{}), util::ConfigError);
+}
+
+TEST(ConntrackDatapath, OneCoreAcceptsAnyRssPolicy) {
+  for (const sim::RssPolicy rss :
+       {sim::RssPolicy::kHash, sim::RssPolicy::kStride, sim::RssPolicy::kSymmetric}) {
+    Network network;
+    SoftSwitch& sw = switch_with_cores(network, 1, rss);
+    EXPECT_NO_THROW(sw.enable_conntrack(CtConfig{}));
+  }
+  Network network;
+  EXPECT_NO_THROW(
+      switch_with_cores(network, 4, sim::RssPolicy::kSymmetric).enable_conntrack(CtConfig{}));
 }
 
 }  // namespace
