@@ -5,8 +5,9 @@ namespace harmless::core {
 Fabric Fabric::build(sim::Network& network, legacy::LegacySwitch& device, const PortMap& map,
                      const FabricSpec& spec) {
   Fabric fabric(map, make_translator_rules(map));
-  if (spec.expected_pending_events > 0)
-    network.engine().reserve(spec.expected_pending_events);
+  // Pre-size the calendar queue for the in-flight frames and timers of
+  // a typical fabric before traffic starts.
+  network.engine().reserve(4096);
 
   // SS_1: trunk leg (OF 1) + one patch leg per mapping.
   fabric.ss1_ = &network.add_node<softswitch::SoftSwitch>(
@@ -14,7 +15,7 @@ Fabric Fabric::build(sim::Network& network, legacy::LegacySwitch& device, const 
       spec.specialized_matchers, spec.flow_cache, spec.burst_size, spec.ingress);
   // SS_2: one OF port per managed access port.
   fabric.ss2_ = &network.add_node<softswitch::SoftSwitch>(
-      "SS_2", spec.ss2_datapath_id, fabric.map_.size(), spec.ss2_tables,
+      "SS_2", spec.ss2_datapath_id, fabric.map_.size(), /*table_count=*/2,
       spec.specialized_matchers, spec.flow_cache, spec.burst_size, spec.ingress);
   // Every cache shard (one per worker core) follows the ablation knob.
   fabric.ss1_->pipeline().set_linear_scan(spec.cache_linear_scan);
@@ -45,8 +46,6 @@ Fabric Fabric::build(sim::Network& network, legacy::LegacySwitch& device, const 
   fabric.channel_ = std::make_unique<openflow::ControlChannel>(
       network.engine(), spec.control_latency, spec.control_seed);
   fabric.channel_->set_min_gap(spec.control_min_gap);
-  if (spec.control_impairment.active())
-    fabric.channel_->set_impairment(spec.control_impairment, spec.control_impairment);
   fabric.ss2_->attach_channel(*fabric.channel_);
   if (spec.ss2_failover.enabled()) fabric.ss2_->set_failover(spec.ss2_failover);
   return fabric;

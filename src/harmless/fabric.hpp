@@ -35,8 +35,8 @@ struct FabricSpec {
   /// Trunk interconnect: typically faster than access links (the paper
   /// uses a 10G trunk-port-to-soft-switch cable for 1G access ports).
   sim::LinkSpec trunk_link = sim::LinkSpec::gbps(10);
-  /// SS_2 pipeline shape.
-  std::size_t ss2_tables = 2;
+  /// Specialized flow-table matchers on both soft switches (false =
+  /// the linear matcher).
   bool specialized_matchers = true;
   /// Two-tier flow cache on both soft switches (ablation knob).
   bool flow_cache = true;
@@ -62,18 +62,9 @@ struct FabricSpec {
   /// model resync time scaling with flow count).
   std::uint64_t control_seed = 0xc0a7'0150'0fULL;
   sim::SimNanos control_min_gap = 0;
-  /// Control-channel impairment applied at build (both directions);
-  /// default pristine. Fault plans can impair it later via the
-  /// injector regardless.
-  openflow::ChannelImpairment control_impairment;
   /// SS_2 controller-loss behaviour (disabled by default: no probes,
   /// PR-6-identical). SS_1 never gets one — it has no controller.
   softswitch::FailoverSpec ss2_failover;
-  /// Expected concurrent pending events (in-flight frames + timers) —
-  /// a sizing hint forwarded to sim::Engine::reserve so the calendar
-  /// queue's buckets are pre-sized before traffic starts. 0 = default
-  /// sizing.
-  std::size_t expected_pending_events = 4096;
   std::uint64_t ss1_datapath_id = 0x51;
   std::uint64_t ss2_datapath_id = 0x52;
 };

@@ -99,9 +99,6 @@ class ControlChannel : public sim::FaultPoint {
   [[nodiscard]] const DirectionStats& to_controller() const { return to_controller_stats_; }
   [[nodiscard]] const DirectionStats& to_switch() const { return to_switch_stats_; }
 
-  /// Historical send counters (kept for existing callers; == sent).
-  [[nodiscard]] std::uint64_t to_controller_count() const { return to_controller_stats_.sent; }
-  [[nodiscard]] std::uint64_t to_switch_count() const { return to_switch_stats_.sent; }
   [[nodiscard]] sim::SimNanos latency() const { return latency_; }
 
  private:

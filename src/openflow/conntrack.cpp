@@ -1,42 +1,94 @@
 #include "openflow/conntrack.hpp"
 
+#include <unordered_set>
+
 #include "net/ip.hpp"
 #include "net/l4.hpp"
 
 namespace harmless::openflow {
 
 namespace {
-constexpr std::uint8_t kProtoTcp = static_cast<std::uint8_t>(net::IpProto::kTcp);
-}  // namespace
 
-std::uint64_t ConnTracker::classify_entry(const Slot& slot, bool reply_dir) const {
+constexpr std::uint8_t kProtoTcp = static_cast<std::uint8_t>(net::IpProto::kTcp);
+
+std::uint64_t classify_entry(const ConnEntry& entry, bool reply_dir) {
   std::uint64_t bits = kCtTracked;
   if (reply_dir) {
     // A valid reply-direction packet proves bidirectionality, so it is
     // already ESTABLISHED from the classifier's point of view (the
     // entry's seen_reply flips when it traverses a ct action).
     bits |= kCtReply | kCtEstablished;
-  } else if (slot.entry.seen_reply) {
+  } else if (entry.seen_reply) {
     bits |= kCtEstablished;
   }
   return bits;
 }
 
+/// The rewrite a packet of `entry` gets: the stored NAT mapping in the
+/// original direction, its inverse on replies (un-SNAT sends the reply
+/// back to the inside host, un-DNAT restores the virtual destination as
+/// source). Neither flag is set for an untranslated connection.
+CtRewrite translation(const ConnEntry& entry, bool reply_dir) {
+  CtRewrite t;
+  const CtNat& nat = entry.nat;
+  if (nat.kind == CtAction::Nat::kSource) {
+    if (reply_dir) {
+      t.dst = true;
+      t.dst_ip = entry.orig.src_ip;
+      t.dst_port = entry.orig.src_port;
+    } else {
+      t.src = true;
+      t.src_ip = nat.ip;
+      t.src_port = nat.port;
+    }
+  } else if (nat.kind == CtAction::Nat::kDest) {
+    if (reply_dir) {
+      t.src = true;
+      t.src_ip = entry.orig.dst_ip;
+      t.src_port = entry.orig.dst_port;
+    } else {
+      t.dst = true;
+      t.dst_ip = nat.ip;
+      t.dst_port = nat.port;
+    }
+  }
+  return t;
+}
+
+/// The one ConnEntry -> CtSnapshotEntry conversion (checkpoints and
+/// deltas): deadline-relative, so the receiver re-arms on its own clock.
+CtSnapshotEntry image(const ConnEntry& entry, sim::SimNanos now) {
+  return CtSnapshotEntry{entry.orig, entry.reply, entry.nat, entry.seen_reply, entry.closing,
+                         entry.expires_at > now ? entry.expires_at - now : 0};
+}
+
+/// The one CtSnapshotEntry -> ConnEntry conversion: a confirmed entry
+/// re-armed at `now`, packet counters zero.
+ConnEntry from_image(const CtSnapshotEntry& e, sim::SimNanos now) {
+  ConnEntry entry;
+  entry.orig = e.orig;
+  entry.reply = e.reply;
+  entry.nat = e.nat;
+  entry.seen_reply = e.seen_reply;
+  entry.closing = e.closing;
+  entry.last_seen = now;
+  entry.expires_at = now + e.remaining_ns;
+  return entry;
+}
+
+}  // namespace
+
 std::uint64_t ConnTracker::classify(const CtTuple& tuple, std::uint8_t tcp_flags,
                                     sim::SimNanos now) {
   ++stats_.lookups;
-  if (auto it = orig_map_.find(tuple); it != orig_map_.end()) {
-    const Slot& slot = slots_[it->second];
-    if (slot.entry.expires_at > now) {
-      ++stats_.hits;
-      return classify_entry(slot, false);
-    }
-  }
-  if (auto it = reply_map_.find(tuple); it != reply_map_.end()) {
-    const Slot& slot = slots_[it->second];
-    if (slot.entry.expires_at > now) {
-      ++stats_.hits;
-      return classify_entry(slot, true);
+  for (const bool reply_dir : {false, true}) {
+    const auto& map = reply_dir ? reply_map_ : orig_map_;
+    if (auto it = map.find(tuple); it != map.end()) {
+      const ConnEntry& entry = slots_[it->second].entry;
+      if (entry.expires_at > now) {
+        ++stats_.hits;
+        return classify_entry(entry, reply_dir);
+      }
     }
   }
   if (tuple.proto == kProtoTcp && (tcp_flags & net::kTcpSyn) == 0) {
@@ -100,14 +152,52 @@ void ConnTracker::emit_delta(CtDelta::Kind kind, const ConnEntry& entry, sim::Si
   if (!delta_sink_) return;
   CtDelta delta;
   delta.kind = kind;
-  delta.entry = CtSnapshotEntry{entry.orig, entry.reply, entry.nat, entry.seen_reply,
-                                entry.closing,
-                                entry.expires_at > now ? entry.expires_at - now : 0};
+  delta.entry = image(entry, now);
   ++stats_.deltas_emitted;
   delta_sink_(delta);
 }
 
-void ConnTracker::kill(std::uint32_t id, bool /*expired*/, sim::SimNanos now) {
+std::uint32_t ConnTracker::insert(const ConnEntry& entry) {
+  const std::uint32_t id = allocate_slot();
+  Slot& slot = slots_[id];
+  slot.entry = entry;
+  slot.live = true;
+  orig_map_.emplace(entry.orig, id);
+  reply_map_.emplace(entry.reply, id);
+  lru_push_front(id);
+  file_deadline(id, slot);
+  dirty_ = true;
+  return id;
+}
+
+void ConnTracker::make_room(sim::SimNanos now) {
+  if (orig_map_.size() < config_.max_connections || lru_tail_ == kNil) return;
+  kill(lru_tail_, now);
+  ++stats_.evicted;
+}
+
+void ConnTracker::adopt(std::uint32_t id, const CtSnapshotEntry& e, sim::SimNanos now) {
+  Slot& slot = slots_[id];
+  slot.entry.nat = e.nat;
+  slot.entry.seen_reply = e.seen_reply;
+  slot.entry.closing = e.closing;
+  slot.entry.confirmed = true;  // the live active vouches for it
+  slot.entry.last_seen = now;
+  slot.entry.expires_at = now + e.remaining_ns;
+  lru_touch(id);
+  file_deadline(id, slot);
+  dirty_ = true;
+}
+
+bool ConnTracker::demote(ConnEntry& entry, sim::SimNanos now) const {
+  entry.confirmed = false;
+  const sim::SimNanos cap = now + timeout_for(entry);
+  if (entry.expires_at <= cap) return false;
+  entry.expires_at = cap;
+  return true;
+}
+
+void ConnTracker::kill(std::uint32_t id, sim::SimNanos now) {
   Slot& slot = slots_[id];
   dirty_ = true;
   emit_delta(CtDelta::Kind::kClose, slot.entry, now);
@@ -169,7 +259,7 @@ std::optional<std::uint16_t> ConnTracker::allocate_snat_port(const CtTuple& orig
         static_cast<std::uint16_t>(spec.port_min + (start + i) % range);
     const CtTuple reply{orig.dst_ip, spec.nat_ip, orig.dst_port, port, orig.proto};
     if (reply.symmetric_hash() % steer_shards_ != want) continue;
-    if (reply_map_.contains(reply)) continue;  // endpoint-dependent uniqueness
+    if (claimed(reply)) continue;  // endpoint-dependent uniqueness
     return port;
   }
   return std::nullopt;
@@ -182,55 +272,22 @@ CtOutcome ConnTracker::process(const CtTuple& tuple, std::uint8_t tcp_flags, sim
   // Lazy expiry: an entry past its deadline is dead even if the sweep
   // has not reaped it yet — identical behavior to the classifier
   // prelude, which already treats it as missing.
-  if (auto it = orig_map_.find(tuple); it != orig_map_.end()) {
+  for (const bool reply_dir : {false, true}) {
+    const auto& map = reply_dir ? reply_map_ : orig_map_;
+    const auto it = map.find(tuple);
+    if (it == map.end()) continue;
     const std::uint32_t id = it->second;
-    if (slots_[id].entry.expires_at <= now) {
-      kill(id, true, now);
+    Slot& slot = slots_[id];
+    if (slot.entry.expires_at <= now) {
+      kill(id, now);
       ++stats_.expired;
-    } else {
-      Slot& slot = slots_[id];
-      out.state = classify_entry(slot, false);
-      refresh(slot, id, false, tcp_flags, now);
-      const CtNat& nat = slot.entry.nat;
-      if (nat.kind == CtAction::Nat::kSource) {
-        out.rewrite = true;
-        out.translation.src = true;
-        out.translation.src_ip = nat.ip;
-        out.translation.src_port = nat.port;
-      } else if (nat.kind == CtAction::Nat::kDest) {
-        out.rewrite = true;
-        out.translation.dst = true;
-        out.translation.dst_ip = nat.ip;
-        out.translation.dst_port = nat.port;
-      }
-      return out;
+      continue;
     }
-  }
-  if (auto it = reply_map_.find(tuple); it != reply_map_.end()) {
-    const std::uint32_t id = it->second;
-    if (slots_[id].entry.expires_at <= now) {
-      kill(id, true, now);
-      ++stats_.expired;
-    } else {
-      Slot& slot = slots_[id];
-      out.state = classify_entry(slot, true);
-      refresh(slot, id, true, tcp_flags, now);
-      const ConnEntry& entry = slot.entry;
-      if (entry.nat.kind == CtAction::Nat::kSource) {
-        // Un-SNAT: send the reply back to the original inside host.
-        out.rewrite = true;
-        out.translation.dst = true;
-        out.translation.dst_ip = entry.orig.src_ip;
-        out.translation.dst_port = entry.orig.src_port;
-      } else if (entry.nat.kind == CtAction::Nat::kDest) {
-        // Un-DNAT: restore the original (virtual) destination as source.
-        out.rewrite = true;
-        out.translation.src = true;
-        out.translation.src_ip = entry.orig.dst_ip;
-        out.translation.src_port = entry.orig.dst_port;
-      }
-      return out;
-    }
+    out.state = classify_entry(slot.entry, reply_dir);
+    refresh(slot, id, reply_dir, tcp_flags, now);
+    out.translation = translation(slot.entry, reply_dir);
+    out.rewrite = out.translation.src || out.translation.dst;
+    return out;
   }
 
   // Miss: commit a new connection. A fenced shard (lease lost) must
@@ -249,67 +306,41 @@ CtOutcome ConnTracker::process(const CtTuple& tuple, std::uint8_t tcp_flags, sim
   }
   out.state = kCtNew;
 
-  CtNat nat{};
-  CtTuple reply = tuple.reversed();
+  ConnEntry entry;
+  entry.orig = tuple;
+  entry.reply = tuple.reversed();
   if (spec.nat == CtAction::Nat::kSource) {
-    const std::optional<std::uint16_t> port = allocate_snat_port(tuple, spec);
-    if (!port) {
-      ++stats_.nat_failures;
-      out.state |= kCtInvalid;
-      return out;
+    if (const std::optional<std::uint16_t> port = allocate_snat_port(tuple, spec)) {
+      entry.nat = CtNat{CtAction::Nat::kSource, spec.nat_ip, *port};
+      entry.reply = CtTuple{tuple.dst_ip, spec.nat_ip, tuple.dst_port, *port, tuple.proto};
     }
-    nat = CtNat{CtAction::Nat::kSource, spec.nat_ip, *port};
-    reply = CtTuple{tuple.dst_ip, spec.nat_ip, tuple.dst_port, *port, tuple.proto};
-    ++stats_.nat_allocated;
-    out.rewrite = true;
-    out.translation.src = true;
-    out.translation.src_ip = nat.ip;
-    out.translation.src_port = nat.port;
   } else if (spec.nat == CtAction::Nat::kDest) {
     const std::uint16_t port = spec.port_min != 0 ? spec.port_min : tuple.dst_port;
-    nat = CtNat{CtAction::Nat::kDest, spec.nat_ip, port};
-    reply = CtTuple{spec.nat_ip, tuple.src_ip, port, tuple.src_port, tuple.proto};
-    if (reply_map_.contains(reply)) {
-      ++stats_.nat_failures;
-      out.state |= kCtInvalid;
-      return out;
-    }
-    ++stats_.nat_allocated;
-    out.rewrite = true;
-    out.translation.dst = true;
-    out.translation.dst_ip = nat.ip;
-    out.translation.dst_port = nat.port;
-  } else if (reply_map_.contains(reply)) {
-    // Degenerate self-conflict (e.g. a palindromic tuple already
-    // tracked the other way): refuse rather than corrupt the maps.
+    entry.nat = CtNat{CtAction::Nat::kDest, spec.nat_ip, port};
+    entry.reply = CtTuple{spec.nat_ip, tuple.src_ip, port, tuple.src_port, tuple.proto};
+  }
+  // The original tuple missed both maps above. Refuse an exhausted SNAT
+  // range (no mapping was stored) and a reply tuple another connection
+  // already claims, as its reply or as its original direction (a DNAT
+  // target that is a live connection's source), so that one tuple
+  // never names two connections.
+  if (entry.nat.kind != spec.nat || claimed(entry.reply)) {
     ++stats_.nat_failures;
     out.state |= kCtInvalid;
     return out;
   }
+  if (entry.nat.kind != CtAction::Nat::kNone) ++stats_.nat_allocated;
+  entry.last_seen = now;
+  entry.packets_orig = 1;
+  entry.expires_at = now + timeout_for(entry);
 
-  if (orig_map_.size() >= config_.max_connections && lru_tail_ != kNil) {
-    kill(lru_tail_, false, now);
-    ++stats_.evicted;
-  }
-
-  const std::uint32_t id = allocate_slot();
-  Slot& slot = slots_[id];
-  slot.entry = ConnEntry{};
-  slot.entry.orig = tuple;
-  slot.entry.reply = reply;
-  slot.entry.nat = nat;
-  slot.entry.last_seen = now;
-  slot.entry.packets_orig = 1;
-  slot.entry.expires_at = now + timeout_for(slot.entry);
-  slot.live = true;
-  orig_map_.emplace(tuple, id);
-  reply_map_.emplace(reply, id);
-  lru_push_front(id);
-  file_deadline(id, slot);
-  dirty_ = true;
+  make_room(now);
+  insert(entry);
   ++stats_.created;
   out.committed = true;
-  emit_delta(CtDelta::Kind::kCommit, slot.entry, now);
+  out.translation = translation(entry, false);
+  out.rewrite = out.translation.src || out.translation.dst;
+  emit_delta(CtDelta::Kind::kCommit, entry, now);
   return out;
 }
 
@@ -321,7 +352,7 @@ std::size_t ConnTracker::expire(sim::SimNanos now) {
       Slot& slot = slots_[id];
       if (!slot.live || slot.generation != generation) continue;
       if (slot.entry.expires_at <= now) {
-        kill(id, true, now);
+        kill(id, now);
         ++stats_.expired;
         ++expired;
       } else {
@@ -422,7 +453,7 @@ struct Reader {
 
 std::vector<std::uint8_t> CtSnapshot::serialize() const {
   std::vector<std::uint8_t> out;
-  out.reserve(18 + entries.size() * 42);
+  out.reserve(wire_bytes());
   put_u32(out, kSnapshotMagic);
   put_u16(out, kSnapshotVersion);
   put_u64(out, static_cast<std::uint64_t>(taken_at));
@@ -450,7 +481,7 @@ std::optional<CtSnapshot> CtSnapshot::parse(const std::vector<std::uint8_t>& byt
   // The count must account for exactly the bytes that follow (no
   // truncation, no trailing garbage) — checked before reserving, so a
   // forged count cannot drive the allocation.
-  if (static_cast<std::uint64_t>(count) * 42 != bytes.size() - in.at) return std::nullopt;
+  if (static_cast<std::uint64_t>(count) * kEntryBytes != bytes.size() - in.at) return std::nullopt;
   snap.entries.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     CtSnapshotEntry e;
@@ -478,11 +509,9 @@ CtSnapshot ConnTracker::checkpoint(sim::SimNanos now) {
   snap.taken_at = now;
   snap.entries.reserve(orig_map_.size());
   for (const Slot& slot : slots_) {
-    if (!slot.live) continue;
-    const ConnEntry& e = slot.entry;
-    if (e.expires_at <= now) continue;  // already dead, just unswept
-    snap.entries.push_back(CtSnapshotEntry{e.orig, e.reply, e.nat, e.seen_reply, e.closing,
-                                           e.expires_at - now});
+    // Past its deadline is already dead, just unswept.
+    if (!slot.live || slot.entry.expires_at <= now) continue;
+    snap.entries.push_back(image(slot.entry, now));
   }
   ++stats_.checkpoints;
   return snap;
@@ -493,34 +522,18 @@ CtRestoreResult ConnTracker::restore(const CtSnapshot& snapshot, sim::SimNanos n
   for (const CtSnapshotEntry& e : snapshot.entries) {
     // Mid-handshake TCP (never saw a reply): the peer will retransmit
     // its SYN and re-commit cleanly; restoring a half-open entry only
-    // risks resurrecting a connection that never completed.
+    // risks resurrecting a connection that never completed. Live state
+    // wins over a stale image, and a full table takes no more.
     const bool half_open = e.orig.proto == kProtoTcp && !e.seen_reply;
-    const bool collides = orig_map_.contains(e.orig) || reply_map_.contains(e.reply) ||
-                          reply_map_.contains(e.orig) || orig_map_.contains(e.reply);
-    if (half_open || e.remaining_ns <= 0 || collides ||
+    if (half_open || e.remaining_ns <= 0 || claimed(e.orig) || claimed(e.reply) ||
         orig_map_.size() >= config_.max_connections) {
       ++result.dropped;
       ++stats_.restore_dropped;
       continue;
     }
-    const std::uint32_t id = allocate_slot();
-    Slot& slot = slots_[id];
-    slot.entry = ConnEntry{};
-    slot.entry.orig = e.orig;
-    slot.entry.reply = e.reply;
-    slot.entry.nat = e.nat;
-    slot.entry.seen_reply = e.seen_reply;
-    slot.entry.closing = e.closing;
-    slot.entry.confirmed = false;  // demoted until traffic re-confirms
-    slot.entry.last_seen = now;
-    const sim::SimNanos cap = timeout_for(slot.entry);  // transient for TCP
-    slot.entry.expires_at = now + (e.remaining_ns < cap ? e.remaining_ns : cap);
-    slot.live = true;
-    orig_map_.emplace(e.orig, id);
-    reply_map_.emplace(e.reply, id);
-    lru_push_front(id);
-    file_deadline(id, slot);
-    dirty_ = true;
+    ConnEntry entry = from_image(e, now);
+    demote(entry, now);  // unconfirmed until traffic re-confirms
+    insert(entry);
     ++result.restored;
     ++stats_.restored;
   }
@@ -532,60 +545,26 @@ CtRestoreResult ConnTracker::restore(const CtSnapshot& snapshot, sim::SimNanos n
 void ConnTracker::apply_delta(const CtDelta& delta, sim::SimNanos now) {
   ++stats_.deltas_applied;
   const CtSnapshotEntry& e = delta.entry;
-  const auto it = orig_map_.find(e.orig);
-
-  if (delta.kind == CtDelta::Kind::kClose) {
-    if (it != orig_map_.end() && slots_[it->second].entry.reply == e.reply) {
-      kill(it->second, false, now);
+  if (const auto it = orig_map_.find(e.orig); it != orig_map_.end()) {
+    // A connection we already mirror. A reply-tuple mismatch means a
+    // different connection owns the key: drop rather than corrupt the
+    // reverse map.
+    if (!(slots_[it->second].entry.reply == e.reply)) return;
+    if (delta.kind == CtDelta::Kind::kClose) {
+      kill(it->second, now);
+    } else {
+      adopt(it->second, e, now);
     }
     return;
   }
-
-  if (it != orig_map_.end()) {
-    // In-place advance of a connection we already mirror. A reply-tuple
-    // mismatch means a different connection owns the key: drop rather
-    // than corrupt the reverse map.
-    Slot& slot = slots_[it->second];
-    if (!(slot.entry.reply == e.reply)) return;
-    slot.entry.seen_reply = e.seen_reply;
-    slot.entry.closing = e.closing;
-    slot.entry.nat = e.nat;
-    slot.entry.confirmed = true;
-    slot.entry.last_seen = now;
-    slot.entry.expires_at = now + e.remaining_ns;
-    lru_touch(it->second);
-    file_deadline(it->second, slot);
-    dirty_ = true;
-    return;
-  }
-
   // New to this replica (a commit, or an update whose commit was lost):
   // insert, unless it collides with live local state.
-  if (e.remaining_ns <= 0 || reply_map_.contains(e.reply) || orig_map_.contains(e.reply) ||
-      reply_map_.contains(e.orig)) {
+  if (delta.kind == CtDelta::Kind::kClose || e.remaining_ns <= 0 || claimed(e.orig) ||
+      claimed(e.reply)) {
     return;
   }
-  if (orig_map_.size() >= config_.max_connections && lru_tail_ != kNil) {
-    kill(lru_tail_, false, now);
-    ++stats_.evicted;
-  }
-  const std::uint32_t id = allocate_slot();
-  Slot& slot = slots_[id];
-  slot.entry = ConnEntry{};
-  slot.entry.orig = e.orig;
-  slot.entry.reply = e.reply;
-  slot.entry.nat = e.nat;
-  slot.entry.seen_reply = e.seen_reply;
-  slot.entry.closing = e.closing;
-  slot.entry.confirmed = true;  // the live stream itself vouches for it
-  slot.entry.last_seen = now;
-  slot.entry.expires_at = now + e.remaining_ns;
-  slot.live = true;
-  orig_map_.emplace(e.orig, id);
-  reply_map_.emplace(e.reply, id);
-  lru_push_front(id);
-  file_deadline(id, slot);
-  dirty_ = true;
+  make_room(now);
+  insert(from_image(e, now));
 }
 
 std::size_t ConnTracker::demote_all(sim::SimNanos now) {
@@ -593,12 +572,7 @@ std::size_t ConnTracker::demote_all(sim::SimNanos now) {
   for (std::uint32_t id = 0; id < slots_.size(); ++id) {
     Slot& slot = slots_[id];
     if (!slot.live) continue;
-    slot.entry.confirmed = false;
-    const sim::SimNanos cap = now + timeout_for(slot.entry);
-    if (slot.entry.expires_at > cap) {
-      slot.entry.expires_at = cap;
-      file_deadline(id, slot);
-    }
+    if (demote(slot.entry, now)) file_deadline(id, slot);
     ++demoted;
   }
   if (demoted != 0) dirty_ = true;
@@ -607,7 +581,7 @@ std::size_t ConnTracker::demote_all(sim::SimNanos now) {
 
 std::size_t ConnTracker::resync(const CtSnapshot& snapshot, sim::SimNanos now) {
   std::size_t upserts = 0;
-  std::unordered_map<std::uint32_t, bool> covered;  // slot id -> authoritative
+  std::unordered_set<std::uint32_t> covered;  // slot ids the snapshot vouches for
   covered.reserve(snapshot.entries.size());
 
   for (const CtSnapshotEntry& e : snapshot.entries) {
@@ -617,53 +591,21 @@ std::size_t ConnTracker::resync(const CtSnapshot& snapshot, sim::SimNanos now) {
     // (kill() may emit a kClose delta; the HA layer's sink is
     // role/fence-gated, so a resyncing box never echoes these out.)
     for (const CtTuple* t : {&e.orig, &e.reply}) {
-      if (auto it = orig_map_.find(*t); it != orig_map_.end()) {
-        const Slot& s = slots_[it->second];
-        if (!(s.entry.orig == e.orig && s.entry.reply == e.reply)) kill(it->second, false, now);
-      }
-      if (auto it = reply_map_.find(*t); it != reply_map_.end()) {
-        const Slot& s = slots_[it->second];
-        if (!(s.entry.orig == e.orig && s.entry.reply == e.reply)) kill(it->second, false, now);
+      for (const auto* map : {&orig_map_, &reply_map_}) {
+        if (auto it = map->find(*t); it != map->end()) {
+          const ConnEntry& local = slots_[it->second].entry;
+          if (!(local.orig == e.orig && local.reply == e.reply)) kill(it->second, now);
+        }
       }
     }
-
+    // Same connection survives locally: take the active's view.
     if (auto it = orig_map_.find(e.orig); it != orig_map_.end()) {
-      // Same connection survives locally: take the active's view.
-      const std::uint32_t id = it->second;
-      Slot& slot = slots_[id];
-      slot.entry.nat = e.nat;
-      slot.entry.seen_reply = e.seen_reply;
-      slot.entry.closing = e.closing;
-      slot.entry.confirmed = true;
-      slot.entry.last_seen = now;
-      slot.entry.expires_at = now + e.remaining_ns;
-      lru_touch(id);
-      file_deadline(id, slot);
-      covered.emplace(id, true);
-      ++upserts;
-      continue;
+      adopt(it->second, e, now);
+      covered.insert(it->second);
+    } else {
+      make_room(now);
+      covered.insert(insert(from_image(e, now)));
     }
-    if (orig_map_.size() >= config_.max_connections && lru_tail_ != kNil) {
-      kill(lru_tail_, false, now);
-      ++stats_.evicted;
-    }
-    const std::uint32_t id = allocate_slot();
-    Slot& slot = slots_[id];
-    slot.entry = ConnEntry{};
-    slot.entry.orig = e.orig;
-    slot.entry.reply = e.reply;
-    slot.entry.nat = e.nat;
-    slot.entry.seen_reply = e.seen_reply;
-    slot.entry.closing = e.closing;
-    slot.entry.confirmed = true;  // streamed by the live active
-    slot.entry.last_seen = now;
-    slot.entry.expires_at = now + e.remaining_ns;
-    slot.live = true;
-    orig_map_.emplace(e.orig, id);
-    reply_map_.emplace(e.reply, id);
-    lru_push_front(id);
-    file_deadline(id, slot);
-    covered.emplace(id, true);
     ++upserts;
   }
 
@@ -673,12 +615,7 @@ std::size_t ConnTracker::resync(const CtSnapshot& snapshot, sim::SimNanos now) {
   for (std::uint32_t id = 0; id < slots_.size(); ++id) {
     Slot& slot = slots_[id];
     if (!slot.live || covered.contains(id)) continue;
-    slot.entry.confirmed = false;
-    const sim::SimNanos cap = now + timeout_for(slot.entry);
-    if (slot.entry.expires_at > cap) {
-      slot.entry.expires_at = cap;
-      file_deadline(id, slot);
-    }
+    if (demote(slot.entry, now)) file_deadline(id, slot);
   }
   dirty_ = true;
   return upserts;

@@ -23,6 +23,12 @@
 //     expire off a coarse timer wheel swept by calendar-engine events.
 //   * Capacity is bounded per shard; commits into a full table evict
 //     the least-recently-seen connection (LRU).
+//   * A connection enters the table only through one private insert(),
+//     and only when neither of its tuples is claimed — held by any
+//     connection as its original or its reply tuple. A commit whose
+//     reply tuple is claimed is refused (kCtInvalid, a nat_failure), so
+//     every tuple resolves to at most one connection, on an active and
+//     on the standby that applies its delta stream alike.
 //
 // NAT lives here too: the first commit through a translating CtAction
 // records the mapping (SNAT allocates an external port, DNAT stores
@@ -140,15 +146,20 @@ struct CtSnapshot {
   sim::SimNanos taken_at = 0;
   std::vector<CtSnapshotEntry> entries;
 
-  /// Wire form: little-endian packed POD, 42 bytes per entry plus a
-  /// fixed header with magic/version/count (so a truncated or foreign
-  /// blob parses to nullopt instead of garbage connections).
+  /// Wire form: little-endian packed POD, kEntryBytes per entry after a
+  /// kHeaderBytes header with magic/version/taken_at/count (so a
+  /// truncated or foreign blob parses to nullopt instead of garbage
+  /// connections).
+  static constexpr std::size_t kHeaderBytes = 18;  // magic 4, version 2, taken_at 8, count 4
+  static constexpr std::size_t kEntryBytes = 42;   // 2 tuples x 13, nat 7, flags 1, remaining 8
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
   static std::optional<CtSnapshot> parse(const std::vector<std::uint8_t>& bytes);
 
   /// Exact serialized size without materializing the bytes — the
   /// checkpoint/replication byte accounting bills this.
-  [[nodiscard]] std::size_t wire_bytes() const { return 18 + entries.size() * 42; }
+  [[nodiscard]] std::size_t wire_bytes() const {
+    return kHeaderBytes + entries.size() * kEntryBytes;
+  }
 };
 
 /// One incremental replication event: a new connection (kCommit), a
@@ -342,10 +353,26 @@ class ConnTracker {
   static constexpr std::uint32_t kNil = 0xffffffff;
 
   [[nodiscard]] sim::SimNanos timeout_for(const ConnEntry& entry) const;
-  [[nodiscard]] std::uint64_t classify_entry(const Slot& slot, bool reply_dir) const;
+  /// Held by a live or not-yet-swept connection, as either tuple.
+  [[nodiscard]] bool claimed(const CtTuple& tuple) const {
+    return orig_map_.contains(tuple) || reply_map_.contains(tuple);
+  }
+
+  // The one body of each table mutation.
+  /// Add an unclaimed connection: slot, both tuple maps, LRU front,
+  /// expiry wheel, dirty. Returns its slot id.
+  std::uint32_t insert(const ConnEntry& entry);
+  /// At capacity, evict the least-recently-seen connection.
+  void make_room(sim::SimNanos now);
+  /// Authoritative in-place update of a connection we already hold.
+  void adopt(std::uint32_t id, const CtSnapshotEntry& e, sim::SimNanos now);
+  /// Unconfirm `entry` and clamp its deadline to the unconfirmed
+  /// timeout. True when the deadline moved, so a filed entry must be
+  /// re-filed.
+  bool demote(ConnEntry& entry, sim::SimNanos now) const;
+  void kill(std::uint32_t id, sim::SimNanos now);
 
   std::uint32_t allocate_slot();
-  void kill(std::uint32_t id, bool expired, sim::SimNanos now);
   void emit_delta(CtDelta::Kind kind, const ConnEntry& entry, sim::SimNanos now);
   void lru_touch(std::uint32_t id);
   void lru_unlink(std::uint32_t id);
@@ -357,7 +384,7 @@ class ConnTracker {
   /// SNAT external-port allocation with shard affinity: the first port
   /// in [port_min, port_max] (probed from a tuple-derived offset) whose
   /// translated reply tuple (a) hashes to this connection's symmetric
-  /// steering shard and (b) is not already claimed in reply_map_.
+  /// steering shard and (b) is not claimed.
   [[nodiscard]] std::optional<std::uint16_t> allocate_snat_port(const CtTuple& orig,
                                                                 const CtAction& spec) const;
 

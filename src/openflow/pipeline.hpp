@@ -176,7 +176,6 @@ class Pipeline {
   [[nodiscard]] FlowCache& cache(std::size_t shard) { return *caches_.at(shard); }
   [[nodiscard]] const FlowCache& cache(std::size_t shard) const { return *caches_.at(shard); }
   [[nodiscard]] bool cache_enabled() const { return cache_enabled_; }
-  void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
   /// Flip every shard between dpcls subtables and the linear-scan
   /// ablation (the per-shard knob, applied uniformly).
   void set_linear_scan(bool linear) {

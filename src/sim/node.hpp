@@ -145,18 +145,8 @@ class ServicedNode : public Node {
   /// Maximum packets drained per core per service burst. 1 = per-packet
   /// service (the classic single-server queue: bursts of one that sweep
   /// no queues).
-  void set_burst_size(std::size_t burst_size) { burst_size_ = burst_size == 0 ? 1 : burst_size; }
   [[nodiscard]] std::size_t burst_size() const { return burst_size_; }
-
-  /// Swap every core's burst scheduler (resets cursor/deficit state).
-  void set_scheduler(const SchedulerSpec& spec) {
-    ingress_.scheduler = spec;
-    for (Core& core : cores_) core.scheduler = make_scheduler(spec);
-  }
-  /// Swap core 0's scheduler object directly (single-core test hook).
-  void set_scheduler(std::unique_ptr<BurstScheduler> scheduler) {
-    if (scheduler != nullptr) cores_.front().scheduler = std::move(scheduler);
-  }
+  /// Core 0's burst scheduler (every core runs the same kind).
   [[nodiscard]] const BurstScheduler& scheduler() const { return *cores_.front().scheduler; }
   [[nodiscard]] const IngressSpec& ingress() const { return ingress_; }
 

@@ -23,8 +23,7 @@ const char* to_string(RssPolicy policy) {
 std::unique_ptr<BurstScheduler> make_scheduler(const SchedulerSpec& spec) {
   switch (spec.kind) {
     case SchedulerKind::kFcfs: return std::make_unique<FcfsScheduler>();
-    case SchedulerKind::kRoundRobin:
-      return std::make_unique<RoundRobinScheduler>(spec.rr_quantum_packets);
+    case SchedulerKind::kRoundRobin: return std::make_unique<RoundRobinScheduler>();
     case SchedulerKind::kDrr:
       return std::make_unique<DrrScheduler>(spec.drr_quantum_bytes,
                                             spec.drr_port_quantum_bytes);
@@ -69,9 +68,7 @@ void RoundRobinScheduler::next_burst(const std::vector<RxQueue*>& queues, std::s
       continue;
     }
     empty_streak = 0;
-    for (std::size_t granted = 0;
-         granted < quantum_ && out.size() < budget && !queue.empty(); ++granted)
-      out.emplace_back(queue.in_port(), queue.pop());
+    out.emplace_back(queue.in_port(), queue.pop());  // one packet per visit
     cursor_ = (cursor_ + 1) % queues.size();
   }
 }

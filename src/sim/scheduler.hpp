@@ -10,9 +10,8 @@
 //   * Fcfs       — global arrival order across all queues. Bit-exact
 //                  with the pre-refactor shared FIFO; the ablation
 //                  baseline (and what an unscheduled datapath does).
-//   * RoundRobin — packet-quantum sweep: up to `rr_quantum_packets`
-//                  per non-empty queue per visit, cursor persists
-//                  across bursts.
+//   * RoundRobin — packet sweep: one packet per non-empty queue per
+//                  visit, cursor persists across bursts.
 //   * Drr        — deficit round-robin (Shreedhar & Varghese): each
 //                  visited queue banks `drr_quantum_bytes` of credit
 //                  and sends while its head frame fits; byte-fair
@@ -117,8 +116,6 @@ enum class SchedulerKind : std::uint8_t { kFcfs, kRoundRobin, kDrr };
 /// RigOptions and turned into a live object with make_scheduler().
 struct SchedulerSpec {
   SchedulerKind kind = SchedulerKind::kFcfs;
-  /// RoundRobin: packets granted per queue visit.
-  std::size_t rr_quantum_packets = 1;
   /// Drr: bytes of credit banked per queue visit (one MTU by default,
   /// the classic choice — one full-size frame per round).
   std::size_t drr_quantum_bytes = 1500;
@@ -235,16 +232,14 @@ class FcfsScheduler final : public BurstScheduler {
   std::vector<RxQueue*> backlogged_;  // reused scratch, cleared per burst
 };
 
-/// Packet-quantum sweep with a cursor that persists across bursts.
+/// One packet per non-empty queue per visit, with a cursor that
+/// persists across bursts.
 class RoundRobinScheduler final : public BurstScheduler {
  public:
-  explicit RoundRobinScheduler(std::size_t quantum_packets = 1)
-      : quantum_(quantum_packets == 0 ? 1 : quantum_packets) {}
   [[nodiscard]] const char* name() const override { return "rr"; }
   void next_burst(const std::vector<RxQueue*>& queues, std::size_t budget, Burst& out) override;
 
  private:
-  std::size_t quantum_;
   std::size_t cursor_ = 0;
 };
 

@@ -390,6 +390,49 @@ TEST(ConnTracker, DeltaStreamReplicatesStateAdvancesOnly) {
   EXPECT_EQ(standby.stats().deltas_applied, 4u);
 }
 
+TEST(ConnTracker, CommitRefusesAReplyTupleClaimedAsAnOriginal) {
+  ConnTracker active(CtConfig{}, 1);
+  ConnTracker standby(CtConfig{}, 1);
+  std::vector<CtDelta> log;
+  active.set_delta_sink([&](const CtDelta& delta) { log.push_back(delta); });
+  constexpr std::uint32_t kB = 0x0a000002;
+  constexpr std::uint32_t kC = 0x0a000003;
+  constexpr std::uint32_t kVip = 0x0a0000fe;
+
+  // A plain connection B:80 -> C:5555 ...
+  const CtTuple plain = tuple(kB, 80, kC, 5555);
+  ASSERT_TRUE(active.process(plain, net::kTcpSyn, 0, kCommit).committed);
+  // ... then C:5555 -> VIP:80 DNATed to B:80, whose reply tuple
+  // B:80 -> C:5555 the plain connection already holds as its original.
+  CtAction dnat;
+  dnat.nat = CtAction::Nat::kDest;
+  dnat.nat_ip = kB;
+  dnat.port_min = 80;
+  const CtOutcome refused = active.process(tuple(kC, 5555, kVip, 80), net::kTcpSyn, 0, dnat);
+  EXPECT_FALSE(refused.committed);
+  EXPECT_FALSE(refused.rewrite);
+  EXPECT_EQ(refused.state & kCtInvalid, kCtInvalid);
+  EXPECT_EQ(active.stats().nat_failures, 1u);
+  EXPECT_EQ(active.stats().nat_allocated, 0u);
+  EXPECT_EQ(active.size(), 1u);
+  // The tuple still names exactly one connection, in its original direction.
+  EXPECT_EQ(active.classify(plain, net::kTcpAck, 100), kCtTracked);
+
+  // A standby applying the same stream holds the same table.
+  for (const CtDelta& delta : log) standby.apply_delta(delta, 0);
+  const CtSnapshot a = active.checkpoint(500);
+  const CtSnapshot b = standby.checkpoint(500);
+  ASSERT_EQ(a.entries.size(), b.entries.size());
+  for (std::size_t i = 0; i < a.entries.size(); ++i) {
+    EXPECT_EQ(a.entries[i].orig, b.entries[i].orig);
+    EXPECT_EQ(a.entries[i].reply, b.entries[i].reply);
+    EXPECT_EQ(a.entries[i].nat.kind, b.entries[i].nat.kind);
+    EXPECT_EQ(a.entries[i].seen_reply, b.entries[i].seen_reply);
+    EXPECT_EQ(a.entries[i].closing, b.entries[i].closing);
+    EXPECT_EQ(a.entries[i].remaining_ns, b.entries[i].remaining_ns);
+  }
+}
+
 TEST(ConnTracker, DemoteAllClampsReplicatedEntriesToTransient) {
   CtConfig config;
   config.sweep_interval = 100;

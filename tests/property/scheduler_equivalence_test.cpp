@@ -367,7 +367,7 @@ TEST(SchedulerMultiset, ReorderingNeverChangesWhatIsDeliveredOrCounted) {
 
   const auto fcfs = run({sim::SchedulerKind::kFcfs});
   const auto rr = run({sim::SchedulerKind::kRoundRobin});
-  const auto drr = run({sim::SchedulerKind::kDrr, 1, 512});
+  const auto drr = run({sim::SchedulerKind::kDrr, 512});
   EXPECT_EQ(rr, fcfs);
   EXPECT_EQ(drr, fcfs);
   EXPECT_EQ(std::get<2>(fcfs), 0u);  // paced within capacity: no drops anywhere
