@@ -60,13 +60,13 @@ void Fabric::register_faults(sim::FaultInjector& injector) {
   // Per-leg trunk targets: trunk_channels_ holds both directions of
   // each bonded leg, in leg order.
   for (std::size_t i = 0; i < trunk_channels_.size(); ++i)
-    injector.register_link("trunk:leg" + std::to_string(i / 2), *trunk_channels_[i]);
+    injector.register_point("trunk:leg" + std::to_string(i / 2), *trunk_channels_[i]);
 }
 
 void Fabric::register_faults(sim::FaultInjector& injector, sim::Network& network) {
   register_faults(injector);
   for (const auto& channel : network.channels())
-    injector.register_link("link:" + channel->label(), *channel);
+    injector.register_point("link:" + channel->label(), *channel);
 }
 
 void Fabric::set_trunk_up(bool up) {

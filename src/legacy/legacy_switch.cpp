@@ -79,7 +79,13 @@ void LegacySwitch::egress(int port_number, net::VlanId vlan, net::Packet&& packe
   emit(static_cast<std::size_t>(port_number - 1), std::move(packet));
 }
 
-sim::SimNanos LegacySwitch::service(int in_port, net::Packet&& packet) {
+sim::SimNanos LegacySwitch::service_burst(sim::Burst&& burst) {
+  sim::SimNanos cost = 0;
+  for (auto& [in_port, packet] : burst) cost += forward(in_port, std::move(packet));
+  return cost;
+}
+
+sim::SimNanos LegacySwitch::forward(int in_port, net::Packet&& packet) {
   const int port_number = in_port + 1;
   // By-value copy of the interned parse: egress rewrites the frame
   // (dropping the intern), and the flood loop reads `parsed` between

@@ -74,9 +74,12 @@ class LegacySwitch : public sim::ServicedNode {
   void on_port_link(int port_index, bool up) override;
 
  protected:
-  sim::SimNanos service(int in_port, net::Packet&& packet) override;
+  /// Frame by frame (burst_size 1): the per-frame costs sum.
+  sim::SimNanos service_burst(sim::Burst&& burst) override;
 
  private:
+  /// Classify, learn, and forward or flood one frame; returns its cost.
+  sim::SimNanos forward(int in_port, net::Packet&& packet);
   struct Classified {
     net::VlanId vlan;
     bool had_tag;

@@ -1,56 +1,18 @@
 #include "openflow/channel.hpp"
 
-#include <algorithm>
-
 namespace harmless::openflow {
 
-void ControlChannel::send(Message&& message, DirectionStats& stats,
-                          const ChannelImpairment& impairment, sim::SimNanos& next_free,
-                          std::function<void(Message&&)>& handler) {
-  ++stats.sent;
-  if (!up_) {
-    ++stats.dropped_down;
-    return;
-  }
-  if (impairment.loss > 0.0 && rng_.chance(impairment.loss)) {
-    ++stats.dropped_loss;
-    return;
-  }
-  // Serialization point: min_gap_ns_ spaces departures, so a burst of N
-  // flow-mods takes N * gap to drain — the resync-time model. With the
-  // default gap of 0 this collapses to depart-now, the historical
-  // instantaneous pipe.
-  const sim::SimNanos depart = std::max(engine_.now(), next_free);
-  next_free = depart + min_gap_ns_;
-  sim::SimNanos arrive = depart + latency_;
-  if (impairment.jitter_ns > 0) {
-    // Jitter can reorder deliveries relative to FIFO — deliberate: an
-    // impaired management network gives no ordering guarantees either.
-    arrive += static_cast<sim::SimNanos>(
-        rng_.below(static_cast<std::uint64_t>(impairment.jitter_ns) + 1));
-  }
-  engine_.schedule_at(arrive, [this, &stats, &handler, msg = std::move(message)]() mutable {
-    if (!up_) {
-      ++stats.dropped_down;  // in flight when the partition hit
-      return;
-    }
-    if (!handler) {
-      ++stats.dropped_no_handler;  // receiver crashed / not attached
-      return;
-    }
-    ++stats.delivered;
-    handler(std::move(msg));
-  });
-}
-
-void ControlChannel::send_to_controller(Message message) {
-  send(std::move(message), to_controller_stats_, to_controller_impairment_, to_controller_free_,
-       controller_handler_);
-}
-
-void ControlChannel::send_to_switch(Message message) {
-  send(std::move(message), to_switch_stats_, to_switch_impairment_, to_switch_free_,
-       switch_handler_);
+void ControlChannel::send(Direction& direction, Message&& message) {
+  DirectionStats& stats = direction.stats;
+  wire_.send(direction.lane, {stats.sent, stats.dropped_down, stats.dropped_loss},
+             [&direction, message = std::move(message)]() mutable {
+               if (!direction.handler) {
+                 ++direction.stats.dropped_no_handler;  // receiver crashed / not attached
+                 return;
+               }
+               ++direction.stats.delivered;
+               direction.handler(std::move(message));
+             });
 }
 
 }  // namespace harmless::openflow

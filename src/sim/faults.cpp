@@ -79,21 +79,7 @@ FaultPlan& FaultPlan::random_crashes(const std::string& target, std::size_t coun
   return *this;
 }
 
-void FaultInjector::register_link(const std::string& name, Channel& channel) {
-  if (points_.count(name) != 0)
-    throw util::ConfigError("FaultInjector: link target '" + name +
-                            "' would shadow an existing fault point");
-  auto& channels = links_[name];
-  if (std::find(channels.begin(), channels.end(), &channel) != channels.end())
-    throw util::ConfigError("FaultInjector: channel already registered under link target '" +
-                            name + "'");
-  channels.push_back(&channel);
-}
-
 void FaultInjector::register_point(const std::string& name, FaultPoint& point) {
-  if (links_.count(name) != 0)
-    throw util::ConfigError("FaultInjector: point target '" + name +
-                            "' would shadow an existing link");
   auto& points = points_[name];
   if (std::find(points.begin(), points.end(), &point) != points.end())
     throw util::ConfigError("FaultInjector: point already registered under target '" + name +
@@ -113,31 +99,22 @@ void FaultInjector::arm(const FaultPlan& plan) {
 
 void FaultInjector::apply(const FaultEvent& event) {
   ++stats_.fired;
-  const auto link_it = links_.find(event.target);
-  const auto point_it = points_.find(event.target);
-  switch (event.kind) {
-    case FaultEvent::Kind::kDown:
-    case FaultEvent::Kind::kUp: {
-      const bool up = event.kind == FaultEvent::Kind::kUp;
-      if (link_it != links_.end())
-        for (Channel* channel : link_it->second) channel->set_up(up);
-      if (point_it != points_.end())
-        for (FaultPoint* point : point_it->second) point->fault_set_up(up);
-      break;
+  for (FaultPoint* point : points_.at(event.target)) {
+    switch (event.kind) {
+      case FaultEvent::Kind::kDown:
+      case FaultEvent::Kind::kUp:
+        point->fault_set_up(event.kind == FaultEvent::Kind::kUp);
+        break;
+      case FaultEvent::Kind::kImpair:
+        point->fault_impair(event.loss, event.extra_latency);
+        break;
+      case FaultEvent::Kind::kCrash:
+        point->fault_crash();
+        break;
+      case FaultEvent::Kind::kRestart:
+        point->fault_restart();
+        break;
     }
-    case FaultEvent::Kind::kImpair:
-      if (point_it != points_.end())
-        for (FaultPoint* point : point_it->second)
-          point->fault_impair(event.loss, event.extra_latency);
-      break;
-    case FaultEvent::Kind::kCrash:
-      if (point_it != points_.end())
-        for (FaultPoint* point : point_it->second) point->fault_crash();
-      break;
-    case FaultEvent::Kind::kRestart:
-      if (point_it != points_.end())
-        for (FaultPoint* point : point_it->second) point->fault_restart();
-      break;
   }
 }
 

@@ -4,10 +4,12 @@
 // control-channel partitions, loss/latency impairments, controller or
 // switch crash+restart windows — and the FaultInjector compiles it
 // into ordinary engine events against *registered* targets. Nothing
-// here knows about OpenFlow or soft switches: higher layers register
-// sim::Channels (wires) under names, and anything else that can fail
-// implements the FaultPoint seam below (ControlChannel, SoftSwitch,
-// Controller all do).
+// here knows about OpenFlow or soft switches: anything that can fail
+// implements the FaultPoint seam below and registers under a name —
+// data links (sim::Channel), the message wires (ControlChannel,
+// ReplicationChannel, WitnessLink, each carried by a sim::MessageWire,
+// sim/wire.hpp, which applies partitions and impairments), switches,
+// controllers and the witness.
 //
 // Determinism is the whole point: a plan's random helpers draw from a
 // util::Rng seeded by FaultPlan::seed at *build* time, the compiled
@@ -20,14 +22,12 @@
 // without the injector.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "sim/event.hpp"
-#include "sim/link.hpp"
 #include "sim/time.hpp"
 
 namespace harmless::sim {
@@ -114,34 +114,26 @@ class FaultInjector {
  public:
   explicit FaultInjector(Engine& engine) : engine_(engine) {}
 
-  /// Register a wire under `name`. Call repeatedly to group several
-  /// *distinct* channels (both directions of a duplex link, every leg
-  /// of a bonded trunk) under one target name — a kDown hits them all.
-  /// Re-registering the same channel under the same name, or reusing a
-  /// name already taken by a FaultPoint, throws util::ConfigError —
-  /// a silently shadowed target would make a chaos schedule lie.
-  void register_link(const std::string& name, Channel& channel);
-
-  /// Register any FaultPoint (control channel, switch, controller)
-  /// under `name`. Multiple distinct points may share a name; the same
-  /// duplicate/cross-type guards as register_link() apply.
+  /// Register any FaultPoint (data link, message channel, switch,
+  /// controller) under `name`. Call repeatedly to group several
+  /// *distinct* points (both directions of a duplex link, every leg of
+  /// a bonded trunk) under one target name — a plan event hits them
+  /// all, in registration order. Re-registering the same point under
+  /// the same name throws util::ConfigError — a silently doubled target
+  /// would make a chaos schedule lie.
   void register_point(const std::string& name, FaultPoint& point);
 
   [[nodiscard]] bool has_target(const std::string& name) const {
-    return links_.count(name) != 0 || points_.count(name) != 0;
+    return points_.count(name) != 0;
   }
 
-  /// Every registered target name, in deterministic sorted order
-  /// (links and points merged — the registration guard keeps the two
-  /// namespaces disjoint, so a plain merge cannot duplicate). Chaos
-  /// schedules over auto-registered topologies draw from this instead
-  /// of hard-coding names.
+  /// Every registered target name, in deterministic sorted order.
+  /// Chaos schedules over auto-registered topologies draw from this
+  /// instead of hard-coding names.
   [[nodiscard]] std::vector<std::string> target_names() const {
     std::vector<std::string> names;
-    names.reserve(links_.size() + points_.size());
-    for (const auto& [name, channels] : links_) names.push_back(name);
+    names.reserve(points_.size());
     for (const auto& [name, points] : points_) names.push_back(name);
-    std::sort(names.begin(), names.end());
     return names;
   }
 
@@ -161,7 +153,6 @@ class FaultInjector {
   void apply(const FaultEvent& event);
 
   Engine& engine_;
-  std::map<std::string, std::vector<Channel*>> links_;
   std::map<std::string, std::vector<FaultPoint*>> points_;
   Stats stats_;
 };

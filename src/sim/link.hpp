@@ -24,6 +24,7 @@
 
 #include "net/packet.hpp"
 #include "sim/event.hpp"
+#include "sim/faults.hpp"
 #include "sim/time.hpp"
 #include "util/stats.hpp"
 
@@ -39,7 +40,7 @@ struct LinkSpec {
   }
 };
 
-class Channel {
+class Channel : public FaultPoint {
  public:
   Channel(Engine& engine, LinkSpec spec, std::string label);
 
@@ -65,6 +66,8 @@ class Channel {
     if (state_observer_) state_observer_(up);
   }
   [[nodiscard]] bool is_up() const { return up_; }
+  /// sim::FaultPoint: a plan's down/up events cut and restore the cable.
+  void fault_set_up(bool up) override { set_up(up); }
 
   /// Observe up/down transitions (at most one observer; Network wires
   /// it to both endpoint nodes' on_port_link).

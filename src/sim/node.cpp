@@ -150,10 +150,6 @@ std::size_t ServicedNode::port_queue_peak_depth(std::size_t port) const {
   return peak;
 }
 
-SimNanos ServicedNode::service(int, net::Packet&&) {
-  throw util::ConfigError(name() + ": overrides neither service() nor service_burst()");
-}
-
 void ServicedNode::emit(std::size_t out_port, net::Packet&& packet) {
   if (!in_service_)
     throw util::ConfigError(name() + ": emit() called outside a service burst");

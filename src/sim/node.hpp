@@ -212,20 +212,10 @@ class ServicedNode : public Node {
  protected:
   /// The node's one ingress path: process one burst and return its
   /// total compute cost; outputs emitted meanwhile leave when the burst
-  /// completes. The default serves the packets one by one through
-  /// service() (costs sum), so per-packet nodes override only that.
-  /// SoftSwitch overrides this with its batched cache-replay datapath.
-  virtual SimNanos service_burst(Burst&& burst) {
-    SimNanos cost = 0;
-    for (auto& [in_port, packet] : burst) cost += service(in_port, std::move(packet));
-    return cost;
-  }
-
-  /// Per-packet hook of the default service_burst: process one packet,
-  /// forward it via emit(...) and return its compute cost in ns. Nodes
-  /// that override service_burst need not implement it (the default
-  /// throws).
-  virtual SimNanos service(int in_port, net::Packet&& packet);
+  /// completes. Per-packet nodes (LegacySwitch) loop over the burst and
+  /// sum their per-packet costs; SoftSwitch runs its batched
+  /// cache-replay datapath.
+  virtual SimNanos service_burst(Burst&& burst) = 0;
 
   /// Emit a packet from `out_port` once the current burst completes.
   /// Only valid inside a service burst.

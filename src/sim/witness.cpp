@@ -1,6 +1,5 @@
 #include "sim/witness.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace harmless::sim {
@@ -28,34 +27,25 @@ Witness::Decision Witness::decide(std::uint64_t client, SimNanos now) {
 }
 
 void WitnessLink::request_lease(GrantHandler handler) {
-  ++stats_.requests_sent;
-  if (!up_) {
-    ++stats_.requests_dropped;
-    return;
-  }
-  const SimNanos fwd = std::max<SimNanos>(witness_.spec().rtt_ns / 2, 1);
-  // Response leg is never zero: a grant decision made at t can only be
-  // *known* to the client strictly after t, which is what keeps an
-  // expiry-fence at t and a new grant learned after t from overlapping.
-  const SimNanos back = std::max<SimNanos>(witness_.spec().rtt_ns - fwd, 1);
-  engine_.schedule_after(fwd, [this, handler = std::move(handler), back]() mutable {
-    if (!up_ || witness_.crashed()) {
-      ++stats_.requests_dropped;
-      return;
-    }
-    const Witness::Decision decision = witness_.decide(client_id_, engine_.now());
-    engine_.schedule_after(back, [this, handler = std::move(handler), decision] {
-      if (!up_) {
-        ++stats_.responses_dropped;
-        return;
-      }
-      if (decision.granted)
-        ++stats_.granted;
-      else
-        ++stats_.denied;
-      handler(decision.granted, decision.epoch, decision.expires_at);
-    });
-  });
+  wire_.send(request_lane_,
+             {stats_.requests_sent, stats_.requests_dropped, stats_.requests_dropped},
+             [this, handler = std::move(handler)]() mutable {
+               if (witness_.crashed()) {
+                 ++stats_.requests_dropped;
+                 return;
+               }
+               const Witness::Decision decision = witness_.decide(client_id_, engine_.now());
+               wire_.send(response_lane_,
+                          {stats_.responses_sent, stats_.responses_dropped,
+                           stats_.responses_dropped},
+                          [this, handler = std::move(handler), decision] {
+                            if (decision.granted)
+                              ++stats_.granted;
+                            else
+                              ++stats_.denied;
+                            handler(decision.granted, decision.epoch, decision.expires_at);
+                          });
+             });
 }
 
 }  // namespace harmless::sim

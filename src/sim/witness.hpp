@@ -22,18 +22,21 @@
 //     at expiry.
 //
 // The witness is a FaultPoint like everything else, and each client
-// talks to it over a WitnessLink — a private request/response wire with
-// its own rtt and up/down state — so the chaos suite can partition
-// active-witness, standby-witness, or both, independently of the
-// replication channel.
+// talks to it over a WitnessLink — a private request/response line
+// with its own rtt and up/down state, carried by a sim::MessageWire
+// (sim/wire.hpp) like the control and replication channels — so the
+// chaos suite can partition active-witness, standby-witness, or both,
+// independently of the replication channel.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 
 #include "sim/event.hpp"
 #include "sim/faults.hpp"
 #include "sim/time.hpp"
+#include "sim/wire.hpp"
 
 namespace harmless::sim {
 
@@ -98,25 +101,33 @@ class WitnessLink : public FaultPoint {
   using GrantHandler = std::function<void(bool granted, std::uint64_t epoch,
                                           SimNanos expires_at)>;
 
+  /// The response leg is never zero: a grant decided at t can only be
+  /// *known* to the client strictly after t, which is what keeps an
+  /// expiry-fence at t and a new grant learned after t from
+  /// overlapping. No loss or jitter is ever set: the wire's seed is inert.
   WitnessLink(Engine& engine, Witness& witness, std::uint64_t client_id)
-      : engine_(engine), witness_(witness), client_id_(client_id) {}
+      : engine_(engine),
+        witness_(witness),
+        client_id_(client_id),
+        wire_(engine, /*seed=*/0),
+        request_lane_{std::max<SimNanos>(witness.spec().rtt_ns / 2, 1)},
+        response_lane_{std::max<SimNanos>(witness.spec().rtt_ns - request_lane_.latency_ns, 1)} {}
 
   /// Fire a lease request; `handler` runs one rtt later with the
   /// witness's decision (or never, if either direction drops or the
   /// witness is down at arrival time).
   void request_lease(GrantHandler handler);
 
-  void set_up(bool up) { up_ = up; }
-  [[nodiscard]] bool is_up() const { return up_; }
-  void fault_set_up(bool up) override { up_ = up; }
+  void set_up(bool up) { wire_.set_up(up); }
+  [[nodiscard]] bool is_up() const { return wire_.is_up(); }
+  void fault_set_up(bool up) override { set_up(up); }
 
-  [[nodiscard]] Witness& witness() { return witness_; }
   [[nodiscard]] const WitnessSpec& spec() const { return witness_.spec(); }
-  [[nodiscard]] std::uint64_t client_id() const { return client_id_; }
 
   struct Stats {
     std::uint64_t requests_sent = 0;
-    std::uint64_t requests_dropped = 0;   // link down at send or arrival
+    std::uint64_t requests_dropped = 0;   // link down at send or arrival, or witness down
+    std::uint64_t responses_sent = 0;     // requests the witness decided
     std::uint64_t responses_dropped = 0;  // link down on the way back
     std::uint64_t granted = 0;
     std::uint64_t denied = 0;
@@ -127,7 +138,9 @@ class WitnessLink : public FaultPoint {
   Engine& engine_;
   Witness& witness_;
   std::uint64_t client_id_;
-  bool up_ = true;
+  MessageWire wire_;
+  MessageWire::Lane request_lane_;
+  MessageWire::Lane response_lane_;
   Stats stats_;
 };
 

@@ -2,27 +2,6 @@
 
 namespace harmless::softswitch {
 
-bool ReplicationChannel::depart(std::uint64_t& down, std::uint64_t& loss) {
-  if (!up_) {
-    ++down;
-    return false;
-  }
-  if (spec_.loss > 0.0 && rng_.chance(spec_.loss)) {
-    ++loss;
-    return false;
-  }
-  return true;
-}
-
-sim::SimNanos ReplicationChannel::arrival_delay() {
-  sim::SimNanos delay = spec_.latency_ns;
-  if (spec_.jitter_ns > 0) {
-    delay += static_cast<sim::SimNanos>(
-        rng_.below(static_cast<std::uint64_t>(spec_.jitter_ns) + 1));
-  }
-  return delay;
-}
-
 void ReplicationChannel::publish(std::size_t shard, const openflow::CtDelta& delta) {
   ++stats_.deltas_published;
   pending_.push_back(ReplicationRecord{shard, delta});
@@ -43,13 +22,7 @@ void ReplicationChannel::flush() {
   if (pending_.empty()) return;
   std::vector<ReplicationRecord> batch;
   batch.swap(pending_);
-  ++stats_.batches_sent;
-  if (!depart(stats_.batches_dropped_down, stats_.batches_dropped_loss)) return;
-  engine_.schedule_after(arrival_delay(), [this, batch = std::move(batch)] {
-    if (!up_) {
-      ++stats_.batches_dropped_down;  // in flight when the partition hit
-      return;
-    }
+  wire_.send(lane_, state_tally(stats_.batches_sent), [this, batch = std::move(batch)] {
     ++stats_.batches_delivered;
     if (!delta_handler_) return;
     for (const ReplicationRecord& record : batch) {
@@ -60,44 +33,29 @@ void ReplicationChannel::flush() {
 }
 
 void ReplicationChannel::publish_heartbeat(std::uint64_t epoch) {
-  ++stats_.heartbeats_sent;
-  if (!depart(stats_.heartbeats_dropped_down, stats_.heartbeats_dropped_loss)) return;
-  engine_.schedule_after(arrival_delay(), [this, epoch] {
-    if (!up_) {
-      ++stats_.heartbeats_dropped_down;  // in flight when the partition hit
-      return;
-    }
-    ++stats_.heartbeats_delivered;
-    if (heartbeat_handler_) heartbeat_handler_(epoch);
-  });
+  wire_.send(lane_,
+             {stats_.heartbeats_sent, stats_.heartbeats_dropped_down,
+              stats_.heartbeats_dropped_loss},
+             [this, epoch] {
+               ++stats_.heartbeats_delivered;
+               if (heartbeat_handler_) heartbeat_handler_(epoch);
+             });
 }
 
 void ReplicationChannel::publish_snapshot(std::size_t shard, openflow::CtSnapshot snapshot,
                                           std::uint64_t epoch) {
-  ++stats_.snapshots_sent;
   // State-stream traffic: drops share the batch buckets, unlike
   // heartbeats — a lost snapshot *is* lost state.
-  if (!depart(stats_.batches_dropped_down, stats_.batches_dropped_loss)) return;
-  engine_.schedule_after(arrival_delay(),
-                         [this, shard, epoch, snapshot = std::move(snapshot)] {
-                           if (!up_) {
-                             ++stats_.batches_dropped_down;
-                             return;
-                           }
-                           ++stats_.snapshots_delivered;
-                           stats_.snapshot_bytes += snapshot.wire_bytes();
-                           if (snapshot_handler_) snapshot_handler_(shard, snapshot, epoch);
-                         });
+  wire_.send(lane_, state_tally(stats_.snapshots_sent),
+             [this, shard, epoch, snapshot = std::move(snapshot)] {
+               ++stats_.snapshots_delivered;
+               stats_.snapshot_bytes += snapshot.wire_bytes();
+               if (snapshot_handler_) snapshot_handler_(shard, snapshot, epoch);
+             });
 }
 
 void ReplicationChannel::publish_sync_request() {
-  ++stats_.sync_requests_sent;
-  if (!depart(stats_.batches_dropped_down, stats_.batches_dropped_loss)) return;
-  engine_.schedule_after(arrival_delay(), [this] {
-    if (!up_) {
-      ++stats_.batches_dropped_down;
-      return;
-    }
+  wire_.send(lane_, state_tally(stats_.sync_requests_sent), [this] {
     ++stats_.sync_requests_delivered;
     if (sync_request_handler_) sync_request_handler_();
   });

@@ -5,13 +5,11 @@
 // (commit / established / closing / close — see CtDelta) into a
 // ReplicationChannel; the standby peer applies them to its own shards
 // so an established connection survives a takeover with its NAT
-// binding intact. The channel is deliberately shaped like the control
-// channel (PR 7): batched + paced departures model the sync TCP
-// session's serialization, per-batch loss and latency jitter come from
-// a seeded util::Rng, and the whole thing is a sim::FaultPoint so a
-// FaultPlan can partition or impair replication independently of the
-// data and control planes. With no impairment configured the Rng is
-// never consulted — a pristine channel replays byte-identically.
+// binding intact. Each message crosses a sim::MessageWire
+// (sim/wire.hpp) like the control channel's, and the channel is a
+// sim::FaultPoint, so a FaultPlan can partition or impair replication
+// independently of the data and control planes. Deltas coalesce for
+// batch_interval_ns and depart as one message.
 //
 // Liveness rides the same pipe: the active publishes heartbeats on a
 // timer (paused while it is crashed), and the standby's monitor trips
@@ -28,7 +26,7 @@
 #include "openflow/conntrack.hpp"
 #include "sim/event.hpp"
 #include "sim/faults.hpp"
-#include "util/rng.hpp"
+#include "sim/wire.hpp"
 
 namespace harmless::softswitch {
 
@@ -53,7 +51,10 @@ struct ReplicationRecord {
 class ReplicationChannel : public sim::FaultPoint {
  public:
   ReplicationChannel(sim::Engine& engine, ReplicationSpec spec = {})
-      : engine_(engine), spec_(spec), rng_(spec.seed) {}
+      : engine_(engine),
+        spec_(spec),
+        wire_(engine, spec.seed, spec.loss, spec.jitter_ns),
+        lane_{spec.latency_ns} {}
 
   // ---- active side ----
   /// Queue one delta; it departs with the current batch (after at most
@@ -93,19 +94,15 @@ class ReplicationChannel : public sim::FaultPoint {
   // ---- failure semantics ----
   /// Partition / heal the sync session. Downing loses queued and
   /// in-flight batches at their delivery time, like the control channel.
-  void set_up(bool up) { up_ = up; }
-  [[nodiscard]] bool is_up() const { return up_; }
-  void set_loss(double loss) { spec_.loss = loss; }
-  void set_lag(sim::SimNanos latency_ns, sim::SimNanos jitter_ns) {
-    spec_.latency_ns = latency_ns;
-    spec_.jitter_ns = jitter_ns;
-  }
+  void set_up(bool up) { wire_.set_up(up); }
+  [[nodiscard]] bool is_up() const { return wire_.is_up(); }
 
-  // sim::FaultPoint: partition and impairment via the injector.
+  // sim::FaultPoint: partition and impairment via the injector. A
+  // non-zero impairment replaces spec().loss / jitter_ns while it is
+  // set; (0, 0) restores them.
   void fault_set_up(bool up) override { set_up(up); }
   void fault_impair(double loss_probability, sim::SimNanos extra_latency_ns) override {
-    spec_.loss = loss_probability;
-    spec_.jitter_ns = extra_latency_ns;
+    wire_.impair(loss_probability, extra_latency_ns);
   }
 
   struct Stats {
@@ -134,15 +131,16 @@ class ReplicationChannel : public sim::FaultPoint {
 
  private:
   void flush();
-  /// Departure-side gate shared by batches and heartbeats: false means
-  /// the message died (down / loss) and was accounted to `down`/`loss`.
-  bool depart(std::uint64_t& down, std::uint64_t& loss);
-  [[nodiscard]] sim::SimNanos arrival_delay();
+  /// State-stream traffic (delta batches, snapshots, sync requests)
+  /// shares the batch drop buckets; `sent` is the kind's own counter.
+  sim::MessageWire::Tally state_tally(std::uint64_t& sent) {
+    return {sent, stats_.batches_dropped_down, stats_.batches_dropped_loss};
+  }
 
   sim::Engine& engine_;
   ReplicationSpec spec_;
-  util::Rng rng_;
-  bool up_ = true;
+  sim::MessageWire wire_;
+  sim::MessageWire::Lane lane_;
   bool flush_scheduled_ = false;
   std::vector<ReplicationRecord> pending_;
   std::function<void(const ReplicationRecord&)> delta_handler_;

@@ -477,17 +477,9 @@ void SoftSwitch::resolve_output(std::uint32_t of_port, std::uint32_t in_of_port,
     case kPortInPort:
       deliver_one(in_of_port, std::move(packet));
       break;
-    case kPortController: {
-      if (channel_ != nullptr && admit_packet_in()) {
-        ++counters_.packet_ins;
-        PacketInMsg punt;
-        punt.in_port = in_of_port;
-        punt.reason = PacketInReason::kAction;
-        punt.packet = std::move(packet);
-        channel_->send_to_controller(std::move(punt));
-      }
+    case kPortController:
+      punt(in_of_port, 0, PacketInReason::kAction, std::move(packet));
       break;
-    }
     default:
       if (of_port == 0 || of_port > of_port_count_) return;  // invalid port: drop
       // OF1.3: output to the ingress port is suppressed unless the
@@ -504,16 +496,15 @@ void SoftSwitch::dispatch_result(PipelineResult& result, std::uint32_t in_of_por
     out_packet.charge(packet_cost / static_cast<sim::SimNanos>(result.outputs.size()));
     resolve_output(of_port, in_of_port, std::move(out_packet));
   }
-  for (PacketInEvent& event : result.packet_ins) {
-    if (channel_ == nullptr || !admit_packet_in()) continue;
-    ++counters_.packet_ins;
-    PacketInMsg punt;
-    punt.in_port = event.in_port;
-    punt.table_id = event.table_id;
-    punt.reason = event.reason;
-    punt.packet = std::move(event.packet);
-    channel_->send_to_controller(std::move(punt));
-  }
+  for (PacketInEvent& event : result.packet_ins)
+    punt(event.in_port, event.table_id, event.reason, std::move(event.packet));
+}
+
+void SoftSwitch::punt(std::uint32_t in_port, std::uint8_t table_id, PacketInReason reason,
+                      net::Packet&& packet) {
+  if (channel_ == nullptr || !admit_packet_in()) return;
+  ++counters_.packet_ins;
+  channel_->send_to_controller(PacketInMsg{in_port, table_id, reason, std::move(packet)});
 }
 
 sim::SimNanos SoftSwitch::service_burst(sim::ServicedNode::Burst&& burst) {

@@ -359,6 +359,10 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   /// Gate one packet-in: false while degraded (fail-secure drop) or
   /// over the warm-up budget; counts what it suppresses.
   bool admit_packet_in();
+  /// Send one packet-in to the controller if there is a channel and
+  /// admit_packet_in() lets it through.
+  void punt(std::uint32_t in_port, std::uint8_t table_id, openflow::PacketInReason reason,
+            net::Packet&& packet);
   void arm_liveness();
   void schedule_echo();
   void on_control_lost();

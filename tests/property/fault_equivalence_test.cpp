@@ -179,7 +179,7 @@ ChaosOutcome run_chaos(std::uint64_t seed) {
   injector.register_point("ctrl", ctrl);
   injector.register_point("sw", sw);
   for (sim::Channel* link : network.find_channels("h0"))
-    injector.register_link("link0", *link);
+    injector.register_point("link0", *link);
 
   sim::FaultPlan plan;
   plan.seed = seed;
@@ -295,15 +295,11 @@ TEST(FaultEquivalence, DuplicateRegistrationFailsLoudly) {
   sim::Channel* link = network.find_channels("h0").front();
 
   injector.register_point("ctrl", point);
-  injector.register_link("wire", *link);
+  injector.register_point("wire", *link);
   // Same object under the same name again: silent shadowing would make
   // one plan event fire the fault twice — refuse instead.
   EXPECT_THROW(injector.register_point("ctrl", point), util::ConfigError);
-  EXPECT_THROW(injector.register_link("wire", *link), util::ConfigError);
-  // Cross-type shadowing (a link named like a point or vice versa)
-  // would make target_names ambiguous — also refused.
-  EXPECT_THROW(injector.register_link("ctrl", *link), util::ConfigError);
-  EXPECT_THROW(injector.register_point("wire", point), util::ConfigError);
+  EXPECT_THROW(injector.register_point("wire", *link), util::ConfigError);
   // Fan-out under one name with distinct objects stays legal (e.g.
   // both directions of a duplex pair as one target).
   sim::FaultPoint second;

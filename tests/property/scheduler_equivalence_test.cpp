@@ -121,9 +121,13 @@ class SchedulerProbe final : public sim::ServicedNode {
   std::vector<Served> log;
 
  protected:
-  SimNanos service(int in_port, net::Packet&& packet) override {
-    log.push_back(Served{engine_.now(), in_port, packet.frame()});
-    return service_cost(packet);
+  SimNanos service_burst(sim::Burst&& burst) override {
+    SimNanos cost = 0;
+    for (const auto& [in_port, packet] : burst) {
+      log.push_back(Served{engine_.now(), in_port, packet.frame()});
+      cost += service_cost(packet);
+    }
+    return cost;
   }
 };
 

@@ -273,11 +273,11 @@ class ProbeNode final : public ServicedNode {
     ServedBurst logged{engine_.now(), {}};
     for (const auto& entry : burst) logged.ids.push_back(entry.second.id());
     bursts.push_back(std::move(logged));
-    return ServicedNode::service_burst(std::move(burst));
-  }
-  SimNanos service(int, net::Packet&& packet) override {
-    const SimNanos cost = cost_of(packet);
-    emit(0, std::move(packet));
+    SimNanos cost = 0;
+    for (auto& entry : burst) {
+      cost += cost_of(entry.second);
+      emit(0, std::move(entry.second));
+    }
     return cost;
   }
   void transmit(std::size_t, net::Packet&& packet) override {

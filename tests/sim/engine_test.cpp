@@ -156,11 +156,15 @@ class EchoNode : public ServicedNode {
   using ServicedNode::ensure_rx_queues;  // expose for the poll tests
 
  protected:
-  SimNanos service(int in_port, net::Packet&& packet) override {
-    service_times.push_back(engine_.now());
-    if (on_service) on_service(in_port);
-    emit(static_cast<std::size_t>(in_port), std::move(packet));
-    return service_ns_;
+  SimNanos service_burst(sim::Burst&& burst) override {
+    SimNanos cost = 0;
+    for (auto& [in_port, packet] : burst) {
+      service_times.push_back(engine_.now());
+      if (on_service) on_service(in_port);
+      emit(static_cast<std::size_t>(in_port), std::move(packet));
+      cost += service_ns_;
+    }
+    return cost;
   }
 
  private:
@@ -239,7 +243,7 @@ TEST(ServicedNode, EmitOutsideServiceThrows) {
   struct Bad : ServicedNode {
     explicit Bad(Engine& engine) : ServicedNode(engine, "bad") { ensure_ports(1); }
     using ServicedNode::emit;  // expose for the test
-    SimNanos service(int, net::Packet&&) override { return 0; }
+    SimNanos service_burst(sim::Burst&&) override { return 0; }
   } node(engine);
   net::Packet packet = sized_packet(64);
   EXPECT_THROW(node.emit(0, std::move(packet)), util::ConfigError);

@@ -267,11 +267,11 @@ TEST(ControlChannelFailable, AttributesEveryLoss) {
   channel.set_up(true);
 
   // Random loss draws only when impaired.
-  channel.set_impairment({}, openflow::ChannelImpairment{1.0, 0});
+  channel.fault_impair(1.0, 0);
   for (int i = 0; i < 5; ++i) channel.send_to_switch(openflow::HelloMsg{});
   engine.run();
   EXPECT_EQ(channel.to_switch().dropped_loss, 5u);
-  channel.set_impairment({}, {});
+  channel.fault_impair(0, 0);
 
   channel.send_to_switch(openflow::HelloMsg{});
   engine.run();
@@ -582,11 +582,11 @@ TEST(ReplicationChannelFailable, AttributesEveryLoss) {
   repl.set_up(true);
 
   // Impairment loss draws only when configured.
-  repl.set_loss(1.0);
+  repl.fault_impair(1.0, 0);
   for (int i = 0; i < 5; ++i) repl.publish(0, delta);
   engine.run();
   EXPECT_EQ(repl.stats().batches_dropped_loss, 5u);
-  repl.set_loss(0.0);
+  repl.fault_impair(0, 0);
 
   repl.publish(0, delta);
   engine.run();
@@ -614,11 +614,11 @@ TEST(ReplicationChannelFailable, AttributesEveryLoss) {
   EXPECT_EQ(stats.heartbeats_dropped_down, 2u);
   repl.set_up(true);
 
-  repl.set_loss(1.0);
+  repl.fault_impair(1.0, 0);
   repl.publish_heartbeat();
   engine.run();
   EXPECT_EQ(stats.heartbeats_dropped_loss, 1u);
-  repl.set_loss(0.0);
+  repl.fault_impair(0, 0);
 
   // Heartbeat losses never leaked into the batch buckets, and both
   // streams conserve independently.
@@ -645,6 +645,28 @@ TEST(ReplicationChannelFailable, BatchesCoalesceWithinInterval) {
   EXPECT_EQ(repl.stats().batches_sent, 1u);
   ASSERT_EQ(arrivals.size(), 4u);
   for (const sim::SimNanos at : arrivals) EXPECT_EQ(at, 110'000);
+}
+
+TEST(ReplicationChannelFailable, ClearingAnImpairmentRestoresTheConfiguredLoss) {
+  sim::Engine engine;
+  softswitch::ReplicationSpec spec;
+  spec.batch_interval_ns = 0;
+  spec.loss = 1.0;
+  softswitch::ReplicationChannel repl(engine, spec);
+  const openflow::CtDelta delta{};
+
+  // A FaultPlan::impair window: impair, then clear with (0, 0).
+  repl.fault_impair(0.5, 0);
+  repl.fault_impair(0, 0);
+  EXPECT_EQ(repl.spec().loss, 1.0);
+  EXPECT_EQ(repl.spec().jitter_ns, 0);
+
+  // The configured loss is back in force: the batch dies to loss.
+  repl.publish(0, delta);
+  engine.run();
+  EXPECT_EQ(repl.stats().batches_sent, 1u);
+  EXPECT_EQ(repl.stats().batches_dropped_loss, 1u);
+  EXPECT_EQ(repl.stats().batches_delivered, 0u);
 }
 
 // ---- split-brain-safe HA: witness leases, fencing, failback (PR 10) ----
