@@ -198,7 +198,7 @@ CacheRun skewed_capacity(bool flow_cache, int hosts, int acl_rules, std::size_t 
     const auto now = static_cast<sim::SimNanos>(i) * 100;
     auto result = pipeline.run(tuple_packet(tuple), 1 + static_cast<std::uint32_t>(tuple.src),
                                now);
-    total_ns += costs.packet_cost_ns(result, flow_cache);
+    total_ns += costs.packet_cost_ns(result);
     if (result.cache_hit) ++hits;
   }
 
@@ -246,7 +246,7 @@ BatchedRun skewed_capacity_batched(std::size_t burst_size, int hosts, int acl_ru
     burst.reserve(burst_size);
     sim::SimNanos marginal_ns = 0;
     for (const PipelineResult& packet_result : result.results)
-      marginal_ns += costs.marginal_cost_ns(packet_result, /*cache_enabled=*/true);
+      marginal_ns += costs.marginal_cost_ns(packet_result);
     softswitch::DatapathCosts::BurstWork work;
     work.queues_polled = static_cast<std::size_t>(hosts);
     work.replay_groups = result.replay_groups;
@@ -407,8 +407,8 @@ ScalingRun cache_scaling(bool linear, int flows, int mask_classes, std::size_t p
       sport = static_cast<std::uint16_t>(1024 + rng.below(40'000));
     }
     auto result = pipeline.run(flow_packet(f, sport), 1, now += 100);
-    total_ns += costs.packet_cost_ns(result, /*cache_enabled=*/true);
-    scanned += result.cache_scanned;
+    total_ns += costs.packet_cost_ns(result);
+    scanned += result.work.subtable_probes + result.work.linear_compares;
     if (result.cache_hit) ++hits;
   }
 

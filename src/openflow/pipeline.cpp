@@ -36,16 +36,30 @@ std::uint32_t written_field_bits(const Action& action) {
     return field_bit(Field::kVlanVid) | field_bit(Field::kVlanPcp);
   return 0;
 }
+
+/// Tier-2 probe work, in the unit the cache shard ran in.
+void count_probes(PipelineWork& work, const FlowCache& cache, std::uint32_t scanned) {
+  (cache.linear_scan() ? work.linear_compares : work.subtable_probes) += scanned;
+}
+
+/// Record `entry` as replayed in this burst unless it already was.
+void note_replayed(std::vector<const MegaflowEntry*>& replayed, const MegaflowEntry* entry) {
+  if (std::find(replayed.begin(), replayed.end(), entry) == replayed.end())
+    replayed.push_back(entry);
+}
 }  // namespace
 
-Pipeline::Pipeline(std::size_t table_count, bool specialized, bool flow_cache)
+Pipeline::Pipeline(std::size_t table_count, bool specialized, bool flow_cache,
+                   std::size_t shards)
     : cache_enabled_(flow_cache) {
   if (table_count == 0) throw util::ConfigError("pipeline needs at least one table");
   tables_.reserve(table_count);
   for (std::size_t index = 0; index < table_count; ++index)
     tables_.emplace_back(static_cast<std::uint8_t>(index), specialized);
-  caches_.push_back(std::make_unique<FlowCache>());
-  caches_.front()->share_epoch(&cache_epoch_);
+  for (std::size_t shard = 0; shard < std::max<std::size_t>(1, shards); ++shard) {
+    caches_.push_back(std::make_unique<FlowCache>());
+    caches_.back()->share_epoch(&cache_epoch_);
+  }
   // Every table mutation (and group mutation) bumps the shared epoch so
   // cached fast-path entries self-invalidate — in every shard at once.
   // Wired even when the cache is disabled, so the ablation knob can be
@@ -54,27 +68,11 @@ Pipeline::Pipeline(std::size_t table_count, bool specialized, bool flow_cache)
   groups_.bind_epoch(&cache_epoch_);
 }
 
-void Pipeline::set_shard_count(std::size_t shards) {
-  while (caches_.size() < std::max<std::size_t>(1, shards)) {
-    auto shard = std::make_unique<FlowCache>();
-    shard->share_epoch(&cache_epoch_);
-    shard->set_limits(caches_.front()->limits());
-    shard->set_linear_scan(caches_.front()->linear_scan());
-    caches_.push_back(std::move(shard));
-  }
-  if (ct_enabled_ && trackers_.size() != caches_.size()) {
-    // Rebuild so every shard agrees on the steering-shard count the
-    // SNAT allocator uses (both calls are pre-traffic by contract).
-    enable_conntrack(ct_config_);
-  }
-}
-
 void Pipeline::enable_conntrack(const CtConfig& config) {
-  ct_config_ = config;
   ct_enabled_ = true;
   trackers_.clear();
   for (std::size_t shard = 0; shard < caches_.size(); ++shard)
-    trackers_.push_back(std::make_unique<ConnTracker>(ct_config_, caches_.size()));
+    trackers_.push_back(std::make_unique<ConnTracker>(config, caches_.size()));
 }
 
 std::size_t Pipeline::ct_connection_count() const {
@@ -120,10 +118,10 @@ std::size_t Pipeline::total_entries() const {
   return total;
 }
 
-sim::SimNanos Pipeline::execute_actions(const ActionList& actions, net::Packet& packet,
-                                        std::uint32_t in_port, std::uint8_t table_id,
-                                        PipelineResult& result, bool& view_dirty,
-                                        FieldUse* learn, int depth, bool consume) {
+void Pipeline::execute_actions(const ActionList& actions, net::Packet& packet,
+                               std::uint32_t in_port, std::uint8_t table_id,
+                               PipelineResult& result, bool& view_dirty, FieldUse* learn,
+                               int depth, bool consume) {
   // When the caller is done with the packet and the list ends in an
   // output to a data port, that final output moves the packet instead
   // of cloning it — the zero-copy unicast fast path. Any earlier
@@ -134,9 +132,8 @@ sim::SimNanos Pipeline::execute_actions(const ActionList& actions, net::Packet& 
     if (last != nullptr && last->port != kPortController) move_output = &actions.back();
   }
 
-  sim::SimNanos cost = 0;
   for (const Action& action : actions) {
-    cost += costs_.action_ns;
+    ++result.work.actions;
 
     if (const auto* out = std::get_if<OutputAction>(&action)) {
       if (out->port == kPortController) {
@@ -160,7 +157,7 @@ sim::SimNanos Pipeline::execute_actions(const ActionList& actions, net::Packet& 
     }
 
     if (const auto* grp = std::get_if<GroupAction>(&action)) {
-      cost += costs_.group_ns;
+      ++result.work.groups;
       if (depth >= kMaxGroupDepth) continue;  // malformed config: stop recursion
       const GroupEntry* entry = groups_.find(grp->group_id);
       if (entry == nullptr) continue;  // dangling group id: packets blackhole (per spec)
@@ -172,8 +169,8 @@ sim::SimNanos Pipeline::execute_actions(const ActionList& actions, net::Packet& 
         case GroupType::kAll:
           for (const Bucket& bucket : entry->buckets) {
             net::Packet copy = packet.clone();
-            cost += execute_actions(bucket.actions, copy, in_port, table_id, result,
-                                    view_dirty, learn, depth + 1);
+            execute_actions(bucket.actions, copy, in_port, table_id, result, view_dirty, learn,
+                            depth + 1);
             if (learn != nullptr) learn->overwritten = saved_overwritten;
           }
           break;
@@ -185,15 +182,15 @@ sim::SimNanos Pipeline::execute_actions(const ActionList& actions, net::Packet& 
           GroupEntry* mutable_entry = groups_.find_mutable(grp->group_id);
           mutable_entry->buckets[index].packet_count++;
           net::Packet copy = packet.clone();
-          cost += execute_actions(entry->buckets[index].actions, copy, in_port, table_id,
-                                  result, view_dirty, learn, depth + 1);
+          execute_actions(entry->buckets[index].actions, copy, in_port, table_id, result,
+                          view_dirty, learn, depth + 1);
           if (learn != nullptr) learn->overwritten = saved_overwritten;
           break;
         }
         case GroupType::kIndirect: {
           net::Packet copy = packet.clone();
-          cost += execute_actions(entry->buckets[0].actions, copy, in_port, table_id, result,
-                                  view_dirty, learn, depth + 1);
+          execute_actions(entry->buckets[0].actions, copy, in_port, table_id, result,
+                          view_dirty, learn, depth + 1);
           if (learn != nullptr) learn->overwritten = saved_overwritten;
           break;
         }
@@ -220,7 +217,6 @@ sim::SimNanos Pipeline::execute_actions(const ActionList& actions, net::Packet& 
     }
     if (apply_header_action(action, packet)) view_dirty = true;
   }
-  return cost;
 }
 
 bool Pipeline::ct_annotate(FieldView& view, std::size_t shard, sim::SimNanos now) {
@@ -270,7 +266,7 @@ void Pipeline::ct_execute(const CtAction& spec, net::Packet& packet, PipelineRes
 
   const CtOutcome outcome =
       trackers_[current_shard_]->process(tuple, tcp_flags, ct_now_, spec);
-  ++result.ct_commits;
+  ++result.work.ct_commits;
 
   if (outcome.rewrite) {
     // Apply the tracker's stored translation — resolved per packet, so
@@ -303,19 +299,12 @@ void Pipeline::replay(const MegaflowEntry& entry, net::Packet& packet, std::uint
   result.matched = entry.matched;
   result.last_table = entry.last_table;
   bool view_dirty = false;
-  // replay() consumes the packet, so the last action list executed may
-  // move it into its final output instead of cloning (the zero-copy
-  // fast path). With no final_actions, that list is the last step with
-  // apply actions.
-  std::size_t consuming_step = entry.steps.size();
-  if (entry.final_actions.empty()) {
-    for (std::size_t i = entry.steps.size(); i-- > 0;) {
-      if (!entry.steps[i].apply_actions.empty()) {
-        consuming_step = i;
-        break;
-      }
-    }
-  }
+  // replay() consumes the packet, so the final action list may move it
+  // into its last output instead of cloning (the zero-copy fast path).
+  // That list is final_actions, or with none the last step's apply
+  // actions — never an earlier step's, whose table successors still
+  // record the packet's size.
+  const bool final_step_consumes = entry.final_actions.empty();
   for (std::size_t i = 0; i < entry.steps.size(); ++i) {
     const MegaflowEntry::Step& step = entry.steps[i];
     // Exactly the bookkeeping the slow-path lookup would have done,
@@ -323,15 +312,13 @@ void Pipeline::replay(const MegaflowEntry& entry, net::Packet& packet, std::uint
     // may have pushed or popped a tag).
     step.table->record_lookup(step.entry, packet.size(), now);
     if (!step.apply_actions.empty())
-      result.cost_ns += execute_actions(step.apply_actions, packet, in_port,
-                                        step.table->id(), result, view_dirty,
-                                        /*learn=*/nullptr, 0,
-                                        /*consume=*/i == consuming_step);
+      execute_actions(step.apply_actions, packet, in_port, step.table->id(), result,
+                      view_dirty, /*learn=*/nullptr, 0,
+                      /*consume=*/final_step_consumes && i + 1 == entry.steps.size());
   }
   if (!entry.final_actions.empty())
-    result.cost_ns += execute_actions(entry.final_actions, packet, in_port, entry.last_table,
-                                      result, view_dirty, /*learn=*/nullptr, 0,
-                                      /*consume=*/true);
+    execute_actions(entry.final_actions, packet, in_port, entry.last_table, result, view_dirty,
+                    /*learn=*/nullptr, 0, /*consume=*/true);
 }
 
 void Pipeline::install_learned(MegaflowEntry entry, const FieldView& original_view,
@@ -357,12 +344,14 @@ void Pipeline::install_learned(MegaflowEntry entry, const FieldView& original_vi
 
 PipelineResult Pipeline::run(net::Packet&& packet, std::uint32_t in_port, sim::SimNanos now,
                              std::size_t shard) {
-  return run_packet(std::move(packet), in_port, now, shard, /*replayed=*/nullptr);
+  PipelineResult result;
+  run_packet(std::move(packet), in_port, now, shard, /*replayed=*/nullptr, result);
+  return result;
 }
 
-PipelineResult Pipeline::run_packet(net::Packet&& packet, std::uint32_t in_port,
-                                    sim::SimNanos now, std::size_t shard,
-                                    const MegaflowEntry** replayed) {
+void Pipeline::run_packet(net::Packet&& packet, std::uint32_t in_port, sim::SimNanos now,
+                          std::size_t shard, const MegaflowEntry** replayed,
+                          PipelineResult& result) {
   // The shard-bounds check of the per-packet entry, ahead of the
   // conntrack prelude's unchecked trackers_[shard] index.
   (void)caches_.at(shard);
@@ -371,17 +360,13 @@ PipelineResult Pipeline::run_packet(net::Packet&& packet, std::uint32_t in_port,
   // Conntrack prelude, *before* any cache probe: the classification is
   // part of the packet's identity from here on, so both cache tiers
   // key on it and stale state decisions are structurally impossible.
-  const bool classified = ct_annotate(view, shard, now);
-  PipelineResult result =
-      run_with_view(std::move(packet), in_port, now, std::move(view), shard, replayed);
-  if (classified) ++result.ct_lookups;
-  return result;
+  if (ct_annotate(view, shard, now)) ++result.work.ct_lookups;
+  run_with_view(std::move(packet), in_port, now, std::move(view), shard, replayed, result);
 }
 
-PipelineResult Pipeline::run_with_view(net::Packet&& packet, std::uint32_t in_port,
-                                       sim::SimNanos now, FieldView view, std::size_t shard,
-                                       const MegaflowEntry** replayed) {
-  PipelineResult result;
+void Pipeline::run_with_view(net::Packet&& packet, std::uint32_t in_port, sim::SimNanos now,
+                             FieldView view, std::size_t shard, const MegaflowEntry** replayed,
+                             PipelineResult& result) {
   FlowCache& cache = *caches_[shard];  // bounds-checked by run_packet / run_burst
   current_shard_ = shard;
   ct_now_ = now;
@@ -389,17 +374,16 @@ PipelineResult Pipeline::run_with_view(net::Packet&& packet, std::uint32_t in_po
   if (cache_enabled_) {
     std::uint32_t scanned = 0;
     MegaflowEntry* hit = cache.lookup(view, now, &scanned);
-    result.cache_scanned = scanned;
-    result.cache_linear = cache.linear_scan();
+    count_probes(result.work, cache, scanned);
     if (hit != nullptr) {
       if (replayed != nullptr) *replayed = hit;
       replay(*hit, packet, in_port, now, result);
-      return result;
+      return;
     }
   }
 
   // ---- slow path: the full traversal, learning a megaflow as it goes.
-  result.cost_ns += costs_.parse_ns;
+  ++result.work.parses;
 
   FieldUse use;
   FieldUse* learn = cache_enabled_ ? &use : nullptr;
@@ -466,14 +450,10 @@ PipelineResult Pipeline::run_with_view(net::Packet&& packet, std::uint32_t in_po
       if (ct_present) view.set(Field::kCtState, ct_bits);
       view.use = learn;
       view_dirty = false;
-      result.cost_ns += costs_.parse_ns;
+      ++result.work.parses;
     }
 
-    LookupCost lookup_cost;
-    FlowEntry* entry =
-        tables_[table_index].lookup(view, packet.size(), now, lookup_cost);
-    result.cost_ns += lookup_cost.hash_probes * costs_.hash_probe_ns +
-                      lookup_cost.entries_scanned * costs_.entry_scan_ns;
+    FlowEntry* entry = tables_[table_index].lookup(view, packet.size(), now, result.work.lookup);
     if (learn != nullptr)
       learned.steps.push_back(MegaflowEntry::Step{
           &tables_[table_index], entry,
@@ -483,22 +463,21 @@ PipelineResult Pipeline::run_with_view(net::Packet&& packet, std::uint32_t in_po
       // Table miss without a miss entry: drop (OF1.3 default). The drop
       // itself is cached — elephant flows of unroutable traffic are
       // exactly as hot as routable ones.
-      result.cost_ns += costs_.miss_ns;
+      ++result.work.misses;
       if (learn != nullptr && result.packet_ins.empty()) {
         learned.last_table = result.last_table;
         learned.matched = result.matched;
         install_learned(std::move(learned), original_view, use, shard);
         result.cache_installed = true;
       }
-      return result;
+      return;
     }
     result.matched = true;
 
     const Instructions& inst = entry->instructions;
     if (!inst.apply_actions.empty())
-      result.cost_ns += execute_actions(inst.apply_actions, packet, in_port,
-                                        static_cast<std::uint8_t>(table_index), result,
-                                        view_dirty, learn, 0);
+      execute_actions(inst.apply_actions, packet, in_port,
+                      static_cast<std::uint8_t>(table_index), result, view_dirty, learn, 0);
     if (inst.clear_actions) action_set.clear();
     if (!inst.write_actions.empty()) action_set.write(inst.write_actions);
 
@@ -515,8 +494,8 @@ PipelineResult Pipeline::run_with_view(net::Packet&& packet, std::uint32_t in_po
 
   const ActionList final_actions = action_set.to_list();
   if (!final_actions.empty())
-    result.cost_ns += execute_actions(final_actions, packet, in_port, result.last_table,
-                                      result, view_dirty, learn, 0, /*consume=*/true);
+    execute_actions(final_actions, packet, in_port, result.last_table, result, view_dirty,
+                    learn, 0, /*consume=*/true);
 
   // Punting traversals are not cached: the controller's reply is about
   // to mutate the tables, and caching the upcall would turn every
@@ -531,7 +510,6 @@ PipelineResult Pipeline::run_with_view(net::Packet&& packet, std::uint32_t in_po
     install_learned(std::move(learned), original_view, use, shard);
     result.cache_installed = true;
   }
-  return result;
 }
 
 void Pipeline::run_burst(std::vector<BurstPacket>& burst, sim::SimNanos now,
@@ -560,47 +538,32 @@ void Pipeline::run_burst(std::vector<BurstPacket>& burst, sim::SimNanos now,
     cached_field_view_into(burst[i].packet, burst[i].in_port, &burst_views_[i]);
     std::uint32_t scanned = 0;
     burst_hits_[i] = cache.probe(burst_views_[i], now, &scanned);
-    out.results[i].cache_scanned = scanned;
-    out.results[i].cache_linear = cache.linear_scan();
+    count_probes(out.results[i].work, cache, scanned);
   }
 
-  // Phase 2: replay hit packets grouped by megaflow entry — one replay
-  // setup per distinct learned program, per-packet emission. Replay
-  // order across groups differs from arrival order; every mutation a
-  // replay performs (flow/bucket counters, idle timestamps) is
-  // commutative at a fixed `now`, so per-packet results are unchanged.
-  // The group slots (and their member-index vectors' capacity) are
-  // recycled across bursts: only the first `group_count` are live.
-  std::size_t group_count = 0;
+  // Phase 2: replay the hits in arrival order, counting the distinct
+  // megaflow entries replayed — one replay setup per learned program.
+  // Every mutation a replay performs (flow/bucket counters, idle
+  // timestamps) commutes at a fixed `now`, and results land by packet
+  // index, so replaying before the residue changes no result.
+  burst_replayed_.clear();
   for (std::size_t i = 0; i < burst.size(); ++i) {
     if (burst_hits_[i] == nullptr) continue;
-    std::size_t g = 0;
-    while (g < group_count && burst_groups_[g].first != burst_hits_[i]) ++g;
-    if (g == group_count) {
-      if (group_count == burst_groups_.size()) burst_groups_.emplace_back();
-      burst_groups_[g].first = burst_hits_[i];
-      burst_groups_[g].second.clear();
-      ++group_count;
-    }
-    burst_groups_[g].second.push_back(i);
+    note_replayed(burst_replayed_, burst_hits_[i]);
+    replay(*burst_hits_[i], burst[i].packet, burst[i].in_port, now, out.results[i]);
   }
-  out.replay_groups = static_cast<std::uint32_t>(group_count);
-  for (std::size_t g = 0; g < group_count; ++g)
-    for (const std::size_t i : burst_groups_[g].second)
-      replay(*burst_groups_[g].first, burst[i].packet, burst[i].in_port, now,
-             out.results[i]);
+  out.replay_groups = static_cast<std::uint32_t>(burst_replayed_.size());
 
   // Phase 3: the residue takes the slow path, in arrival order,
   // entering with its phase-1 view (nothing rewrote these packets, so
   // each is parsed once per burst). run_with_view re-probes the cache,
   // which is how a flow's second packet in the burst hits the megaflow
-  // its first packet just installed.
+  // its first packet just installed; its probes add to the phase-1
+  // probes, which really happened.
   for (std::size_t i = 0; i < burst.size(); ++i) {
     if (burst_hits_[i] != nullptr) continue;
-    const std::uint32_t probed = out.results[i].cache_scanned;
-    out.results[i] = run_with_view(std::move(burst[i].packet), burst[i].in_port, now,
-                                   std::move(burst_views_[i]), shard);
-    out.results[i].cache_scanned += probed;  // phase-1 scan work really happened
+    run_with_view(std::move(burst[i].packet), burst[i].in_port, now, std::move(burst_views_[i]),
+                  shard, /*replayed=*/nullptr, out.results[i]);
   }
 }
 
@@ -613,12 +576,9 @@ void Pipeline::run_burst_sequential(std::vector<BurstPacket>& burst, sim::SimNan
   burst_replayed_.clear();
   for (std::size_t i = 0; i < burst.size(); ++i) {
     const MegaflowEntry* replayed = nullptr;
-    out.results[i] =
-        run_packet(std::move(burst[i].packet), burst[i].in_port, now, shard, &replayed);
-    if (replayed != nullptr &&
-        std::find(burst_replayed_.begin(), burst_replayed_.end(), replayed) ==
-            burst_replayed_.end())
-      burst_replayed_.push_back(replayed);
+    run_packet(std::move(burst[i].packet), burst[i].in_port, now, shard, &replayed,
+               out.results[i]);
+    if (replayed != nullptr) note_replayed(burst_replayed_, replayed);
   }
   out.replay_groups = static_cast<std::uint32_t>(burst_replayed_.size());
 }

@@ -18,10 +18,11 @@
 // packet-ins and counters, a fraction of the cost. Flow-mods, group
 // mods and expiry invalidate cached entries via a shared epoch.
 //
-// The pipeline charges a simulated cost per packet assembled from the
-// work actually performed (parse, hash probes, linear scans, actions,
-// group executions). The constants model a 2017 x86 software switch in
-// the ESwitch/DPDK class and are the knob EXPERIMENTS.md documents.
+// The pipeline prices nothing. It reports the work each packet made it
+// do (PipelineWork: parses, table probes and compares, misses, actions,
+// group indirections, tier-2 cache probes, conntrack lookups and
+// commits), and softswitch::DatapathCosts prices every term — the one
+// price list EXPERIMENTS.md documents.
 #pragma once
 
 #include <cstdint>
@@ -36,15 +37,6 @@
 
 namespace harmless::openflow {
 
-struct PipelineCosts {
-  sim::SimNanos parse_ns = 25;       // header parse + FieldView build
-  sim::SimNanos hash_probe_ns = 12;  // one exact-match table probe
-  sim::SimNanos entry_scan_ns = 4;   // one linear entry comparison
-  sim::SimNanos action_ns = 6;       // one action application
-  sim::SimNanos group_ns = 10;       // group indirection overhead
-  sim::SimNanos miss_ns = 8;         // table miss bookkeeping
-};
-
 enum class PacketInReason : std::uint8_t {
   kNoMatch = 0,  // reached via a table-miss entry with output:CONTROLLER
   kAction = 1,
@@ -57,39 +49,42 @@ struct PacketInEvent {
   PacketInReason reason = PacketInReason::kAction;
 };
 
+/// The work one packet made the pipeline do, in countable units. The
+/// pipeline prices nothing: softswitch::DatapathCosts::marginal_cost_ns
+/// multiplies each count by its rate.
+struct PipelineWork {
+  std::uint32_t parses = 0;           // slow-path header parses (again after a rewrite)
+  LookupCost lookup;                  // flow-table hash probes and entry compares
+  std::uint32_t misses = 0;           // table misses with no miss entry
+  std::uint32_t actions = 0;          // actions applied, on the slow path or in replay
+  std::uint32_t groups = 0;           // group indirections
+  std::uint32_t subtable_probes = 0;  // tier-2 dpcls hashed subtable probes
+  std::uint32_t linear_compares = 0;  // tier-2 megaflows compared (linear-scan ablation)
+  /// One lookup when the conntrack prelude classified the packet (ct
+  /// enabled + IPv4 TCP/UDP), one commit per `ct` action traversed
+  /// (slow path or replay alike).
+  std::uint32_t ct_lookups = 0;
+  std::uint32_t ct_commits = 0;
+};
+
 struct PipelineResult {
   /// (out_port, frame) pairs; out_port may be a ReservedPort (FLOOD,
   /// ALL, IN_PORT) that the datapath resolves against its port set.
   std::vector<std::pair<std::uint32_t, net::Packet>> outputs;
   std::vector<PacketInEvent> packet_ins;
-  sim::SimNanos cost_ns = 0;
+  PipelineWork work;
   std::uint8_t last_table = 0;
   bool matched = false;
-  /// True when the flow cache served this packet: cost_ns then covers
-  /// only the replayed actions — the datapath adds its cache-hit cost
-  /// (DatapathCosts::cache_hit_ns) instead of parse + lookup.
+  /// True when the flow cache served this packet: `work` then counts
+  /// only the tier-2 probes and the replayed actions, and the datapath
+  /// prices the hit itself instead of parse + lookup.
   bool cache_hit = false;
   /// True when this slow-path miss actually installed a megaflow; the
-  /// datapath charges DatapathCosts::cache_insert_ns only then. The
-  /// slow path declines to install when the traversal punted to the
-  /// controller (a packet-in upcall is a slow-path event by nature —
-  /// the controller's answer is about to change the tables anyway).
+  /// datapath prices the insert only then. The slow path declines to
+  /// install when the traversal punted to the controller (a packet-in
+  /// upcall is a slow-path event by nature — the controller's answer is
+  /// about to change the tables anyway).
   bool cache_installed = false;
-  /// Tier-2 classifier work performed for this packet (0 for microflow
-  /// hits): hashed subtable probes in dpcls mode — charged at
-  /// DatapathCosts::cache_subtable_ns each — or, when the linear-scan
-  /// ablation is on (`cache_linear`), megaflow candidates compared,
-  /// charged at DatapathCosts::cache_scan_ns each.
-  std::uint32_t cache_scanned = 0;
-  /// True when the cache ran in linear-scan ablation mode, so the
-  /// datapath knows which unit (and rate) cache_scanned bills at.
-  bool cache_linear = false;
-  /// Conntrack work this packet performed, billed by the datapath at
-  /// DatapathCosts::ct_lookup_ns / ct_commit_ns: one lookup when the
-  /// prelude classified the packet (ct enabled + IPv4 TCP/UDP), one
-  /// commit per `ct` action traversed (slow path or replay alike).
-  std::uint32_t ct_lookups = 0;
-  std::uint32_t ct_commits = 0;
 
   [[nodiscard]] bool dropped() const { return outputs.empty() && packet_ins.empty(); }
 
@@ -98,15 +93,11 @@ struct PipelineResult {
   void reset() {
     outputs.clear();
     packet_ins.clear();
-    cost_ns = 0;
+    work = {};
     last_table = 0;
     matched = false;
     cache_hit = false;
     cache_installed = false;
-    cache_scanned = 0;
-    cache_linear = false;
-    ct_lookups = 0;
-    ct_commits = 0;
   }
 };
 
@@ -139,9 +130,16 @@ struct BurstResult {
 class Pipeline {
  public:
   /// `table_count` tables (0..n-1); `specialized` picks the matcher;
-  /// `flow_cache` enables the two-tier fast path (ablation knob).
+  /// `flow_cache` enables the two-tier fast path (ablation knob);
+  /// `shards` flow-cache shards, one per worker core of a multi-core
+  /// datapath (shard 0 is what the single-core datapath uses). Each
+  /// shard owns its own microflow map, classifier subtables, rank order
+  /// and CLOCK hand; all shards share the pipeline's one invalidation
+  /// epoch, so any table/group mutation invalidates every core's cached
+  /// programs at once — the only cross-core cache state, and it is
+  /// read-mostly.
   explicit Pipeline(std::size_t table_count = 2, bool specialized = true,
-                    bool flow_cache = true);
+                    bool flow_cache = true, std::size_t shards = 1);
 
   /// Non-movable: tables_ and groups_ hold raw pointers into the
   /// pipeline-owned cache epoch counter, so a move would leave them
@@ -158,15 +156,6 @@ class Pipeline {
   [[nodiscard]] GroupTable& groups() { return groups_; }
   [[nodiscard]] const GroupTable& groups() const { return groups_; }
 
-  /// Grow the flow cache to `shards` per-core shards (one per worker
-  /// core of a multi-core datapath; shard 0 always exists and is what
-  /// the single-core datapath uses). Each shard owns its own microflow
-  /// map, classifier subtables, rank order and CLOCK hand; all shards
-  /// share the pipeline's one invalidation epoch, so any table/group
-  /// mutation invalidates every core's cached programs at once — the
-  /// only cross-core cache state, and it is read-mostly. New shards
-  /// copy shard 0's limits and linear-scan mode. Call before traffic.
-  void set_shard_count(std::size_t shards);
   [[nodiscard]] std::size_t shard_count() const { return caches_.size(); }
 
   /// Shard 0 — the single-core cache (and the historical accessor).
@@ -189,12 +178,11 @@ class Pipeline {
     for (auto& shard : caches_) shard->set_limits(limits);
   }
 
-  /// Turn on the conntrack tier: one ConnTracker shard per cache shard
-  /// (created now for existing shards; set_shard_count grows both in
-  /// step). From here on, every IPv4 TCP/UDP packet is classified
-  /// read-only before any cache probe and carries Field::kCtState, so
-  /// ct_state rules can match and both cache tiers key on the state.
-  /// Call before traffic, like set_shard_count.
+  /// Turn on the conntrack tier: one ConnTracker shard per cache shard.
+  /// From here on, every IPv4 TCP/UDP packet is classified read-only
+  /// before any cache probe and carries Field::kCtState, so ct_state
+  /// rules can match and both cache tiers key on the state. Call
+  /// before traffic.
   void enable_conntrack(const CtConfig& config);
   [[nodiscard]] bool conntrack_enabled() const { return ct_enabled_; }
   /// Core `shard`'s conntrack shard (enable_conntrack first).
@@ -219,18 +207,18 @@ class Pipeline {
                      std::size_t shard = 0);
 
   /// Run one burst, OVS/DPDK style; consumes it. Phase 1 probes the
-  /// flow cache for every packet; phase 2 groups the hits by megaflow
-  /// entry and replays each learned action program group by group
-  /// (per-packet emission, one replay setup per group); phase 3 sends
-  /// only the residue through run()'s slow path — in arrival order, and
-  /// re-probing, so the second packet of a new flow within one burst
-  /// hits the megaflow the first one installed. Observationally
-  /// identical to running the packets one at a time (the burst
-  /// equivalence property test pins this). With the cache off or
-  /// conntrack on it runs run_burst_sequential instead. `shard` as in
-  /// run(). Consumes the packets but not the vector (the caller's burst
-  /// buffer keeps its capacity); `out` is reset and refilled, so a
-  /// caller-owned BurstResult recycles all result storage.
+  /// flow cache for every packet; phase 2 replays the hits in arrival
+  /// order and counts the distinct megaflow entries replayed (one
+  /// replay setup per entry); phase 3 sends only the residue through
+  /// run()'s slow path — in arrival order, and re-probing, so the
+  /// second packet of a new flow within one burst hits the megaflow
+  /// the first one installed. Observationally identical to running the
+  /// packets one at a time (the burst equivalence property test pins
+  /// this). With the cache off or conntrack on it runs
+  /// run_burst_sequential instead. `shard` as in run(). Consumes the
+  /// packets but not the vector (the caller's burst buffer keeps its
+  /// capacity); `out` is reset and refilled, so a caller-owned
+  /// BurstResult recycles all result storage.
   void run_burst(std::vector<BurstPacket>& burst, sim::SimNanos now, std::size_t shard,
                  BurstResult& out);
 
@@ -252,32 +240,29 @@ class Pipeline {
   /// Sweep all tables for expired entries.
   std::vector<FlowEntry> collect_expired(sim::SimNanos now);
 
-  void set_costs(const PipelineCosts& costs) { costs_ = costs; }
-  [[nodiscard]] const PipelineCosts& costs() const { return costs_; }
-
   /// Total entries across tables.
   [[nodiscard]] std::size_t total_entries() const;
 
  private:
   /// Execute an action list against `packet`; outputs/groups/punts are
-  /// routed into `result`. Returns the cost of the executed actions.
-  /// `learn` (slow path only) records fields that actions overwrite so
-  /// megaflow learning stops attributing them to the original packet.
-  /// `consume` marks `packet` dead after this call: when the list's
-  /// final action is an output to a data port, the packet moves into
-  /// the result instead of being cloned — the common unicast fast path
-  /// forwards zero frame copies.
-  sim::SimNanos execute_actions(const ActionList& actions, net::Packet& packet,
-                                std::uint32_t in_port, std::uint8_t table_id,
-                                PipelineResult& result, bool& view_dirty, FieldUse* learn,
-                                int depth, bool consume = false);
+  /// routed into `result`, and the actions and group indirections it
+  /// performs are counted into `result.work`. `learn` (slow path only)
+  /// records fields that actions overwrite so megaflow learning stops
+  /// attributing them to the original packet. `consume` marks `packet`
+  /// dead after this call: when the list's final action is an output to
+  /// a data port, the packet moves into the result instead of being
+  /// cloned — the common unicast fast path forwards zero frame copies.
+  void execute_actions(const ActionList& actions, net::Packet& packet, std::uint32_t in_port,
+                       std::uint8_t table_id, PipelineResult& result, bool& view_dirty,
+                       FieldUse* learn, int depth, bool consume = false);
 
   /// The one per-packet entry, behind run() and run_burst_sequential:
   /// bounds-check `shard`, build the packet's view, run the conntrack
   /// prelude (one stats-bearing classification, counted into
-  /// ct_lookups), then run_with_view. `replayed` as in run_with_view.
-  PipelineResult run_packet(net::Packet&& packet, std::uint32_t in_port, sim::SimNanos now,
-                            std::size_t shard, const MegaflowEntry** replayed);
+  /// work.ct_lookups), then run_with_view. `replayed` as in
+  /// run_with_view; `result` must be fresh (reset).
+  void run_packet(net::Packet&& packet, std::uint32_t in_port, sim::SimNanos now,
+                  std::size_t shard, const MegaflowEntry** replayed, PipelineResult& result);
 
   /// Cache probe, then replay or slow path, for a packet whose view is
   /// built and classified — run_burst residue packets enter here with
@@ -285,15 +270,17 @@ class Pipeline {
   /// `shard` is the serving core's cache shard (lookup and learning
   /// both land there), already bounds-checked by the caller.
   /// `replayed` (optional) reports the megaflow entry a cache hit
-  /// replayed, for the caller's replay-group accounting.
-  PipelineResult run_with_view(net::Packet&& packet, std::uint32_t in_port, sim::SimNanos now,
-                               FieldView view, std::size_t shard,
-                               const MegaflowEntry** replayed = nullptr);
+  /// replayed, for the caller's replay-group accounting. Fills
+  /// `result`, adding to whatever work it already counts (a residue
+  /// packet's phase-1 probes).
+  void run_with_view(net::Packet&& packet, std::uint32_t in_port, sim::SimNanos now,
+                     FieldView view, std::size_t shard, const MegaflowEntry** replayed,
+                     PipelineResult& result);
 
   /// Conntrack prelude: classify the packet's 5-tuple against `shard`'s
   /// tracker (read-only) and stamp Field::kCtState into `view`. Returns
   /// true when the packet was classifiable (ct enabled + IPv4 TCP/UDP);
-  /// the caller then counts one PipelineResult::ct_lookups.
+  /// the caller then counts one work.ct_lookups.
   bool ct_annotate(FieldView& view, std::size_t shard, sim::SimNanos now);
 
   /// Execute one `ct` action: commit/refresh the connection in the
@@ -316,7 +303,6 @@ class Pipeline {
 
   std::vector<FlowTable> tables_;
   GroupTable groups_;
-  PipelineCosts costs_;
   /// The one invalidation epoch all cache shards (and the tables'
   /// dirty plumbing) share — read-mostly across cores.
   std::uint64_t cache_epoch_ = 1;
@@ -329,7 +315,6 @@ class Pipeline {
   /// Conntrack shards, parallel to caches_ when enabled (empty when
   /// not). unique_ptr for address stability, like the cache shards.
   std::vector<std::unique_ptr<ConnTracker>> trackers_;
-  CtConfig ct_config_;
   bool ct_enabled_ = false;
   /// The shard whose tracker `ct` actions hit, set on every entry path
   /// (run_with_view / replay) — execute_actions recursion plumbs no
@@ -340,13 +325,12 @@ class Pipeline {
   /// single-packet-at-a-time argument).
   sim::SimNanos ct_now_ = 0;
 
-  // run_burst scratch, recycled across bursts (phase-1 probe results
-  // and the phase-2 replay grouping). Safe as members: run_burst is
-  // not reentrant (the datapath serves one burst at a time).
+  // Burst scratch, recycled across bursts (phase-1 probe results and
+  // the distinct megaflow entries replayed, for group billing). Safe as
+  // members: bursts are not reentrant (the datapath serves one at a
+  // time).
   std::vector<MegaflowEntry*> burst_hits_;
   std::vector<FieldView> burst_views_;
-  std::vector<std::pair<const MegaflowEntry*, std::vector<std::size_t>>> burst_groups_;
-  /// Distinct entries replayed by a sequential ct burst (group billing).
   std::vector<const MegaflowEntry*> burst_replayed_;
 };
 

@@ -15,16 +15,12 @@ SoftSwitch::SoftSwitch(sim::Engine& engine, std::string name, std::uint64_t data
     : ServicedNode(engine, std::move(name), ingress, burst_size),
       datapath_id_(datapath_id),
       of_port_count_(of_port_count),
-      pipeline_(table_count, specialized, flow_cache),
+      pipeline_(table_count, specialized, flow_cache, core_count()),
       port_up_(of_port_count + 1, true),
       seen_cache_epoch_(pipeline_.cache().epoch()),
       ha_(engine_, this->name(), pipeline_, failover_, failover_stats_, restarting_,
           costs_.checkpoint_entry_ns) {
   ensure_ports(of_port_count);
-  // One flow-cache shard per worker core: each core learns into (and
-  // probes) only its own shard; all shards share the pipeline's one
-  // invalidation epoch.
-  pipeline_.set_shard_count(core_count());
   // One RX queue per OF port from the start: the poll sweep pays for
   // every port the switch fronts, busy or idle (and the queue -> core
   // steering is decided up front, not on first arrival).
@@ -576,9 +572,9 @@ sim::SimNanos SoftSwitch::service_burst(sim::ServicedNode::Burst&& burst) {
       else
         ++counters_.cache_misses;
     }
-    const sim::SimNanos marginal = costs_.marginal_cost_ns(packet_result, cache);
+    const sim::SimNanos marginal = costs_.marginal_cost_ns(packet_result);
     marginal_ns += marginal;
-    ct_commits += packet_result.ct_commits;
+    ct_commits += packet_result.work.ct_commits;
     dispatch_result(packet_result, items[i].in_port, share_ns + marginal);
   }
   if (cache) observe_cache_epoch();

@@ -18,11 +18,11 @@
 // path, service_burst(): the service loop drains up to `burst_size`
 // packets per gulp (default 32) and runs them through
 // Pipeline::run_burst — probe the cache for the whole burst, replay
-// hits grouped by megaflow (one replay setup per group), slow-path only
-// the residue. A budget-1 burst (burst_size 1, or an adaptive budget at
-// light load) is the per-packet datapath, the batching ablation
-// baseline: it runs Pipeline::run_burst_sequential and pays no poll
-// sweep and no replay setup.
+// the hits in arrival order (one replay setup per distinct megaflow),
+// slow-path only the residue. A budget-1 burst (burst_size 1, or an
+// adaptive budget at light load) is the per-packet datapath, the
+// batching ablation baseline: it runs Pipeline::run_burst_sequential
+// and pays no poll sweep and no replay setup.
 //
 // The datapath is multi-core capable (IngressSpec::cores): each worker
 // core owns a subset of the per-port RX queues (RSS-hash steered, pin
@@ -42,13 +42,14 @@
 // smaller per-packet marginal (batching amortizes the fixed part — the
 // super-linear gain real switches see), a replay setup per distinct
 // megaflow group, and per packet either the flat cache-hit cost plus
-// replayed actions or the full parse/lookup/action bill the pipeline
-// reports plus the megaflow-insert cost (only when a megaflow was
-// actually installed). Defaults model an ESwitch/DPDK-class switch
-// (~10 Mpps/core simple pipelines, per-packet); the legacy ASIC in
-// legacy_switch.hpp is faster per packet but dumb — that contrast is
-// exactly the trade HARMLESS exploits. All knobs are documented in
-// EXPERIMENTS.md.
+// replayed actions or the full parse/lookup/action bill plus the
+// megaflow-insert cost (only when a megaflow was actually installed).
+// The pipeline only counts that work (openflow::PipelineWork);
+// DatapathCosts holds every rate and prices it. Defaults model an
+// ESwitch/DPDK-class switch (~10 Mpps/core simple pipelines,
+// per-packet); the legacy ASIC in legacy_switch.hpp is faster per
+// packet but dumb — that contrast is exactly the trade HARMLESS
+// exploits. All knobs are documented in EXPERIMENTS.md.
 //
 // The control side implements the OF session: hello/features, flow and
 // group mods with error replies, packet-in/out, barriers, flow stats,
@@ -95,6 +96,13 @@
 namespace harmless::softswitch {
 
 struct DatapathCosts {
+  /// Pipeline slow path, priced per unit of openflow::PipelineWork.
+  sim::SimNanos parse_ns = 25;       // header parse + FieldView build
+  sim::SimNanos hash_probe_ns = 12;  // one exact-match table probe
+  sim::SimNanos entry_scan_ns = 4;   // one linear entry comparison
+  sim::SimNanos action_ns = 6;       // one action application (slow path or replay)
+  sim::SimNanos group_ns = 10;       // group indirection overhead
+  sim::SimNanos miss_ns = 8;         // table miss bookkeeping
   /// NIC rx/tx: one poll-mode rx burst + tx burst costs a fixed setup
   /// plus a small marginal per packet. A per-packet (budget-1) burst
   /// pays both — 55 ns of rx/tx with the defaults — and nothing else
@@ -185,30 +193,27 @@ struct DatapathCosts {
            static_cast<sim::SimNanos>(packets) * per_packet + marginal_ns;
   }
 
-  /// One packet's own work for one pipeline result: the pipeline's
-  /// bill plus the conntrack and cache accounting.
-  [[nodiscard]] sim::SimNanos marginal_cost_ns(const openflow::PipelineResult& result,
-                                               bool cache_enabled) const {
-    sim::SimNanos cost = result.cost_ns +
-                         static_cast<sim::SimNanos>(result.ct_lookups) * ct_lookup_ns +
-                         static_cast<sim::SimNanos>(result.ct_commits) * ct_commit_ns;
-    if (cache_enabled) {
-      cost += static_cast<sim::SimNanos>(result.cache_scanned) *
-              (result.cache_linear ? cache_scan_ns : cache_subtable_ns);
-      if (result.cache_hit)
-        cost += cache_hit_ns;
-      else if (result.cache_installed)
-        cost += cache_insert_ns;
-    }
-    return cost;
+  /// One packet's own work for one pipeline result: the one function
+  /// that prices the pipeline's counts. Every term is count x rate, so
+  /// with the cache off (no cache counts or flags) it prices the slow
+  /// path alone.
+  [[nodiscard]] sim::SimNanos marginal_cost_ns(const openflow::PipelineResult& result) const {
+    const openflow::PipelineWork& work = result.work;
+    const auto n = [](std::uint32_t count) { return static_cast<sim::SimNanos>(count); };
+    return n(work.parses) * parse_ns + n(work.lookup.hash_probes) * hash_probe_ns +
+           n(work.lookup.entries_scanned) * entry_scan_ns + n(work.misses) * miss_ns +
+           n(work.actions) * action_ns + n(work.groups) * group_ns +
+           n(work.subtable_probes) * cache_subtable_ns +
+           n(work.linear_compares) * cache_scan_ns + n(work.ct_lookups) * ct_lookup_ns +
+           n(work.ct_commits) * ct_commit_ns + (result.cache_hit ? cache_hit_ns : 0) +
+           (result.cache_installed ? cache_insert_ns : 0);
   }
 
   /// The whole bill of one packet on the single-core per-packet
   /// datapath: bill_ns's one-packet case (the capacity benches,
   /// bench_throughput Tables 3 and 6, bill with this).
-  [[nodiscard]] sim::SimNanos packet_cost_ns(const openflow::PipelineResult& result,
-                                             bool cache_enabled) const {
-    return bill_ns(BurstWork{}, 1, 1, marginal_cost_ns(result, cache_enabled));
+  [[nodiscard]] sim::SimNanos packet_cost_ns(const openflow::PipelineResult& result) const {
+    return bill_ns(BurstWork{}, 1, 1, marginal_cost_ns(result));
   }
 };
 

@@ -133,7 +133,12 @@ TEST(Pipeline, MissWithEmptyTableDrops) {
   const PipelineResult result = pipeline.run(make_udp(flow(), 64), 1, 0);
   EXPECT_TRUE(result.dropped());
   EXPECT_FALSE(result.matched);
-  EXPECT_GT(result.cost_ns, 0);
+  // One parse, one miss, no actions: the pipeline counts the work and
+  // prices none of it.
+  EXPECT_EQ(result.work.parses, 1u);
+  EXPECT_EQ(result.work.misses, 1u);
+  EXPECT_EQ(result.work.actions, 0u);
+  EXPECT_TRUE(result.cache_installed);
 }
 
 void install(Pipeline& pipeline, std::uint8_t table, std::uint16_t priority, Match match,
@@ -322,9 +327,17 @@ TEST(Pipeline, CostScalesWithWork) {
           apply_then_goto({push_vlan(), set_vlan_vid(5)}, 1));
   install(expensive, 1, 10, Match(), apply({pop_vlan(), output(1)}));
 
-  const auto cheap_cost = cheap.run(make_udp(flow(), 64), 1, 0).cost_ns;
-  const auto expensive_cost = expensive.run(make_udp(flow(), 64), 1, 0).cost_ns;
-  EXPECT_GT(expensive_cost, cheap_cost);
+  const PipelineWork cheap_work = cheap.run(make_udp(flow(), 64), 1, 0).work;
+  const PipelineWork expensive_work = expensive.run(make_udp(flow(), 64), 1, 0).work;
+  // One table, one action; two tables, four actions, and the rewrites
+  // force a second parse before table 1.
+  EXPECT_EQ(cheap_work.parses, 1u);
+  EXPECT_EQ(cheap_work.actions, 1u);
+  EXPECT_EQ(expensive_work.parses, 2u);
+  EXPECT_EQ(expensive_work.actions, 4u);
+  EXPECT_GT(expensive_work.lookup.hash_probes + expensive_work.lookup.entries_scanned,
+            cheap_work.lookup.hash_probes + cheap_work.lookup.entries_scanned);
+  EXPECT_EQ(cheap_work.misses + expensive_work.misses, 0u);
 }
 
 TEST(Pipeline, InvalidTableThrows) {

@@ -33,7 +33,7 @@ constexpr std::uint8_t kTables = 2;
 
 /// A random mutation applied identically to both pipelines.
 void random_flow_op(Pipeline& pipeline, util::Rng& rng, sim::SimNanos now) {
-  const auto choice = rng.below(10);
+  const auto choice = rng.below(12);
   FlowTable& table0 = pipeline.table(0);
   FlowTable& table1 = pipeline.table(1);
   switch (choice) {
@@ -146,6 +146,26 @@ void random_flow_op(Pipeline& pipeline, util::Rng& rng, sim::SimNanos now) {
         entry.match.vlan_vid(static_cast<net::VlanId>(100 + rng.below(4)));
       entry.instructions =
           apply({output(static_cast<std::uint32_t>(1 + rng.below(kHosts)))});
+      (void)table1.add(std::move(entry), now);
+      break;
+    }
+    case 10: {  // mirror to a port, then continue to table 1
+      FlowEntry entry;
+      entry.priority = 17;
+      entry.cookie = 0x3a1;
+      entry.match.eth_type(0x0800).ip_src(ip(static_cast<int>(rng.below(kHosts))));
+      entry.instructions =
+          apply_then_goto({output(static_cast<std::uint32_t>(1 + rng.below(kHosts)))}, 1);
+      (void)table0.add(std::move(entry), now);
+      break;
+    }
+    case 11: {  // table-1 rule with no instructions: after a mirror, the
+                // packet's last output came from an earlier table. It
+                // matches ip_dst, not eth_dst, so case 5 never deletes it.
+      FlowEntry entry;
+      entry.priority = 18;
+      entry.cookie = 0x3a2;
+      entry.match.eth_type(0x0800).ip_dst(ip(static_cast<int>(rng.below(kHosts))));
       (void)table1.add(std::move(entry), now);
       break;
     }

@@ -214,9 +214,9 @@ net::Packet random_packet(util::Rng& rng) {
   return packet;
 }
 
-/// Normalized projection of a result for comparison (only the *work
-/// accounting* — cache_scanned/cache_linear — may differ between the
-/// classifier and the reference).
+/// Normalized projection of a result for comparison (only the tier-2
+/// *work accounting* — work.subtable_probes vs work.linear_compares —
+/// may differ between the classifier and the reference).
 struct Observed {
   std::vector<std::pair<std::uint32_t, net::Bytes>> outputs;
   std::vector<std::pair<std::uint8_t, net::Bytes>> packet_ins;

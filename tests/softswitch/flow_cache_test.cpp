@@ -319,6 +319,38 @@ TEST(FlowCache, CacheHitsKeepFlowCountersExact) {
   EXPECT_EQ(pipeline.table(0).counters().matches, 4u);
 }
 
+TEST(FlowCache, ReplayAfterAMirrorKeepsByteCountersExact) {
+  // Table 0 mirrors to port 2 and continues; table 1's matching rule
+  // has no instructions, so the mirror is the last output. Replay must
+  // still record table 1's lookup with the live packet's size.
+  Pipeline pipeline(2);
+  FlowEntry mirror;
+  mirror.priority = 10;
+  mirror.instructions = apply_then_goto({output(2)}, 1);
+  ASSERT_TRUE(pipeline.table(0).add(std::move(mirror), 0).is_ok());
+  FlowEntry sink;
+  sink.priority = 10;
+  sink.match.eth_dst(MacAddr::from_u64(0x2));
+  ASSERT_TRUE(pipeline.table(1).add(std::move(sink), 0).is_ok());
+
+  std::size_t bytes = 0;
+  for (int i = 0; i < 3; ++i) {
+    net::Packet packet = udp_packet(0x1, 0x2, 5555);
+    const std::size_t size = packet.size();
+    bytes += size;
+    const PipelineResult result = pipeline.run(std::move(packet), 1, 1000 + i);
+    EXPECT_EQ(result.cache_hit, i > 0) << "packet " << i;
+    ASSERT_EQ(result.outputs.size(), 1u);
+    EXPECT_EQ(result.outputs[0].second.size(), size);
+  }
+  for (std::size_t t = 0; t < 2; ++t) {
+    const auto entries = pipeline.table(t).entries();
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0]->packet_count, 3u) << "table " << t;
+    EXPECT_EQ(entries[0]->byte_count, bytes) << "table " << t;
+  }
+}
+
 TEST(FlowCache, CapacityPressureEvictsInsteadOfGrowingUnbounded) {
   Pipeline pipeline(1);
   FlowCache::Limits limits;

@@ -312,5 +312,64 @@ TEST(SoftSwitch, GroupModViaChannel) {
   EXPECT_EQ(errors, 1u);
 }
 
+// ---------------------------------------------------------- price list
+
+// DatapathCosts is the one price list: every PipelineWork count and
+// each cache flag, set alone, costs exactly its own rate. A term the
+// pricing function drops, prices twice or prices at another term's
+// rate fails here without a bench run.
+TEST(DatapathCosts, MarginalCostPricesEachTermAtItsRate) {
+  static_assert(sizeof(PipelineWork) == 10 * sizeof(std::uint32_t),
+                "a new PipelineWork count needs a row below");
+  DatapathCosts costs;
+  // Distinct rates, so a term priced at a neighbour's rate shows.
+  costs.parse_ns = 101;
+  costs.hash_probe_ns = 103;
+  costs.entry_scan_ns = 107;
+  costs.miss_ns = 109;
+  costs.action_ns = 113;
+  costs.group_ns = 127;
+  costs.cache_subtable_ns = 131;
+  costs.cache_scan_ns = 137;
+  costs.ct_lookup_ns = 139;
+  costs.ct_commit_ns = 149;
+  costs.cache_hit_ns = 151;
+  costs.cache_insert_ns = 157;
+
+  struct Term {
+    const char* name;
+    void (*set)(PipelineResult&);
+    sim::SimNanos rate;
+  };
+  const Term terms[] = {
+      {"parses", [](PipelineResult& r) { r.work.parses = 1; }, costs.parse_ns},
+      {"hash_probes", [](PipelineResult& r) { r.work.lookup.hash_probes = 1; },
+       costs.hash_probe_ns},
+      {"entries_scanned", [](PipelineResult& r) { r.work.lookup.entries_scanned = 1; },
+       costs.entry_scan_ns},
+      {"misses", [](PipelineResult& r) { r.work.misses = 1; }, costs.miss_ns},
+      {"actions", [](PipelineResult& r) { r.work.actions = 1; }, costs.action_ns},
+      {"groups", [](PipelineResult& r) { r.work.groups = 1; }, costs.group_ns},
+      {"subtable_probes", [](PipelineResult& r) { r.work.subtable_probes = 1; },
+       costs.cache_subtable_ns},
+      {"linear_compares", [](PipelineResult& r) { r.work.linear_compares = 1; },
+       costs.cache_scan_ns},
+      {"ct_lookups", [](PipelineResult& r) { r.work.ct_lookups = 1; }, costs.ct_lookup_ns},
+      {"ct_commits", [](PipelineResult& r) { r.work.ct_commits = 1; }, costs.ct_commit_ns},
+      {"cache_hit", [](PipelineResult& r) { r.cache_hit = true; }, costs.cache_hit_ns},
+      {"cache_installed", [](PipelineResult& r) { r.cache_installed = true; },
+       costs.cache_insert_ns},
+  };
+  EXPECT_EQ(costs.marginal_cost_ns(PipelineResult{}), 0);
+  for (const Term& term : terms) {
+    PipelineResult result;
+    term.set(result);
+    EXPECT_EQ(costs.marginal_cost_ns(result), term.rate) << term.name;
+    EXPECT_EQ(costs.packet_cost_ns(result),
+              costs.rx_tx_burst_ns + costs.rx_tx_pkt_ns + term.rate)
+        << term.name;
+  }
+}
+
 }  // namespace
 }  // namespace harmless::softswitch
