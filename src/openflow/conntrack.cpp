@@ -1,6 +1,6 @@
 #include "openflow/conntrack.hpp"
 
-#include <unordered_set>
+#include <algorithm>
 
 #include "net/ip.hpp"
 #include "net/l4.hpp"
@@ -78,17 +78,80 @@ ConnEntry from_image(const CtSnapshotEntry& e, sim::SimNanos now) {
 
 }  // namespace
 
+// --- tuple index ----------------------------------------------------
+
+std::uint32_t ConnTracker::TupleIndex::find(const CtTuple& tuple) const {
+  const auto hash = static_cast<std::uint32_t>(tuple.key_hash());
+  for (std::size_t at = home(hash);; at = (at + 1) & mask_) {
+    const Cell& cell = cells_[at];
+    if (cell.id == kNil) return kNil;
+    if (holds(cell, hash, tuple)) return cell.id;
+  }
+}
+
+void ConnTracker::TupleIndex::insert(const CtTuple& tuple, std::uint32_t id) {
+  // Grow at 3/4 load: the SNAT allocator and every new connection
+  // probe for absent tuples, and a miss walks the whole run.
+  if ((size_ + 1) * 4 > cells_.size() * 3) {
+    std::vector<Cell> old = std::move(cells_);
+    reset(old.size() * 2);
+    for (const Cell& cell : old)
+      if (cell.id != kNil) place(cell);
+  }
+  place(Cell{id, static_cast<std::uint32_t>(tuple.key_hash())});
+}
+
+void ConnTracker::TupleIndex::erase(const CtTuple& tuple) {
+  const auto hash = static_cast<std::uint32_t>(tuple.key_hash());
+  std::size_t hole = home(hash);
+  for (;; hole = (hole + 1) & mask_) {
+    if (cells_[hole].id == kNil) return;
+    if (holds(cells_[hole], hash, tuple)) break;
+  }
+  // Backward-shift deletion (no tombstones): pull every follower whose
+  // home lies at or before the hole back over it, wrapping at the end.
+  for (std::size_t at = (hole + 1) & mask_; cells_[at].id != kNil; at = (at + 1) & mask_) {
+    if (((at - home(cells_[at].hash)) & mask_) >= ((at - hole) & mask_)) {
+      cells_[hole] = cells_[at];
+      hole = at;
+    }
+  }
+  cells_[hole] = Cell{};
+  --size_;
+}
+
+void ConnTracker::TupleIndex::clear() {
+  std::fill(cells_.begin(), cells_.end(), Cell{});
+  size_ = 0;
+}
+
+void ConnTracker::TupleIndex::reset(std::size_t cells) {
+  cells_.assign(cells, Cell{});
+  mask_ = cells - 1;
+  shift_ = 32;
+  while ((std::size_t{1} << (32 - shift_)) < cells) --shift_;
+  size_ = 0;
+}
+
+void ConnTracker::TupleIndex::place(Cell cell) {
+  std::size_t at = home(cell.hash);
+  while (cells_[at].id != kNil) at = (at + 1) & mask_;
+  cells_[at] = cell;
+  ++size_;
+}
+
+// --- connection table -----------------------------------------------
+
 std::uint64_t ConnTracker::classify(const CtTuple& tuple, std::uint8_t tcp_flags,
                                     sim::SimNanos now) {
   ++stats_.lookups;
   for (const bool reply_dir : {false, true}) {
-    const auto& map = reply_dir ? reply_map_ : orig_map_;
-    if (auto it = map.find(tuple); it != map.end()) {
-      const ConnEntry& entry = slots_[it->second].entry;
-      if (entry.expires_at > now) {
-        ++stats_.hits;
-        return classify_entry(entry, reply_dir);
-      }
+    const std::uint32_t id = (reply_dir ? reply_map_ : orig_map_).find(tuple);
+    if (id == kNil) continue;
+    const ConnEntry& entry = slots_[id].entry;
+    if (entry.expires_at > now) {
+      ++stats_.hits;
+      return classify_entry(entry, reply_dir);
     }
   }
   if (tuple.proto == kProtoTcp && (tcp_flags & net::kTcpSyn) == 0) {
@@ -162,8 +225,8 @@ std::uint32_t ConnTracker::insert(const ConnEntry& entry) {
   Slot& slot = slots_[id];
   slot.entry = entry;
   slot.live = true;
-  orig_map_.emplace(entry.orig, id);
-  reply_map_.emplace(entry.reply, id);
+  orig_map_.insert(entry.orig, id);
+  reply_map_.insert(entry.reply, id);
   lru_push_front(id);
   file_deadline(id, slot);
   dirty_ = true;
@@ -273,10 +336,8 @@ CtOutcome ConnTracker::process(const CtTuple& tuple, std::uint8_t tcp_flags, sim
   // has not reaped it yet — identical behavior to the classifier
   // prelude, which already treats it as missing.
   for (const bool reply_dir : {false, true}) {
-    const auto& map = reply_dir ? reply_map_ : orig_map_;
-    const auto it = map.find(tuple);
-    if (it == map.end()) continue;
-    const std::uint32_t id = it->second;
+    const std::uint32_t id = (reply_dir ? reply_map_ : orig_map_).find(tuple);
+    if (id == kNil) continue;
     Slot& slot = slots_[id];
     if (slot.entry.expires_at <= now) {
       kill(id, now);
@@ -545,15 +606,15 @@ CtRestoreResult ConnTracker::restore(const CtSnapshot& snapshot, sim::SimNanos n
 void ConnTracker::apply_delta(const CtDelta& delta, sim::SimNanos now) {
   ++stats_.deltas_applied;
   const CtSnapshotEntry& e = delta.entry;
-  if (const auto it = orig_map_.find(e.orig); it != orig_map_.end()) {
+  if (const std::uint32_t id = orig_map_.find(e.orig); id != kNil) {
     // A connection we already mirror. A reply-tuple mismatch means a
     // different connection owns the key: drop rather than corrupt the
     // reverse map.
-    if (!(slots_[it->second].entry.reply == e.reply)) return;
+    if (!(slots_[id].entry.reply == e.reply)) return;
     if (delta.kind == CtDelta::Kind::kClose) {
-      kill(it->second, now);
+      kill(id, now);
     } else {
-      adopt(it->second, e, now);
+      adopt(id, e, now);
     }
     return;
   }
@@ -581,8 +642,9 @@ std::size_t ConnTracker::demote_all(sim::SimNanos now) {
 
 std::size_t ConnTracker::resync(const CtSnapshot& snapshot, sim::SimNanos now) {
   std::size_t upserts = 0;
-  std::unordered_set<std::uint32_t> covered;  // slot ids the snapshot vouches for
-  covered.reserve(snapshot.entries.size());
+  // Slot ids the snapshot vouches for. Each entry inserts at most one
+  // new slot, so the flags cover every id the loop can hand out.
+  std::vector<bool> covered(slots_.size() + snapshot.entries.size());
 
   for (const CtSnapshotEntry& e : snapshot.entries) {
     if (e.remaining_ns <= 0) continue;
@@ -591,20 +653,20 @@ std::size_t ConnTracker::resync(const CtSnapshot& snapshot, sim::SimNanos now) {
     // (kill() may emit a kClose delta; the HA layer's sink is
     // role/fence-gated, so a resyncing box never echoes these out.)
     for (const CtTuple* t : {&e.orig, &e.reply}) {
-      for (const auto* map : {&orig_map_, &reply_map_}) {
-        if (auto it = map->find(*t); it != map->end()) {
-          const ConnEntry& local = slots_[it->second].entry;
-          if (!(local.orig == e.orig && local.reply == e.reply)) kill(it->second, now);
-        }
+      for (const TupleIndex* map : {&orig_map_, &reply_map_}) {
+        const std::uint32_t id = map->find(*t);
+        if (id == kNil) continue;
+        const ConnEntry& local = slots_[id].entry;
+        if (!(local.orig == e.orig && local.reply == e.reply)) kill(id, now);
       }
     }
     // Same connection survives locally: take the active's view.
-    if (auto it = orig_map_.find(e.orig); it != orig_map_.end()) {
-      adopt(it->second, e, now);
-      covered.insert(it->second);
+    if (const std::uint32_t id = orig_map_.find(e.orig); id != kNil) {
+      adopt(id, e, now);
+      covered[id] = true;
     } else {
       make_room(now);
-      covered.insert(insert(from_image(e, now)));
+      covered[insert(from_image(e, now))] = true;
     }
     ++upserts;
   }
@@ -614,7 +676,7 @@ std::size_t ConnTracker::resync(const CtSnapshot& snapshot, sim::SimNanos now) {
   // the transient timeout.
   for (std::uint32_t id = 0; id < slots_.size(); ++id) {
     Slot& slot = slots_[id];
-    if (!slot.live || covered.contains(id)) continue;
+    if (!slot.live || covered[id]) continue;
     if (demote(slot.entry, now)) file_deadline(id, slot);
   }
   dirty_ = true;

@@ -30,6 +30,15 @@
 //     every tuple resolves to at most one connection, on an active and
 //     on the standby that applies its delta stream alike.
 //
+// Connections live in a flat slot vector. Two flat open-addressing
+// indexes (ConnTracker::TupleIndex) map an original or a reply tuple to
+// its slot: linear probing, backward-shift deletion, 8-byte cells of
+// slot id plus the low half of CtTuple::key_hash(). A probe compares
+// the stored hash first and reads the tuple back from the slot, so the
+// indexes hold no copies of tuples and never allocate per connection.
+// Nothing reads them in order: snapshots, checkpoints, demote_all and
+// resync walk the slots.
+//
 // NAT lives here too: the first commit through a translating CtAction
 // records the mapping (SNAT allocates an external port, DNAT stores
 // the target), and every subsequent packet of the connection — either
@@ -42,7 +51,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "openflow/action.hpp"
@@ -72,10 +80,6 @@ struct CtTuple {
     return util::hash_u64(h, proto);
   }
   friend bool operator==(const CtTuple&, const CtTuple&) = default;
-};
-
-struct CtTupleHash {
-  std::size_t operator()(const CtTuple& t) const { return static_cast<std::size_t>(t.key_hash()); }
 };
 
 /// Per-shard tunables (EXPERIMENTS.md "Conntrack knobs").
@@ -232,13 +236,19 @@ struct CtOutcome {
 };
 
 /// One conntrack shard. Not thread-safe by design — ownership is
-/// per-core, like FlowCache.
+/// per-core, like FlowCache. Its tuple indexes refer to its own slot
+/// vector, so a shard is neither copied nor moved (Pipeline holds each
+/// behind a unique_ptr).
 class ConnTracker {
  public:
   ConnTracker(const CtConfig& config, std::size_t shard_count)
       : config_(config),
         steer_shards_(config.nat_steer_shards != 0 ? config.nat_steer_shards
                                                    : (shard_count != 0 ? shard_count : 1)) {}
+  ConnTracker(const ConnTracker&) = delete;
+  ConnTracker& operator=(const ConnTracker&) = delete;
+  ConnTracker(ConnTracker&&) = delete;
+  ConnTracker& operator=(ConnTracker&&) = delete;
 
   /// Read-only classification for the pipeline prelude: the kCt* bits
   /// Field::kCtState gets for a packet with this tuple right now.
@@ -352,10 +362,59 @@ class ConnTracker {
   };
   static constexpr std::uint32_t kNil = 0xffffffff;
 
+  /// Tuple -> slot id, keyed on one of each slot's two tuples (`key`:
+  /// &ConnEntry::orig or &ConnEntry::reply). A cell stores the slot id
+  /// and the low 32 bits of the tuple's key_hash(); the tuple itself is
+  /// compared through the slot, so a slot must hold its tuple from
+  /// insert() until erase().
+  class TupleIndex {
+   public:
+    TupleIndex(const std::vector<Slot>& slots, CtTuple ConnEntry::*key)
+        : slots_(slots), key_(key) {
+      reset(kMinCells);
+    }
+
+    [[nodiscard]] std::size_t size() const { return size_; }
+    /// The slot holding `tuple`, or kNil.
+    [[nodiscard]] std::uint32_t find(const CtTuple& tuple) const;
+    /// Map `tuple` to slot `id`. `tuple` must be unmapped: a connection
+    /// enters only when neither of its tuples is claimed.
+    void insert(const CtTuple& tuple, std::uint32_t id);
+    void erase(const CtTuple& tuple);
+    /// Drop every cell. Reads no slot, so it is safe after the slots
+    /// themselves are gone.
+    void clear();
+
+   private:
+    struct Cell {
+      std::uint32_t id = kNil;  // kNil marks an empty cell
+      std::uint32_t hash = 0;   // low 32 bits of CtTuple::key_hash()
+    };
+    static constexpr std::size_t kMinCells = 64;
+
+    [[nodiscard]] std::size_t home(std::uint32_t hash) const {
+      // Fibonacci hashing of the stored 32 bits: growth and backward
+      // shift find a cell's home without reading its tuple.
+      return static_cast<std::size_t>((hash * 0x9E3779B9u) >> shift_);
+    }
+    [[nodiscard]] bool holds(const Cell& cell, std::uint32_t hash, const CtTuple& tuple) const {
+      return cell.hash == hash && slots_[cell.id].entry.*key_ == tuple;
+    }
+    void reset(std::size_t cells);
+    void place(Cell cell);
+
+    const std::vector<Slot>& slots_;
+    CtTuple ConnEntry::*key_;
+    std::vector<Cell> cells_;
+    std::size_t mask_ = 0;
+    unsigned shift_ = 32;
+    std::size_t size_ = 0;
+  };
+
   [[nodiscard]] sim::SimNanos timeout_for(const ConnEntry& entry) const;
   /// Held by a live or not-yet-swept connection, as either tuple.
   [[nodiscard]] bool claimed(const CtTuple& tuple) const {
-    return orig_map_.contains(tuple) || reply_map_.contains(tuple);
+    return orig_map_.find(tuple) != kNil || reply_map_.find(tuple) != kNil;
   }
 
   // The one body of each table mutation.
@@ -392,8 +451,8 @@ class ConnTracker {
   std::size_t steer_shards_ = 1;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::unordered_map<CtTuple, std::uint32_t, CtTupleHash> orig_map_;
-  std::unordered_map<CtTuple, std::uint32_t, CtTupleHash> reply_map_;
+  TupleIndex orig_map_{slots_, &ConnEntry::orig};
+  TupleIndex reply_map_{slots_, &ConnEntry::reply};
   /// Coarse timer wheel: deadline bucket -> (slot id, generation).
   /// Buckets are swept lazily; a refreshed entry is re-filed when its
   /// stale bucket comes due.

@@ -1,6 +1,7 @@
 #include "openflow/flow_cache.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 namespace harmless::openflow {
 
@@ -131,12 +132,12 @@ MegaflowEntry* FlowCache::find_linear(const FieldView& view, sim::SimNanos now,
                                       std::uint64_t key, std::uint32_t* scanned) {
   // The pre-classifier reference: one masked compare per resident
   // megaflow, insertion order — the ablation baseline Table 6 degrades.
-  for (const auto& candidate : megaflows_) {
+  for (MegaflowEntry& candidate : megaflows_) {
     if (scanned != nullptr) ++*scanned;
-    if (candidate->epoch != *epoch_) continue;  // stale; reaped on next purge
-    if (!candidate->covers(view)) continue;
-    if (candidate->timed_out(now)) return nullptr;
-    return tier2_hit(candidate.get(), key);
+    if (candidate.epoch != *epoch_) continue;  // stale; reaped on next purge
+    if (!candidate.covers(view)) continue;
+    if (candidate.timed_out(now)) return nullptr;
+    return tier2_hit(&candidate, key);
   }
   return nullptr;
 }
@@ -206,14 +207,14 @@ void FlowCache::note_microflow_key(MegaflowEntry& entry, std::uint64_t key) {
 void FlowCache::purge_stale() {
   purged_epoch_ = *epoch_;
   bool any_stale = false;
-  for (const auto& entry : megaflows_)
-    if (entry->epoch != *epoch_) {
+  for (const MegaflowEntry& entry : megaflows_)
+    if (entry.epoch != *epoch_) {
       any_stale = true;
       break;
     }
   if (!any_stale) return;
-  std::erase_if(megaflows_, [this](const std::unique_ptr<MegaflowEntry>& entry) {
-    if (entry->epoch == *epoch_) return false;
+  std::erase_if(megaflows_, [this](const MegaflowEntry& entry) {
+    if (entry.epoch == *epoch_) return false;
     ++stats_.invalidations;
     return true;
   });
@@ -221,22 +222,22 @@ void FlowCache::purge_stale() {
   // bump stales everything, so this clears it). Subtable ranks reset
   // with it — the cache is cold again anyway.
   subtables_.clear();
-  for (const auto& entry : megaflows_) {
-    entry->subtable = nullptr;
-    index_entry(entry.get());
+  for (MegaflowEntry& entry : megaflows_) {
+    entry.subtable = nullptr;
+    index_entry(&entry);
   }
   // Microflow pointers may reference reaped entries; the tier re-learns
   // on the next packet of each microflow anyway.
   microflow_.clear();
-  clock_hand_ = 0;
+  clock_hand_ = megaflows_.begin();
 }
 
 void FlowCache::evict_one() {
   // Second chance: at most two sweeps — the first clears every set
   // reference bit, so the second is guaranteed to find a victim.
   for (std::size_t step = 0; step < 2 * megaflows_.size(); ++step) {
-    if (clock_hand_ >= megaflows_.size()) clock_hand_ = 0;
-    MegaflowEntry* candidate = megaflows_[clock_hand_].get();
+    if (clock_hand_ == megaflows_.end()) clock_hand_ = megaflows_.begin();
+    MegaflowEntry* candidate = &*clock_hand_;
     if (candidate->referenced) {
       candidate->referenced = false;
       ++clock_hand_;
@@ -249,8 +250,9 @@ void FlowCache::evict_one() {
       if (slot != nullptr && *slot == candidate) microflow_.erase(key);
     }
     unindex_entry(candidate);
-    megaflows_.erase(megaflows_.begin() +
-                     static_cast<std::ptrdiff_t>(clock_hand_));
+    // The hand moves to the victim's successor, or to end() when the
+    // victim was last (insert() then parks it on the new entry).
+    clock_hand_ = megaflows_.erase(clock_hand_);
     ++stats_.evictions;
     return;
   }
@@ -271,8 +273,11 @@ MegaflowEntry* FlowCache::insert(MegaflowEntry entry, const FieldView& view) {
     ++stats_.flushes;
   }
   entry.epoch = *epoch_;
-  megaflows_.push_back(std::make_unique<MegaflowEntry>(std::move(entry)));
-  MegaflowEntry* inserted = megaflows_.back().get();
+  megaflows_.push_back(std::move(entry));
+  MegaflowEntry* inserted = &megaflows_.back();
+  // A hand at end() sits where the new entry lands: the sweep examines
+  // it first, before wrapping to the oldest entry.
+  if (clock_hand_ == megaflows_.end()) clock_hand_ = std::prev(megaflows_.end());
   index_entry(inserted);
   const std::uint64_t key = microflow_key(view);
   microflow_.insert_or_assign(key, inserted);
@@ -285,7 +290,7 @@ void FlowCache::clear() {
   megaflows_.clear();
   subtables_.clear();
   microflow_.clear();
-  clock_hand_ = 0;
+  clock_hand_ = megaflows_.end();
 }
 
 }  // namespace harmless::openflow

@@ -47,12 +47,20 @@
 // evicting the first unreferenced one — so elephant aggregates stay
 // resident while one-shot mice recycle. The hand sweeps insertion
 // order; eviction also unlinks the victim from its subtable (dropping
-// the subtable when it empties). Only the exact-match microflow tier
-// still resets wholesale when full; its entries are pointers into the
-// megaflow tier and re-seed on the next packet.
+// the subtable when it empties). The tier is a std::list in insertion
+// order and the hand an iterator into it, so an eviction erases in
+// O(1) and leaves the hand on the victim's successor. When the victim
+// was the last entry the hand rests at end(), and the next insert moves
+// it onto the entry it appends: that entry is examined first, before
+// the sweep wraps to the oldest one. The victim order, and with it
+// every pinned full-scale digest, depends on that rule.
+// Only the exact-match microflow tier still resets wholesale when full;
+// its entries are pointers into the megaflow tier and re-seed on the
+// next packet.
 #pragma once
 
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <vector>
 
@@ -294,10 +302,13 @@ class FlowCache {
   std::uint64_t own_epoch_ = 1;         // storage for a standalone cache
   std::uint64_t* epoch_ = &own_epoch_;  // the (possibly shared) live counter
   std::uint64_t purged_epoch_ = 1;      // epoch purge_stale last ran against
-  std::size_t clock_hand_ = 0;      // next megaflow the eviction sweep examines
   std::uint64_t tier2_lookups_ = 0; // drives the rank-decay cadence
   bool linear_scan_ = false;
-  std::vector<std::unique_ptr<MegaflowEntry>> megaflows_;  // insertion order
+  std::list<MegaflowEntry> megaflows_;  // insertion order; entries never move
+  /// Next megaflow the eviction sweep examines. end() only while the
+  /// tier is empty or the last entry was just evicted; insert() then
+  /// moves it onto the entry it appends.
+  std::list<MegaflowEntry>::iterator clock_hand_ = megaflows_.end();
   /// The classifier, in probe order (kept sorted by decaying rank: a
   /// hit bubbles its subtable toward the front past colder neighbors).
   std::vector<std::unique_ptr<MegaflowSubtable>> subtables_;

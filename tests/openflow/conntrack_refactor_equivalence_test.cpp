@@ -8,6 +8,12 @@
 // restore, apply_delta, resync, demote_all, set_fenced, clear_dirty and
 // clear on two replicas that exchange their delta streams, with a
 // small table so eviction runs and SNAT/DNAT/plain commits mixed.
+// The replaced tracker keys its tuples in std::unordered_map, so it is
+// also the reference for the flat tuple indexes of the live one. A
+// second, large-table run fills 1,024-connection tables from wide
+// tuple pools between its random steps: the indexes double from 64 to
+// 2,048 cells, shift deletions back across the wrap, and are cleared
+// while full.
 // After every step the test compares the outcome, CtStats, the emitted
 // delta logs, next_deadline(), dirty() and snapshot() in slot order
 // (checkpoint order depends on slot reuse).
@@ -18,6 +24,7 @@
 // CommitRefusesAReplyTupleClaimedAsAnOriginal pins the fix).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <map>
@@ -33,6 +40,12 @@
 
 namespace harmless::openflow {
 namespace before {
+
+/// The hash functor the replaced tracker's maps used (conntrack.hpp
+/// dropped it with the maps).
+struct CtTupleHash {
+  std::size_t operator()(const CtTuple& t) const { return static_cast<std::size_t>(t.key_hash()); }
+};
 
 // ---- the replaced ConnTracker, verbatim --------------------------------
 
@@ -770,17 +783,47 @@ constexpr std::uint8_t kUdp = static_cast<std::uint8_t>(net::IpProto::kUdp);
 constexpr std::uint32_t kNatIp = 0x1e000001;  // SNAT external address
 constexpr std::uint32_t kVip = 0x28000001;    // DNAT virtual address
 constexpr std::uint16_t kSnatMin = 5000;
-constexpr std::uint16_t kSnatMax = 5001;  // 2 ports: the range runs dry
 
-CtConfig small_config() {
+/// The table and the tuple pools of one run.
+struct Scale {
   CtConfig config;
-  config.max_connections = 8;  // eviction runs constantly
-  config.tcp_established_timeout = 60'000;
-  config.tcp_transient_timeout = 12'000;
-  config.udp_timeout = 25'000;
-  config.sweep_interval = 1'000;
-  config.nat_steer_shards = 2;  // SNAT steering skips half the ports
-  return config;
+  std::uint32_t client_ips = 0;
+  std::uint16_t client_ports = 0;
+  std::uint16_t snat_ports = 0;  // from kSnatMin
+  /// Fresh connections committed before every `fill_every` random
+  /// steps (0: none, the table only grows through the draws).
+  std::size_t fill = 0;
+  std::size_t fill_every = 0;
+};
+
+Scale small_scale() {
+  Scale scale;
+  scale.config.max_connections = 8;  // eviction runs constantly
+  scale.config.tcp_established_timeout = 60'000;
+  scale.config.tcp_transient_timeout = 12'000;
+  scale.config.udp_timeout = 25'000;
+  scale.config.sweep_interval = 1'000;
+  scale.config.nat_steer_shards = 2;  // SNAT steering skips half the ports
+  scale.client_ips = 3;
+  scale.client_ports = 3;
+  scale.snat_ports = 2;  // the range runs dry
+  return scale;
+}
+
+/// Tables that outgrow the tuple indexes' first 64 cells several times
+/// over; timeouts long enough that filled connections outlive a block.
+Scale large_scale() {
+  Scale scale = small_scale();
+  scale.config.max_connections = 1024;
+  scale.config.tcp_established_timeout = 60'000'000;
+  scale.config.tcp_transient_timeout = 12'000'000;
+  scale.config.udp_timeout = 25'000'000;
+  scale.client_ips = 64;
+  scale.client_ports = 256;
+  scale.snat_ports = 32;  // still runs dry per destination
+  scale.fill = 1'200;
+  scale.fill_every = 600;
+  return scale;
 }
 
 // ---- field-wise comparisons (the value types have no operator==) ----
@@ -849,12 +892,12 @@ void expect_same(const CtStats& a, const CtStats& b) {
 
 /// One replica, run twice: by the replaced tracker and by the live one.
 struct Replica {
-  Replica() : old_ct(small_config(), 1), new_ct(small_config(), 1) {
+  explicit Replica(const CtConfig& config) : old_ct(config, 1), new_ct(config, 1) {
     old_ct.set_delta_sink([this](const CtDelta& d) { old_log.push_back(d); });
     new_ct.set_delta_sink([this](const CtDelta& d) { new_log.push_back(d); });
   }
 
-  void expect_in_step() const {
+  void expect_in_step() {
     expect_same(old_ct.stats(), new_ct.stats());
     EXPECT_EQ(old_ct.size(), new_ct.size());
     EXPECT_EQ(old_ct.dirty(), new_ct.dirty());
@@ -865,10 +908,10 @@ struct Replica {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) expect_same(a[i], b[i]);
     ASSERT_EQ(old_log.size(), new_log.size());
-    for (std::size_t i = 0; i < old_log.size(); ++i) {
-      EXPECT_EQ(old_log[i].kind, new_log[i].kind);
-      EXPECT_EQ(old_log[i].epoch, new_log[i].epoch);
-      expect_same(old_log[i].entry, new_log[i].entry);
+    for (; compared < old_log.size(); ++compared) {  // the logs only grow
+      EXPECT_EQ(old_log[compared].kind, new_log[compared].kind);
+      EXPECT_EQ(old_log[compared].epoch, new_log[compared].epoch);
+      expect_same(old_log[compared].entry, new_log[compared].entry);
     }
   }
 
@@ -876,6 +919,7 @@ struct Replica {
   ConnTracker new_ct;
   std::vector<CtDelta> old_log;
   std::vector<CtDelta> new_log;
+  std::size_t compared = 0;   // log entries already found equal
   std::size_t forwarded = 0;  // deltas of this replica the peer applied
 };
 
@@ -884,22 +928,29 @@ struct Replica {
 struct Coverage {
   std::size_t steps = 0;
   std::size_t skipped = 0;  // draws that hit the deliberately changed case
+  std::size_t peak_size = 0;  // most connections one tracker held
+  std::size_t full_clears = 0;  // clear() draws on a table above half capacity
 };
 
 class RandomRun {
  public:
-  explicit RandomRun(std::uint64_t seed) : rng_(seed) {}
+  RandomRun(std::uint64_t seed, const Scale& scale) : scale_(scale), rng_(seed) {}
 
   Coverage run(std::size_t steps) {
     Coverage coverage;
     for (std::size_t i = 0; i < steps; ++i) {
+      if (scale_.fill != 0 && i % scale_.fill_every == 0) {
+        fill(coverage);
+        if (::testing::Test::HasFailure()) return coverage;
+      }
       now_ += static_cast<sim::SimNanos>(rng_.below(1'500));
       Replica& r = *replicas_[rng_.below(2)];
       Replica& peer = &r == replicas_[0].get() ? *replicas_[1] : *replicas_[0];
-      if (!step(r, peer)) ++coverage.skipped;
+      if (!step(r, peer, coverage)) ++coverage.skipped;
       ++coverage.steps;
       for (const auto& replica : replicas_) {
         replica->expect_in_step();
+        coverage.peak_size = std::max(coverage.peak_size, replica->new_ct.size());
         if (::testing::Test::HasFailure()) return coverage;
       }
     }
@@ -909,8 +960,12 @@ class RandomRun {
   [[nodiscard]] const Replica& replica(std::size_t i) const { return *replicas_[i]; }
 
  private:
-  std::uint32_t client_ip() { return 0x0a000001 + static_cast<std::uint32_t>(rng_.below(3)); }
-  std::uint16_t client_port() { return static_cast<std::uint16_t>(1000 + rng_.below(3)); }
+  std::uint32_t client_ip() {
+    return 0x0a000001 + static_cast<std::uint32_t>(rng_.below(scale_.client_ips));
+  }
+  std::uint16_t client_port() {
+    return static_cast<std::uint16_t>(1000 + rng_.below(scale_.client_ports));
+  }
   std::uint32_t server_ip() { return 0x14000001 + static_cast<std::uint32_t>(rng_.below(2)); }
   std::uint16_t server_port() { return rng_.below(2) == 0 ? 80 : 443; }
   std::uint8_t proto() { return rng_.below(4) == 0 ? kUdp : kTcp; }
@@ -937,7 +992,7 @@ class RandomRun {
         action.nat = CtAction::Nat::kSource;
         action.nat_ip = kNatIp;
         action.port_min = kSnatMin;
-        action.port_max = kSnatMax;
+        action.port_max = static_cast<std::uint16_t>(kSnatMin + scale_.snat_ports - 1);
         break;
       default:
         action.nat = CtAction::Nat::kDest;
@@ -1016,9 +1071,31 @@ class RandomRun {
     return snap;
   }
 
+  /// Unfence both replicas and commit `scale_.fill` fresh outbound
+  /// connections, each on a random replica: the tables fill to
+  /// capacity and keep evicting.
+  void fill(Coverage& coverage) {
+    for (const auto& replica : replicas_) {
+      replica->old_ct.set_fenced(false);
+      replica->new_ct.set_fenced(false);
+    }
+    for (std::size_t i = 0; i < scale_.fill; ++i) {
+      Replica& r = *replicas_[rng_.below(2)];
+      const CtTuple tuple = outbound();
+      const CtAction action = spec();
+      if (commits_onto_a_claimed_original(r, tuple, action)) continue;
+      expect_same(r.old_ct.process(tuple, net::kTcpSyn, now_, action),
+                  r.new_ct.process(tuple, net::kTcpSyn, now_, action));
+    }
+    for (const auto& replica : replicas_) {
+      replica->expect_in_step();
+      coverage.peak_size = std::max(coverage.peak_size, replica->new_ct.size());
+    }
+  }
+
   /// One random operation on replica `r`, run on both trackers.
   /// Returns false when the draw was skipped.
-  bool step(Replica& r, Replica& peer) {
+  bool step(Replica& r, Replica& peer, Coverage& coverage) {
     const std::uint64_t op = rng_.below(100);
     if (op < 40) {  // a ct traversal
       const CtTuple tuple = packet_tuple(r);
@@ -1068,28 +1145,23 @@ class RandomRun {
       r.old_ct.clear_dirty();
       r.new_ct.clear_dirty();
     } else {  // a datapath crash
+      if (2 * r.new_ct.size() > scale_.config.max_connections) ++coverage.full_clears;
       r.old_ct.clear();
       r.new_ct.clear();
     }
     return true;
   }
 
+  Scale scale_;
   util::Rng rng_;
   sim::SimNanos now_ = 0;
-  std::array<std::unique_ptr<Replica>, 2> replicas_{std::make_unique<Replica>(),
-                                                    std::make_unique<Replica>()};
+  std::array<std::unique_ptr<Replica>, 2> replicas_{std::make_unique<Replica>(scale_.config),
+                                                    std::make_unique<Replica>(scale_.config)};
   std::vector<CtSnapshot> saved_;
 };
 
-class ConnTrackerRefactorEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ConnTrackerRefactorEquivalence, RandomSequencesMatchTheReplacedTracker) {
-  RandomRun sequence(GetParam());
-  const Coverage coverage = sequence.run(4'000);
-  ASSERT_FALSE(HasFailure());
-  EXPECT_LT(coverage.skipped * 20, coverage.steps);  // < 5% of draws skipped
-
-  // Every mutation path ran, on the sum of both replicas.
+/// Every mutation path ran, on the sum of both replicas.
+void expect_every_path_ran(const RandomRun& sequence) {
   CtStats total;
   for (std::size_t i = 0; i < 2; ++i) total += sequence.replica(i).new_ct.stats();
   EXPECT_GT(total.created, 0u);
@@ -1103,8 +1175,35 @@ TEST_P(ConnTrackerRefactorEquivalence, RandomSequencesMatchTheReplacedTracker) {
   EXPECT_GT(total.fenced_rejects, 0u);
 }
 
+class ConnTrackerRefactorEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ConnTrackerRefactorEquivalence, RandomSequencesMatchTheReplacedTracker) {
+  RandomRun sequence(GetParam(), small_scale());
+  const Coverage coverage = sequence.run(4'000);
+  ASSERT_FALSE(HasFailure());
+  EXPECT_LT(coverage.skipped * 20, coverage.steps);  // < 5% of draws skipped
+  expect_every_path_ran(sequence);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ConnTrackerRefactorEquivalence,
                          ::testing::Range<std::uint64_t>(1, 9));
+
+class ConnTrackerLargeTableEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ConnTrackerLargeTableEquivalence, GrownIndexesMatchTheReplacedTracker) {
+  const Scale scale = large_scale();
+  RandomRun sequence(GetParam(), scale);
+  const Coverage coverage = sequence.run(2'400);
+  ASSERT_FALSE(HasFailure());
+  EXPECT_LT(coverage.skipped * 20, coverage.steps);
+  expect_every_path_ran(sequence);
+  // A full table: the indexes grew from 64 cells to 2,048.
+  EXPECT_EQ(coverage.peak_size, scale.config.max_connections);
+  EXPECT_GT(coverage.full_clears, 0u);  // clear() ran on a grown index
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ConnTrackerLargeTableEquivalence,
+                         ::testing::Range<std::uint64_t>(1, 5));
 
 }  // namespace
 }  // namespace harmless::openflow

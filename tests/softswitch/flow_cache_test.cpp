@@ -7,11 +7,16 @@
 // must each invalidate affected entries so the next packet re-learns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "net/build.hpp"
 #include "net/ethernet.hpp"
 #include "openflow/pipeline.hpp"
 #include "sim/network.hpp"
 #include "softswitch/soft_switch.hpp"
+#include "util/rng.hpp"
 
 namespace harmless::softswitch {
 namespace {
@@ -461,6 +466,140 @@ TEST(FlowCache, MicroflowKeyVectorStaysBoundedAcrossTierOneResets) {
   // ~2000 keys accumulated before the fix; the compaction watermark
   // (64) now bounds it regardless of the entry's lifetime.
   EXPECT_LE(elephant->microflow_keys.size(), 64u);
+}
+
+/// The CLOCK of the insertion-ordered vector the megaflow tier used to
+/// be, reduced to ids: an index hand, and reference bits set by hits
+/// and cleared by the sweep. An eviction leaves the hand on the
+/// victim's successor, or at size() when the victim was last, so the
+/// next push_back lands under the hand.
+struct VectorClock {
+  std::size_t capacity = 0;
+  std::vector<std::uint64_t> ids;  // insertion order
+  std::vector<bool> referenced;
+  std::size_t hand = 0;
+
+  [[nodiscard]] std::ptrdiff_t position(std::uint64_t id) const {
+    const auto it = std::find(ids.begin(), ids.end(), id);
+    return it == ids.end() ? -1 : it - ids.begin();
+  }
+  void hit(std::uint64_t id) {
+    const std::ptrdiff_t at = position(id);
+    if (at >= 0) referenced[static_cast<std::size_t>(at)] = true;
+  }
+  void insert(std::uint64_t id) {
+    if (ids.size() >= capacity) evict_one();
+    ids.push_back(id);
+    referenced.push_back(false);
+  }
+  void evict_one() {
+    for (std::size_t step = 0; step < 2 * ids.size(); ++step) {
+      if (hand >= ids.size()) hand = 0;
+      if (referenced[hand]) {
+        referenced[hand] = false;
+        ++hand;
+        continue;
+      }
+      ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(hand));
+      referenced.erase(referenced.begin() + static_cast<std::ptrdiff_t>(hand));
+      return;
+    }
+  }
+};
+
+/// A FlowCache and the vector CLOCK fed the same inserts and hits. Every
+/// megaflow matches one exact eth_dst (its id) and replays one flow
+/// entry that expires at kLate, so a lookup at kLate walks the linear
+/// scan to the covering entry and stops there without a hit: `scanned`
+/// reads the entry's position in insertion order, and no reference bit
+/// moves.
+class ClockPair {
+ public:
+  static constexpr sim::SimNanos kLate = 1'000;
+
+  explicit ClockPair(std::size_t capacity) {
+    FlowCache::Limits limits;
+    limits.max_megaflows = capacity;
+    cache_.set_limits(limits);
+    reference_.capacity = capacity;
+    flow_.hard_timeout = kLate;
+  }
+
+  void insert(std::uint64_t id) {
+    MegaflowEntry entry;
+    entry.required_present = field_bit(Field::kEthDst);
+    entry.masks[static_cast<std::size_t>(Field::kEthDst)] = field_all_ones(Field::kEthDst);
+    entry.values[static_cast<std::size_t>(Field::kEthDst)] = id;
+    entry.steps.push_back(MegaflowEntry::Step{nullptr, &flow_, {}});
+    entries_[id] = cache_.insert(std::move(entry), view(id));
+    reference_.insert(id);
+  }
+
+  void hit(std::uint64_t id) {
+    const bool resident = reference_.position(id) >= 0;
+    EXPECT_EQ(cache_.lookup(view(id), /*now=*/0) != nullptr, resident) << "id " << id;
+    reference_.hit(id);
+  }
+
+  /// Same entries in the same insertion order, with the same bits.
+  void expect_same_residents() {
+    ASSERT_EQ(cache_.megaflow_count(), reference_.ids.size());
+    cache_.set_linear_scan(true);
+    for (std::size_t at = 0; at < reference_.ids.size(); ++at) {
+      const std::uint64_t id = reference_.ids[at];
+      std::uint32_t scanned = 0;
+      ASSERT_EQ(cache_.lookup(view(id), kLate, &scanned), nullptr);
+      ASSERT_EQ(scanned, at + 1) << "id " << id << " is not resident at position " << at;
+      EXPECT_EQ(entries_.at(id)->referenced, reference_.referenced[at]) << "id " << id;
+    }
+    cache_.set_linear_scan(false);
+  }
+
+  [[nodiscard]] const VectorClock& reference() const { return reference_; }
+
+ private:
+  static FieldView view(std::uint64_t id) {
+    FieldView view;
+    view.set(Field::kEthDst, id);
+    return view;
+  }
+
+  FlowEntry flow_;
+  FlowCache cache_;
+  VectorClock reference_;
+  std::map<std::uint64_t, MegaflowEntry*> entries_;
+};
+
+TEST(FlowCache, ClockVictimOrderMatchesVectorReference) {
+  {
+    // The victim is the last entry: the hand rests past the end, and
+    // the entry inserted next is the first one the sweep examines.
+    ClockPair pair(4);
+    for (std::uint64_t id = 1; id <= 4; ++id) pair.insert(id);
+    for (std::uint64_t id = 1; id <= 3; ++id) pair.hit(id);
+    pair.insert(5);  // the sweep spares 1-3 and evicts 4, the last entry
+    pair.expect_same_residents();
+    pair.insert(6);  // evicts 5, under the hand, not 1 at the front
+    pair.expect_same_residents();
+    EXPECT_EQ(pair.reference().ids, (std::vector<std::uint64_t>{1, 2, 3, 6}));
+  }
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    const std::size_t capacity = 2 + rng.below(7);
+    ClockPair pair(capacity);
+    std::uint64_t next_id = 1;
+    for (int op = 0; op < 2'000 && !HasFailure(); ++op) {
+      if (rng.below(5) < 2) {
+        pair.insert(next_id++);
+        pair.expect_same_residents();
+      } else if (next_id > 1) {
+        // Mostly recent ids, some already evicted.
+        const std::uint64_t window = std::min<std::uint64_t>(next_id - 1, 2 * capacity);
+        pair.hit(next_id - 1 - rng.below(window));
+      }
+    }
+  }
 }
 
 TEST(FlowCache, ClockEvictionKeepsElephantsResident) {
