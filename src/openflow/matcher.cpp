@@ -1,6 +1,7 @@
 #include "openflow/matcher.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace harmless::openflow {
 
@@ -29,29 +30,29 @@ FlowEntry* LinearMatcher::lookup(const FieldView& view, LookupCost& cost) const 
 
 // ----------------------------------------------------------- specialized
 
-bool SpecializedMatcher::shape_key(const Shape& shape, const FieldView& view,
-                                   std::uint64_t& key) {
-  if ((view.present & shape.fields) != shape.fields) {
-    // The shape is skipped because the packet lacks some of its fields;
-    // pin exactly those absences for megaflow learning.
-    std::uint32_t missing = shape.fields & ~view.present;
-    while (missing != 0) {
-      const unsigned index = static_cast<unsigned>(__builtin_ctz(missing));
-      missing &= missing - 1;
-      view.note(static_cast<Field>(index), 0);
-    }
-    return false;
+void SpecializedMatcher::KeyIndex::build(std::span<const std::uint64_t> hashes) {
+  std::size_t cells = 2;
+  while (cells < hashes.size() * 2) cells *= 2;
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(cells));
+  cells_.assign(cells, Cell{});
+  next_.assign(hashes.size(), kNoRank);
+  // Descending ranks: each cell ends up headed by its lowest rank, and
+  // every chain ascends.
+  for (std::size_t rank = hashes.size(); rank-- > 0;) {
+    const std::uint64_t hash = hashes[rank];
+    std::size_t at = home(hash);
+    while (cells_[at].head != kNoRank && cells_[at].hash != hash) at = (at + 1) & (cells - 1);
+    next_[rank] = cells_[at].head;
+    cells_[at] = Cell{hash, static_cast<std::uint32_t>(rank)};
   }
-  std::uint64_t h = kFieldHashSeed;
-  std::uint32_t remaining = shape.fields;
-  while (remaining != 0) {
-    const unsigned index = static_cast<unsigned>(__builtin_ctz(remaining));
-    remaining &= remaining - 1;
-    view.note(static_cast<Field>(index), shape.masks[index]);
-    h = hash_u64s(h, view.values[index] & shape.masks[index]);
+}
+
+std::uint32_t SpecializedMatcher::KeyIndex::find(std::uint64_t hash) const {
+  const std::size_t mask = cells_.size() - 1;
+  for (std::size_t at = home(hash);; at = (at + 1) & mask) {
+    const Cell& cell = cells_[at];
+    if (cell.head == kNoRank || cell.hash == hash) return cell.head;
   }
-  key = h;
-  return true;
 }
 
 void SpecializedMatcher::rebuild(std::span<FlowEntry* const> entries) {
@@ -64,10 +65,7 @@ void SpecializedMatcher::rebuild(std::span<FlowEntry* const> entries) {
     for (Shape& candidate : shapes_) {
       if (candidate.fields != match.fields_present()) continue;
       bool same_masks = true;
-      std::uint32_t remaining = candidate.fields;
-      while (remaining != 0) {
-        const unsigned index = static_cast<unsigned>(__builtin_ctz(remaining));
-        remaining &= remaining - 1;
+      for (const std::uint8_t index : candidate.order) {
         if (candidate.masks[index] != match.mask_of(static_cast<Field>(index))) {
           same_masks = false;
           break;
@@ -81,38 +79,115 @@ void SpecializedMatcher::rebuild(std::span<FlowEntry* const> entries) {
     if (shape == nullptr) {
       Shape fresh;
       fresh.fields = match.fields_present();
-      for (std::size_t index = 0; index < kFieldCount; ++index)
-        if (fresh.fields & (1u << index))
-          fresh.masks[index] = match.mask_of(static_cast<Field>(index));
+      for (std::size_t index = 0; index < kFieldCount; ++index) {
+        if ((fresh.fields & (1u << index)) == 0) continue;
+        fresh.masks[index] = match.mask_of(static_cast<Field>(index));
+        fresh.order.push_back(static_cast<std::uint8_t>(index));
+      }
       fresh.exact = match.all_exact() && fresh.fields != 0;
       shapes_.push_back(std::move(fresh));
       shape = &shapes_.back();
     }
 
     shape->max_priority = std::max(shape->max_priority, entry->priority);
-    if (shape->exact) {
-      // Key the entry by its own constrained values (same packing as
-      // shape_key uses for packets).
-      std::uint64_t h = kFieldHashSeed;
-      std::uint32_t remaining = shape->fields;
-      while (remaining != 0) {
-        const unsigned index = static_cast<unsigned>(__builtin_ctz(remaining));
-        remaining &= remaining - 1;
-        h = hash_u64s(h, entry->match.value_of(static_cast<Field>(index)));
-      }
-      shape->buckets[h].push_back(entry);
-    } else {
-      shape->list.push_back(entry);
-    }
+    shape->list.push_back(entry);
   }
 
+  std::vector<std::uint64_t> hashes;
   for (Shape& shape : shapes_) {
     std::stable_sort(shape.list.begin(), shape.list.end(), priority_desc);
-    for (auto& [key, bucket] : shape.buckets)
-      std::stable_sort(bucket.begin(), bucket.end(), priority_desc);
+    // Fold one field at a time into every rank's running hash (the same
+    // packing lookups use for packets): after p folds, `hashes` keys the
+    // first p masked values.
+    const std::size_t n = shape.order.size();
+    hashes.assign(shape.list.size(), kFieldHashSeed);
+    for (std::size_t p = 1; p <= n; ++p) {
+      const auto field = static_cast<Field>(shape.order[p - 1]);
+      for (std::size_t rank = 0; rank < hashes.size(); ++rank)
+        hashes[rank] = hash_u64s(hashes[rank], shape.list[rank]->match.value_of(field));
+      if (p < n && !shape.exact) shape.prefix.emplace_back().build(hashes);
+    }
+    shape.full.build(hashes);
   }
   std::stable_sort(shapes_.begin(), shapes_.end(),
                    [](const Shape& a, const Shape& b) { return a.max_priority > b.max_priority; });
+}
+
+bool SpecializedMatcher::agrees(const Shape& shape, std::uint32_t rank, std::size_t count,
+                                const FieldView& view) {
+  const Match& match = shape.list[rank]->match;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint8_t index = shape.order[i];
+    if ((view.values[index] & shape.masks[index]) != match.value_of(static_cast<Field>(index)))
+      return false;
+  }
+  return true;
+}
+
+FlowEntry* SpecializedMatcher::lookup_exact(const Shape& shape, const FieldView& view,
+                                            LookupCost& cost) {
+  if ((view.present & shape.fields) != shape.fields) {
+    // The shape is skipped because the packet lacks some of its fields;
+    // pin exactly those absences for megaflow learning.
+    for (const std::uint8_t index : shape.order)
+      if ((view.present & (1u << index)) == 0) view.note(static_cast<Field>(index), 0);
+    return nullptr;
+  }
+  std::uint64_t key = kFieldHashSeed;
+  for (const std::uint8_t index : shape.order) {
+    view.note(static_cast<Field>(index), shape.masks[index]);
+    key = hash_u64s(key, view.values[index] & shape.masks[index]);
+  }
+  ++cost.hash_probes;
+  // The ranks sharing the key's hash are the bucket, in priority order.
+  for (std::uint32_t rank = shape.full.find(key); rank != kNoRank; rank = shape.full.next(rank)) {
+    ++cost.entries_scanned;
+    if (agrees(shape, rank, shape.order.size(), view)) return shape.list[rank];
+  }
+  return nullptr;
+}
+
+FlowEntry* SpecializedMatcher::lookup_wildcard(const Shape& shape, const FieldView& view,
+                                               LookupCost& cost) {
+  // The modelled scan stops at the first match in rank order, having
+  // compared rank + 1 entries; its compares note every shape field.
+  if ((view.present & shape.fields) == shape.fields) {
+    std::uint64_t key = kFieldHashSeed;
+    for (const std::uint8_t index : shape.order)
+      key = hash_u64s(key, view.values[index] & shape.masks[index]);
+    for (std::uint32_t rank = shape.full.find(key); rank != kNoRank;
+         rank = shape.full.next(rank)) {
+      if (!agrees(shape, rank, shape.order.size(), view)) continue;
+      cost.entries_scanned += rank + 1;
+      for (const std::uint8_t index : shape.order)
+        view.note(static_cast<Field>(index), shape.masks[index]);
+      return shape.list[rank];
+    }
+  }
+
+  // A miss compares every entry. Each compare notes the fields its
+  // entry agrees on, then the field it fails at (mask 0 when the view
+  // lacks it), so together they note the longest prefix some entry
+  // agrees on and the field after it. The prefix indexes nest, so walk
+  // them until the first miss.
+  cost.entries_scanned += static_cast<std::uint32_t>(shape.list.size());
+  if (view.use == nullptr) return nullptr;
+  std::uint64_t prefix = kFieldHashSeed;
+  for (std::size_t depth = 0;; ++depth) {
+    const std::uint8_t index = shape.order[depth];
+    const auto field = static_cast<Field>(index);
+    if ((view.present & (1u << index)) == 0) {
+      view.note(field, 0);
+      return nullptr;
+    }
+    view.note(field, shape.masks[index]);
+    if (depth + 1 == shape.order.size()) return nullptr;
+    prefix = hash_u64s(prefix, view.values[index] & shape.masks[index]);
+    const KeyIndex& level = shape.prefix[depth];
+    std::uint32_t rank = level.find(prefix);
+    while (rank != kNoRank && !agrees(shape, rank, depth + 1, view)) rank = level.next(rank);
+    if (rank == kNoRank) return nullptr;
+  }
 }
 
 FlowEntry* SpecializedMatcher::lookup(const FieldView& view, LookupCost& cost) const {
@@ -121,29 +196,9 @@ FlowEntry* SpecializedMatcher::lookup(const FieldView& view, LookupCost& cost) c
     // Shapes are ordered by max_priority: once the current best beats
     // everything a shape could contain, we are done.
     if (best != nullptr && best->priority >= shape.max_priority) break;
-
-    if (shape.exact) {
-      std::uint64_t key = 0;
-      if (!shape_key(shape, view, key)) continue;
-      ++cost.hash_probes;
-      const auto it = shape.buckets.find(key);
-      if (it == shape.buckets.end()) continue;
-      for (FlowEntry* entry : it->second) {
-        ++cost.entries_scanned;
-        if (entry->match.matches(view)) {  // guards against hash collisions
-          if (best == nullptr || entry->priority > best->priority) best = entry;
-          break;  // bucket is priority-sorted
-        }
-      }
-    } else {
-      for (FlowEntry* entry : shape.list) {
-        ++cost.entries_scanned;
-        if (entry->match.matches(view)) {
-          if (best == nullptr || entry->priority > best->priority) best = entry;
-          break;  // list is priority-sorted
-        }
-      }
-    }
+    FlowEntry* hit =
+        shape.exact ? lookup_exact(shape, view, cost) : lookup_wildcard(shape, view, cost);
+    if (hit != nullptr && (best == nullptr || hit->priority > best->priority)) best = hit;
   }
   return best;
 }

@@ -3,7 +3,8 @@
 // Two engines implement the same contract so benches can swap them:
 //
 //  * LinearMatcher — the textbook approach: walk entries in priority
-//    order, first hit wins. O(n) per lookup.
+//    order, first hit wins. O(n) per lookup. It is the reference, and
+//    what the `specialized=false` ablation runs.
 //
 //  * SpecializedMatcher — a miniature of ESwitch's dataplane
 //    specialization (Molnár et al., SIGCOMM'16 [9], the switch the
@@ -11,27 +12,36 @@
 //    of constrained fields + masks). Shapes whose constraints are all
 //    exact-match compile to a hash table keyed on the packed field
 //    values — one probe instead of n comparisons. Wildcarded shapes
-//    keep a priority-ordered list. Lookup visits shapes in descending
-//    max-priority order and stops as soon as no later shape can beat
-//    the best hit.
+//    are modelled as a priority-ordered list that ESwitch scans.
+//    Lookup visits shapes in descending max-priority order and stops
+//    as soon as no later shape can beat the best hit.
+//
+// On the host, every shape is indexed by its masked key (tuple-space
+// search, Srinivasan et al., SIGCOMM'99, as in the OVS classifier): a
+// wildcard shape finds its first match with one probe, then derives
+// the count and the unwildcarding notes of the modelled scan from that
+// match's rank instead of performing the scan.
 //
 // Both report a LookupCost so the softswitch can charge simulated
-// nanoseconds proportional to real work.
+// nanoseconds proportional to the modelled work.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "openflow/flow_entry.hpp"
 
 namespace harmless::openflow {
 
+/// The modelled work of one lookup. For a wildcard shape of the
+/// specialized matcher, `entries_scanned` is the number of compares
+/// the modelled priority-list scan makes (rank + 1 of the first match,
+/// or the list's size on a miss), not work the host performs.
 struct LookupCost {
-  std::uint32_t entries_scanned = 0;  // linear comparisons performed
-  std::uint32_t hash_probes = 0;      // hash-table probes performed
+  std::uint32_t entries_scanned = 0;  // modelled rule comparisons
+  std::uint32_t hash_probes = 0;      // exact-shape hash-table probes
 };
 
 class Matcher {
@@ -68,20 +78,53 @@ class SpecializedMatcher : public Matcher {
   [[nodiscard]] std::size_t shape_count() const { return shapes_.size(); }
 
  private:
+  static constexpr std::uint32_t kNoRank = 0xffffffff;
+
+  /// Flat open-addressing map from a key hash to the lowest rank whose
+  /// key has that hash; `next` chains the other ranks with the same
+  /// hash in ascending order. Hashes can collide, so callers verify
+  /// the values of every rank they take from it.
+  class KeyIndex {
+   public:
+    /// Index `hashes[rank]` for every rank.
+    void build(std::span<const std::uint64_t> hashes);
+    /// The lowest rank keyed by `hash`, or kNoRank.
+    [[nodiscard]] std::uint32_t find(std::uint64_t hash) const;
+    [[nodiscard]] std::uint32_t next(std::uint32_t rank) const { return next_[rank]; }
+
+   private:
+    struct Cell {
+      std::uint64_t hash = 0;
+      std::uint32_t head = kNoRank;  // kNoRank marks an empty cell
+    };
+    /// Fibonacci hashing: the top bits of the product pick the cell.
+    [[nodiscard]] std::size_t home(std::uint64_t hash) const {
+      return static_cast<std::size_t>((hash * 0x9E3779B97F4A7C15ULL) >> shift_);
+    }
+    std::vector<Cell> cells_;  // power-of-two size, linear probing
+    std::vector<std::uint32_t> next_;
+    unsigned shift_ = 64;
+  };
+
   struct Shape {
     std::uint32_t fields = 0;  // presence bitmap
     std::array<std::uint64_t, kFieldCount> masks{};
-    bool exact = false;              // all masks full-width -> hashed
+    bool exact = false;              // all masks full-width: billed as one hash probe
     std::uint16_t max_priority = 0;  // best entry priority in this shape
-    // exact shapes:
-    std::unordered_map<std::uint64_t, std::vector<FlowEntry*>> buckets;
-    // wildcard shapes (priority-desc):
-    std::vector<FlowEntry*> list;
+    std::vector<FlowEntry*> list;    // stable priority-desc: rank order
+    std::vector<std::uint8_t> order;  // field indices ascending, as Match::matches walks
+    KeyIndex full;                    // hash of all masked values -> ranks
+    /// Wildcard shapes only: prefix[p - 1] keys the first p masked
+    /// values, p = 1..n-1, for the unwildcarding of a miss.
+    std::vector<KeyIndex> prefix;
   };
 
-  /// Pack the constrained field values of `view` under `shape` into a
-  /// hash key. Returns false if the view lacks one of the fields.
-  static bool shape_key(const Shape& shape, const FieldView& view, std::uint64_t& key);
+  /// Does the entry at `rank` agree with the view on the shape's first
+  /// `count` fields? The view must have those fields.
+  static bool agrees(const Shape& shape, std::uint32_t rank, std::size_t count,
+                     const FieldView& view);
+  static FlowEntry* lookup_exact(const Shape& shape, const FieldView& view, LookupCost& cost);
+  static FlowEntry* lookup_wildcard(const Shape& shape, const FieldView& view, LookupCost& cost);
 
   std::vector<Shape> shapes_;  // sorted by max_priority descending
 };
