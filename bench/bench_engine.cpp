@@ -3,14 +3,22 @@
 // Every other bench in this directory reports *simulated* time; this
 // one reports how fast the host executes the simulator — the number
 // that bounds every fabric-scale study (thousands of switches, 10^6
-// hosts, conntrack at millions of connections). Three scenarios:
+// hosts, conntrack at millions of connections). Four scenarios:
 //
 //   timer_churn      — pure event-scheduler stress: K concurrent
 //                      self-rescheduling timers with nearly-FIFO
 //                      deadlines (the dominant service/link event
 //                      shape) plus a slice of far-future timers (the
 //                      expiry-sweep shape). Measures events/sec with
-//                      no datapath work at all.
+//                      no datapath work at all. Tens of events share
+//                      each 4 ns calendar bucket: the densest load the
+//                      engine's bucket lists see.
+//   sparse_timers    — 256 self-rescheduling timers with 1-20 us
+//                      steps: the bench_suite shape, a few hundred
+//                      pending events spread thinly over the calendar
+//                      ring, nearly all inside its window. Measures
+//                      what one schedule plus one dispatch costs when
+//                      the queue itself should stay in cache.
 //   table1_native    — the Table 1 native soft-switch stream (64B
 //                      back-to-back on a 10G feed): the single-core
 //                      end-to-end datapath. Measures events/sec and
@@ -88,31 +96,26 @@ EngineSummary summarize(std::vector<EngineRun> runs) {
   return summary;
 }
 
-// ---- scenario 1: pure event churn ------------------------------------
+// ---- scenarios 1 and 2: pure event churn -----------------------------
 
-/// `timers` concurrent self-rescheduling events; most advance by a
-/// small nearly-FIFO delta (service/link shape), a few jump far ahead
-/// (expiry-sweep shape). Runs until `total_events` dispatches.
-EngineRun timer_churn(std::size_t timers, std::uint64_t total_events) {
+/// `timers` concurrent self-rescheduling events, each advancing by its
+/// own fixed step drawn by `draw_step`. Runs until `total_events`
+/// dispatches.
+template <typename DrawStep>
+EngineRun run_timers(std::size_t timers, std::uint64_t total_events, DrawStep draw_step) {
   sim::Engine engine;
   util::Rng rng(7);
   std::uint64_t remaining = total_events;
 
-  // Timer state must outlive the lambdas; index into a flat vector.
-  struct Timer {
-    sim::SimNanos step;
-  };
-  std::vector<Timer> state(timers);
+  // Timer steps must outlive the lambdas; index into a flat vector.
+  std::vector<sim::SimNanos> steps(timers);
   std::function<void(std::size_t)> fire = [&](std::size_t index) {
     if (remaining == 0) return;
     --remaining;
-    engine.schedule_after(state[index].step, [&fire, index] { fire(index); });
+    engine.schedule_after(steps[index], [&fire, index] { fire(index); });
   };
   for (std::size_t i = 0; i < timers; ++i) {
-    // 90% short nearly-FIFO steps, 10% far-future (the two event
-    // populations a calendar queue must serve at once).
-    state[i].step = rng.chance(0.9) ? static_cast<sim::SimNanos>(50 + rng.below(500))
-                                    : static_cast<sim::SimNanos>(100'000 + rng.below(10'000'000));
+    steps[i] = draw_step(rng);
     engine.schedule_at(static_cast<sim::SimNanos>(rng.below(1'000)), [&fire, i] { fire(i); });
   }
 
@@ -127,7 +130,26 @@ EngineRun timer_churn(std::size_t timers, std::uint64_t total_events) {
   return run;
 }
 
-// ---- scenario 2: Table 1 native datapath stream ----------------------
+/// Most timers advance by a small nearly-FIFO delta (service/link
+/// shape), a few jump far ahead (expiry-sweep shape).
+EngineRun timer_churn(std::size_t timers, std::uint64_t total_events) {
+  return run_timers(timers, total_events, [](util::Rng& rng) {
+    // 90% short nearly-FIFO steps, 10% far-future (the two event
+    // populations a calendar queue must serve at once).
+    return rng.chance(0.9) ? static_cast<sim::SimNanos>(50 + rng.below(500))
+                           : static_cast<sim::SimNanos>(100'000 + rng.below(10'000'000));
+  });
+}
+
+/// Every timer steps 1-20 us: the few hundred pending events of a
+/// bench_suite workload, all inside the ~64 us calendar window.
+EngineRun sparse_timers(std::size_t timers, std::uint64_t total_events) {
+  return run_timers(timers, total_events, [](util::Rng& rng) {
+    return static_cast<sim::SimNanos>(1'000 + rng.below(19'001));
+  });
+}
+
+// ---- scenario 3: Table 1 native datapath stream ----------------------
 
 /// h1 -> h2 at the 10G line rate, 64B frames, through the batched
 /// native soft switch (the Table 1 configuration).
@@ -154,7 +176,7 @@ EngineRun table1_native(std::size_t packets) {
   return run;
 }
 
-// ---- scenario 3: Table 7 four-core overload --------------------------
+// ---- scenario 4: Table 7 four-core overload --------------------------
 
 /// One prebuilt frame per (src, dst) host pair; per-packet ports are
 /// stamped in (net::UdpTemplate), so the generator costs a 64-byte
@@ -259,6 +281,7 @@ int main(int argc, char** argv) {
   const int reps = 5;
   const std::uint64_t churn_events = quick ? 400'000 : 4'000'000;
   const std::size_t churn_timers = 4'096;
+  const std::size_t sparse_timer_count = 256;
   const std::size_t table1_packets = quick ? 20'000 : 200'000;
   const std::size_t table7_packets = quick ? 2'000 : 6'000;  // per port
 
@@ -271,6 +294,7 @@ int main(int argc, char** argv) {
   };
   const std::vector<Scenario> scenarios = {
       {"timer_churn", [&] { return timer_churn(churn_timers, churn_events); }},
+      {"sparse_timers", [&] { return sparse_timers(sparse_timer_count, churn_events); }},
       {"table1_native_10g", [&] { return table1_native(table1_packets); }},
       {"table7_4core_overload", [&] { return table7_overload(4, 8, table7_packets); }},
   };

@@ -17,7 +17,7 @@ std::size_t round_up_pow2(std::size_t n) {
 Engine::Engine(const CalendarConfig& config) : config_(config) {
   config_.bucket_bits = std::min(config_.bucket_bits, 40u);
   config_.bucket_count = round_up_pow2(std::max<std::size_t>(2, config_.bucket_count));
-  buckets_.resize(config_.bucket_count);
+  heads_.assign(config_.bucket_count, kNil);
   occupied_.assign((config_.bucket_count + 63) / 64, 0);
   bucket_mask_ = config_.bucket_count - 1;
 }
@@ -26,11 +26,13 @@ void Engine::reserve(std::size_t expected_pending) {
   while (fn_chunks_.size() * kChunkSize < expected_pending) {
     fn_chunks_.push_back(std::make_unique<EventFn[]>(kChunkSize));
   }
+  nodes_.reserve(expected_pending);
   free_fns_.reserve(expected_pending);
 }
 
 std::uint32_t Engine::grow_slot() {
-  const auto slot = static_cast<std::uint32_t>(fn_count_++);
+  const auto slot = static_cast<std::uint32_t>(nodes_.size());
+  nodes_.emplace_back();
   if ((slot >> kChunkShift) == fn_chunks_.size()) {
     fn_chunks_.push_back(std::make_unique<EventFn[]>(kChunkSize));
   }
@@ -39,13 +41,38 @@ std::uint32_t Engine::grow_slot() {
 
 void Engine::push_calendar(Event event) {
   const std::size_t index = day_of(event.at) & bucket_mask_;
-  Bucket& bucket = buckets_[index];
-  if (bucket.empty()) occupied_[index >> 6] |= 1ull << (index & 63);
-  bucket.push_back(event);
-  // Occupancy hovers near one event per bucket; the heap only earns
-  // its sift when a bucket actually holds rivals.
-  if (bucket.size() > 1) std::push_heap(bucket.begin(), bucket.end(), Later{});
+  std::uint32_t& head = heads_[index];
+  const std::uint32_t slot = event.fn;
+  Node& node = nodes_[slot];
+  node.at = event.at;
+  node.seq = event.seq;
   ++calendar_size_;
+  if (head == kNil) {
+    occupied_[index >> 6] |= 1ull << (index & 63);
+    node.next = kNil;
+    node.tail = slot;
+    head = slot;
+    return;
+  }
+  Node& first = nodes_[head];
+  Node& last = nodes_[first.tail];
+  if (Later{}(node, last)) {
+    // The common case: nearly-FIFO keys arrive in order.
+    node.next = kNil;
+    last.next = slot;
+    first.tail = slot;
+  } else if (Later{}(first, node)) {
+    node.next = head;
+    node.tail = first.tail;
+    head = slot;
+  } else {
+    // Between head and tail (an older claimed key, or a migrating
+    // overflow event): walk to the last node that precedes it.
+    std::uint32_t prev = head;
+    while (Later{}(node, nodes_[nodes_[prev].next])) prev = nodes_[prev].next;
+    node.next = nodes_[prev].next;
+    nodes_[prev].next = slot;
+  }
 }
 
 void Engine::enqueue(Event event) {
@@ -94,7 +121,7 @@ void Engine::migrate_overflow() {
   }
 }
 
-Engine::Bucket* Engine::scan_ring() {
+std::uint32_t* Engine::scan_ring() {
   const std::size_t start = static_cast<std::size_t>(cursor_day_) & bucket_mask_;
   std::size_t word = start >> 6;
   std::uint64_t bits = occupied_[word] & (~std::uint64_t{0} << (start & 63));
@@ -102,7 +129,7 @@ Engine::Bucket* Engine::scan_ring() {
   // at the end for the wrapped-around low bits).
   for (std::size_t i = 0; i <= occupied_.size(); ++i) {
     if (bits != 0) {
-      return &buckets_[(word << 6) + static_cast<std::size_t>(std::countr_zero(bits))];
+      return &heads_[(word << 6) + static_cast<std::size_t>(std::countr_zero(bits))];
     }
     word = word + 1 == occupied_.size() ? 0 : word + 1;
     bits = occupied_[word];
@@ -110,9 +137,9 @@ Engine::Bucket* Engine::scan_ring() {
   return nullptr;  // unreachable while calendar_size_ > 0
 }
 
-Engine::Bucket* Engine::next_bucket(SimNanos deadline) {
+std::uint32_t* Engine::next_bucket(SimNanos deadline) {
   for (;;) {
-    Bucket* ring = calendar_size_ > 0 ? scan_ring() : nullptr;
+    std::uint32_t* ring = calendar_size_ > 0 ? scan_ring() : nullptr;
     if (ring == nullptr) {
       const Event* top = overflow_min();
       if (top == nullptr || top->at > deadline) return nullptr;
@@ -120,12 +147,12 @@ Engine::Bucket* Engine::next_bucket(SimNanos deadline) {
       migrate_overflow();
       continue;
     }
-    const Event& front = ring->front();
+    const Node& front = nodes_[*ring];
     const Event* top = overflow_min();
     if (top != nullptr && day_of(top->at) <= day_of(front.at)) {
       // The overflow minimum may precede the ring minimum (run_until
       // can leave the window behind newly due overflow; an equal day
-      // is settled by the bucket heap after migration). Admit, then
+      // is settled by the bucket list after migration). Admit, then
       // rescan.
       if (top->at > deadline && front.at > deadline) return nullptr;
       cursor_day_ = std::max(cursor_day_, day_of(top->at));
@@ -138,37 +165,40 @@ Engine::Bucket* Engine::next_bucket(SimNanos deadline) {
   }
 }
 
-void Engine::dispatch_from(Bucket& bucket) {
-  if (bucket.size() > 1) std::pop_heap(bucket.begin(), bucket.end(), Later{});
-  const Event event = bucket.back();
-  bucket.pop_back();  // capacity is retained: the bucket recycles
-  if (bucket.empty()) {
-    const auto index = static_cast<std::size_t>(&bucket - buckets_.data());
+void Engine::dispatch_from(std::uint32_t& head) {
+  const std::uint32_t slot = head;
+  const Node& node = nodes_[slot];
+  head = node.next;
+  if (head == kNil) {
+    const auto index = static_cast<std::size_t>(&head - heads_.data());
     occupied_[index >> 6] &= ~(1ull << (index & 63));
+  } else {
+    nodes_[head].tail = node.tail;
   }
   --calendar_size_;
-  now_ = event.at;
+  now_ = node.at;
+  const std::uint64_t seq = node.seq;  // nodes_ may grow while fn runs
   ++events_dispatched_;
   // Invoke in place: slab chunks never move, so the closure's address
   // stays valid even when running it schedules more events. The slot is
   // recycled only afterwards, so a reschedule cannot overwrite it.
-  EventFn& fn = fn_slot(event.fn);
-  dispatch_seq_ = event.seq;
+  EventFn& fn = fn_slot(slot);
+  dispatch_seq_ = seq;
   fn();
-  dispatch_seq_ = event.seq + 1;
+  dispatch_seq_ = seq + 1;
   fn.reset();
-  free_fns_.push_back(event.fn);
+  free_fns_.push_back(slot);
 }
 
 bool Engine::step() {
-  Bucket* bucket = next_bucket(std::numeric_limits<SimNanos>::max());
-  if (bucket == nullptr) {
+  std::uint32_t* head = next_bucket(std::numeric_limits<SimNanos>::max());
+  if (head == nullptr) {
     // The eager engine would have dispatched every claimed no-op by now.
     now_ = std::max(now_, latest_claim_);
     dispatch_seq_ = next_seq_;
     return false;
   }
-  dispatch_from(*bucket);
+  dispatch_from(*head);
   return true;
 }
 
@@ -179,9 +209,9 @@ void Engine::run() {
 
 void Engine::run_until(SimNanos deadline) {
   for (;;) {
-    Bucket* bucket = next_bucket(deadline);
-    if (bucket == nullptr) break;
-    dispatch_from(*bucket);
+    std::uint32_t* head = next_bucket(deadline);
+    if (head == nullptr) break;
+    dispatch_from(*head);
   }
   if (deadline >= now_) {
     now_ = deadline;

@@ -27,7 +27,7 @@
 // arrived before the key passed), schedule_claimed(key, fn) queues the
 // closure under the claimed key, where it dispatches exactly where the
 // eager event would have. Claimed keys never enter the queue, so they
-// cost no heap work and do not count in events_dispatched().
+// cost no queue work and do not count in events_dispatched().
 //
 // The store is a calendar queue (Brown 1988), tuned for the dominant
 // event shape — service completions and link deliveries tens to
@@ -37,12 +37,18 @@
 //     wide. An event at time t belongs to day t >> bucket_bits and
 //     lives in bucket (day & (bucket_count - 1)). The defaults (4 ns
 //     buckets, a ~64 us ring) put average occupancy near one event per
-//     bucket, so the per-bucket "heaps" degenerate to push_back /
-//     pop_back and enqueue/dequeue are O(1) with almost no
-//     data-dependent branches.
-//   * Each bucket is a binary heap under the same (at, seq) comparator
-//     the historical priority_queue used, so within a bucket events
-//     dispatch in exactly the historical order.
+//     bucket.
+//   * A bucket is one 32-bit head slot: a singly-linked list in
+//     ascending (at, seq) order, threaded through the closure slab's
+//     keys (below). The head also records the list's tail, so the
+//     common insert — a key later than the bucket's last — is an O(1)
+//     append, and a key earlier than the head becomes the new head and
+//     inherits the tail. Only a key that lands between the two walks
+//     the list: a schedule_claimed key older than events queued since
+//     its claim, or an overflow event migrating into an occupied
+//     bucket. Dispatch pops the head and hands the tail on to the next
+//     node. The whole ring is 4 bytes per bucket with no per-bucket
+//     allocation, so the words a schedule touches stay in cache.
 //   * The cursor only advances when an event is actually dispatched,
 //     which (with schedule_at clamping to now()) guarantees every
 //     pending day is at or after the cursor — so a bucket holds at
@@ -55,21 +61,21 @@
 //     compare — no per-event day bookkeeping at all.
 //   * Events beyond the ring's window (far-future timers: expiry
 //     sweeps, pacing starts, pre-scheduled arrival streams) wait in an
-//     overflow heap keyed by the same comparator and migrate into the
-//     ring as the window advances past their admission day. The
-//     dequeue path dispatches min(earliest ring event, earliest
-//     overflow event), migrating first when overflow is due, so the
-//     total order is preserved exactly.
+//     overflow store ordered by the same (at, seq) comparator and
+//     migrate into the ring as the window advances past their
+//     admission day. The dequeue path dispatches min(earliest ring
+//     event, earliest overflow event), migrating first when overflow
+//     is due, so the total order is preserved exactly.
 //
 // Closures are stored as util::InlineFunction: no per-event heap
 // allocation, and move-only captures (a pooled net::Packet) are legal.
-// The closures live in a chunked slab with a free list, off to the
-// side of the heaps: heap elements are 24-byte {at, seq, slot} PODs,
-// so a sift moves three words instead of a 128-byte Event through an
-// indirect relocate call. Chunks never move once allocated, so a
-// closure is relocated exactly once (into its slot at schedule time)
-// and then *invoked in place* at dispatch — even if running it
-// schedules more events and grows the slab.
+// The closures live in a chunked slab with a free list; beside it, a
+// flat array holds each slot's 24-byte {at, seq, next, tail} node, the
+// only part of an event the bucket lists and their inserts touch.
+// Chunks never move once allocated, so a closure is relocated exactly
+// once (into its slot at schedule time) and then *invoked in place* at
+// dispatch — even if running it schedules more events and grows the
+// slab.
 #pragma once
 
 #include <algorithm>
@@ -90,15 +96,15 @@ using EventFn = util::InlineFunction;
 
 /// Calendar-queue tuning (EXPERIMENTS.md "engine profiling" documents
 /// the trade-offs). Events farther than bucket_width * bucket_count ns
-/// ahead of the cursor overflow into the fallback heap — that product
-/// is the implicit overflow threshold.
+/// ahead of the cursor overflow into the far-future store — that
+/// product is the implicit overflow threshold.
 struct CalendarConfig {
   /// log2 of the bucket width in ns (2 -> 4 ns per bucket — the scale
   /// of the inter-event gap in a loaded fabric, keeping occupancy ~1).
   unsigned bucket_bits = 2;
   /// Ring size; rounded up to a power of two. Defaults span ~64 us,
   /// which covers service completions and link deliveries; ms-scale
-  /// timers ride the overflow heap.
+  /// timers ride the overflow store.
   std::size_t bucket_count = 16384;
 };
 
@@ -186,8 +192,7 @@ class Engine {
 
   /// Capacity hint: the expected number of concurrently pending events
   /// (FabricSpec wires its own estimate through). Pre-sizes the closure
-  /// slab so steady state never grows it mid-run; buckets keep their
-  /// (small) capacity across steps regardless.
+  /// slab and its nodes so steady state never grows them mid-run.
   void reserve(std::size_t expected_pending);
 
   /// Monotone packet-id source shared by every generator in a network.
@@ -197,24 +202,35 @@ class Engine {
   [[nodiscard]] std::uint64_t events_dispatched() const { return events_dispatched_; }
 
  private:
-  /// A heap element: the ordering key plus the index of the closure in
-  /// `fns_`. Kept POD-small so heap sifts are three-word moves.
+  /// The ordering key plus the closure's slab slot: what enqueue
+  /// routes, and the overflow store's element. Kept POD-small so sorts
+  /// and merges are three-word moves.
   struct Event {
     SimNanos at;
     std::uint64_t seq;
     std::uint32_t fn;
   };
   /// The historical comparator, verbatim: min-(at, seq) under the
-  /// priority-queue convention. Bucket heaps and the overflow heap both
-  /// order with it, so dispatch order is bit-identical to the old
+  /// priority-queue convention. The bucket lists and the overflow store
+  /// both order with it, so dispatch order is bit-identical to the old
   /// single-heap engine (tests/property/engine_equivalence_test.cpp).
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
       if (a.at != b.at) return a.at > b.at;
       return a.seq > b.seq;
     }
   };
-  using Bucket = std::vector<Event>;
+  /// A slab slot's key and bucket-list link. `tail` is meaningful only
+  /// on a list's head node: the last node of its bucket.
+  struct Node {
+    SimNanos at;
+    std::uint64_t seq;
+    std::uint32_t next;
+    std::uint32_t tail;
+  };
+  /// The empty bucket, and the end of a list.
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
   /// Closures per slab chunk. Chunk addresses are stable, so dispatch
   /// can invoke a closure in place while it schedules new events.
@@ -244,6 +260,7 @@ class Engine {
   }
   /// Queue a keyed event: into the ring, or overflow when far ahead.
   void enqueue(Event event);
+  /// Key `event`'s node and link it into its bucket's list.
   void push_calendar(Event event);
   /// The earliest far-future event across the sorted store and the
   /// staging area (nullptr when both are empty).
@@ -253,16 +270,16 @@ class Engine {
   void flush_overflow();
   /// Pull every overflow event whose day the ring now covers.
   void migrate_overflow();
-  /// First non-empty bucket at or after the cursor in day order (the
-  /// occupancy-bitmap scan). Requires calendar_size_ > 0.
-  [[nodiscard]] Bucket* scan_ring();
-  /// The bucket holding the next event to dispatch, with its admission
-  /// window advanced — or nullptr when the engine is empty or the next
-  /// event is past `deadline` (in which case no state changes, so the
-  /// cursor never overruns an undispatched event).
-  [[nodiscard]] Bucket* next_bucket(SimNanos deadline);
-  /// Pop the minimum of the cursor bucket and dispatch it.
-  void dispatch_from(Bucket& bucket);
+  /// Head slot of the first non-empty bucket at or after the cursor in
+  /// day order (the occupancy-bitmap scan). Requires calendar_size_ > 0.
+  [[nodiscard]] std::uint32_t* scan_ring();
+  /// The head slot of the bucket holding the next event to dispatch,
+  /// with its admission window advanced — or nullptr when the engine is
+  /// empty or the next event is past `deadline` (in which case no state
+  /// changes, so the cursor never overruns an undispatched event).
+  [[nodiscard]] std::uint32_t* next_bucket(SimNanos deadline);
+  /// Pop the head of the cursor bucket and dispatch it.
+  void dispatch_from(std::uint32_t& head);
 
   CalendarConfig config_;
   SimNanos now_ = 0;
@@ -274,7 +291,8 @@ class Engine {
   std::uint64_t last_packet_id_ = 0;
   std::uint64_t events_dispatched_ = 0;
 
-  std::vector<Bucket> buckets_;
+  /// Per bucket, the slot of its earliest node, or kNil when empty.
+  std::vector<std::uint32_t> heads_;
   /// One bit per bucket: set while the bucket is non-empty. The dequeue
   /// scan jumps empty stretches 64 buckets at a time.
   std::vector<std::uint64_t> occupied_;
@@ -294,12 +312,14 @@ class Engine {
   std::vector<Event> overflow_sorted_;
   std::vector<Event> overflow_staging_;
   Event staging_min_{};
-  /// Closure slab: heap elements reference slots here by index. Fixed
-  /// chunks (never reallocated) keep slot addresses stable across
-  /// growth, so dispatch runs the closure in its slot and recycles the
-  /// slot through `free_fns_` afterwards — no move-out per event.
+  /// Closure slab: bucket lists and overflow elements reference slots
+  /// here by index. Fixed chunks (never reallocated) keep slot
+  /// addresses stable across growth, so dispatch runs the closure in
+  /// its slot and recycles the slot through `free_fns_` afterwards — no
+  /// move-out per event.
   std::vector<std::unique_ptr<EventFn[]>> fn_chunks_;
-  std::size_t fn_count_ = 0;
+  /// One node per slab slot (nodes_.size() slots are in use or free).
+  std::vector<Node> nodes_;
   std::vector<std::uint32_t> free_fns_;
 };
 

@@ -11,8 +11,15 @@
 // claim as a real no-op event, so its "already ran" flag is the ground
 // truth for Engine::passed(), and a claim materialised later must
 // dispatch exactly where its no-op would have.
+//
+// Crowded rings (64 ns to 1 us buckets) put tens of events in one
+// bucket. The claim workloads run on them too, and scripted scenarios
+// reach each insert path of a bucket's list: tail append, new head,
+// mid-list walk, overflow migration into an occupied bucket, and a
+// bucket that empties and refills in one day.
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <queue>
 #include <utility>
@@ -254,6 +261,22 @@ TEST(EngineEquivalence, MisfitCalendarKnobsStillExact) {
   }
 }
 
+/// Crowded rings: 64 ns to 1 us buckets put tens of events in one
+/// bucket, so every insert path of its list runs.
+const CalendarConfig kCrowdedConfigs[] = {
+    {.bucket_bits = 6, .bucket_count = 4},    {.bucket_bits = 6, .bucket_count = 64},
+    {.bucket_bits = 7, .bucket_count = 16},   {.bucket_bits = 8, .bucket_count = 2},
+    {.bucket_bits = 9, .bucket_count = 256},  {.bucket_bits = 10, .bucket_count = 8},
+    {.bucket_bits = 10, .bucket_count = 16384},
+};
+
+/// The default ring, a 2-bucket ring, and every crowded ring.
+std::vector<CalendarConfig> claim_configs() {
+  std::vector<CalendarConfig> configs = {CalendarConfig{}, {.bucket_bits = 0, .bucket_count = 2}};
+  configs.insert(configs.end(), std::begin(kCrowdedConfigs), std::end(kCrowdedConfigs));
+  return configs;
+}
+
 // ---- claimed keys ---------------------------------------------------
 
 /// Claims on the calendar engine: the key itself, never queued unless
@@ -371,10 +394,12 @@ void expect_claim_runs_equal(const CalendarClaimDriver& got, const ReferenceClai
 }
 
 TEST(EngineEquivalence, ClaimedKeysKeepTheReferenceOrder) {
-  const CalendarConfig configs[] = {CalendarConfig{}, {.bucket_bits = 0, .bucket_count = 2},
-                                    {.bucket_bits = 6, .bucket_count = 64}};
-  for (const CalendarConfig& config : configs) {
+  // On crowded rings old claimed keys walk their buckets, same-time
+  // bursts append, and overflow migrates into occupied buckets.
+  for (const CalendarConfig& config : claim_configs()) {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE(testing::Message() << "bucket_bits " << config.bucket_bits << ", bucket_count "
+                                      << config.bucket_count << ", seed " << seed);
       Engine calendar(config);
       ReferenceEngine reference;
       CalendarClaimDriver got{calendar, EngineClaims{calendar}, seed, 8};
@@ -401,42 +426,180 @@ TEST(EngineEquivalence, ClaimedKeysKeepTheReferenceOrder) {
 }
 
 TEST(EngineEquivalence, ClaimedKeysPassAtRunUntilDeadlines) {
-  Engine calendar;
-  ReferenceEngine reference;
-  CalendarClaimDriver got{calendar, EngineClaims{calendar}, 11, 5};
-  ReferenceClaimDriver want{reference, ReferenceClaims{reference}, 11, 5};
-  seed_initial(got, 11, 32);
-  seed_initial(want, 11, 32);
+  // Crowded rings make the deadlines stop mid-bucket.
+  for (const CalendarConfig& config : claim_configs()) {
+    SCOPED_TRACE(testing::Message() << "bucket_bits " << config.bucket_bits << ", bucket_count "
+                                    << config.bucket_count);
+    Engine calendar(config);
+    ReferenceEngine reference;
+    CalendarClaimDriver got{calendar, EngineClaims{calendar}, 11, 5};
+    ReferenceClaimDriver want{reference, ReferenceClaims{reference}, 11, 5};
+    seed_initial(got, 11, 32);
+    seed_initial(want, 11, 32);
 
-  std::uint64_t h = mix(171717);
-  SimNanos deadline = 0;
-  for (int round = 0; round < 60; ++round) {
-    h = mix(h);
-    // Deadlines often land exactly on a pending claim's time.
-    if (h % 3 == 0 && !got.open.empty()) {
-      deadline = std::max(deadline, got.open[(h >> 8) % got.open.size()].handle.at);
-    } else {
-      deadline += static_cast<SimNanos>(1 + h % 500'000);
+    std::uint64_t h = mix(171717);
+    SimNanos deadline = 0;
+    for (int round = 0; round < 60; ++round) {
+      h = mix(h);
+      // Deadlines often land exactly on a pending claim's time.
+      if (h % 3 == 0 && !got.open.empty()) {
+        deadline = std::max(deadline, got.open[(h >> 8) % got.open.size()].handle.at);
+      } else {
+        deadline += static_cast<SimNanos>(1 + h % 500'000);
+      }
+      calendar.run_until(deadline);
+      reference.run_until(deadline);
+      ASSERT_EQ(calendar.now(), reference.now()) << "round " << round;
+      got.check_passed();
+      want.check_passed();
+      // Claims and events spawned between deadlines, some right at now().
+      for (int extra = 0; extra < 3; ++extra) {
+        h = mix(h);
+        const auto delta = static_cast<SimNanos>(h % 3 == 0 ? 0 : h % 3'000'000);
+        got.spawn(0, calendar.now() + delta);
+        want.spawn(0, reference.now() + delta);
+      }
     }
-    calendar.run_until(deadline);
-    reference.run_until(deadline);
-    ASSERT_EQ(calendar.now(), reference.now()) << "round " << round;
+    calendar.run();
+    reference.run();
     got.check_passed();
     want.check_passed();
-    // Claims and events spawned between deadlines, some right at now().
-    for (int extra = 0; extra < 3; ++extra) {
-      h = mix(h);
-      const auto delta = static_cast<SimNanos>(h % 3 == 0 ? 0 : h % 3'000'000);
-      got.spawn(0, calendar.now() + delta);
-      want.spawn(0, reference.now() + delta);
-    }
+    expect_claim_runs_equal(got, want);
+    EXPECT_EQ(calendar.now(), reference.now());
   }
-  calendar.run();
-  reference.run();
-  got.check_passed();
-  want.check_passed();
-  expect_claim_runs_equal(got, want);
-  EXPECT_EQ(calendar.now(), reference.now());
+}
+
+// ---- bucket lists on crowded rings -----------------------------------
+//
+// Scripted scenarios, one per insert path of a bucket's list: the tail
+// append, a new minimum that takes the head (and must keep the tail), a
+// walk to the middle (an older claimed key, an overflow event migrating
+// into an occupied bucket), and pops that hand the tail on to the next
+// head.
+
+/// Scripted events for one engine: each logs (id, now()) and then runs
+/// its follow-up, which schedules more of the script.
+template <typename EngineT, typename Claims>
+struct Script {
+  EngineT& engine;
+  Claims claims;
+  std::vector<std::pair<std::uint64_t, SimNanos>> log{};
+
+  void event(std::uint64_t id, SimNanos at, std::function<void()> then = {}) {
+    engine.schedule_at(at, [this, id, then = std::move(then)] {
+      log.emplace_back(id, engine.now());
+      if (then) then();
+    });
+  }
+  void materialise(std::uint64_t id, const typename Claims::Handle& key) {
+    claims.materialise(key, [this, id] { log.emplace_back(id, engine.now()); });
+  }
+};
+
+/// Runs `scenario` on the calendar engine under every crowded config and
+/// on the reference, and requires the same dispatch log and final now().
+template <typename Scenario>
+void expect_scenario_matches(const Scenario& scenario) {
+  for (const CalendarConfig& config : kCrowdedConfigs) {
+    SCOPED_TRACE(testing::Message() << "bucket_bits " << config.bucket_bits << ", bucket_count "
+                                    << config.bucket_count);
+    Engine calendar(config);
+    ReferenceEngine reference;
+    Script<Engine, EngineClaims> got{calendar, EngineClaims{calendar}};
+    Script<ReferenceEngine, ReferenceClaims> want{reference, ReferenceClaims{reference}};
+    scenario(got);
+    scenario(want);
+    calendar.run();
+    reference.run();
+    expect_logs_equal(got.log, want.log);
+    EXPECT_EQ(calendar.now(), reference.now());
+    EXPECT_EQ(calendar.pending(), 0u);
+  }
+}
+
+TEST(EngineEquivalence, BucketListAppendsInOrderKeys) {
+  expect_scenario_matches([](auto& s) {
+    // Ascending keys, ties included: every insert is a tail append.
+    for (std::uint64_t i = 0; i < 40; ++i) s.event(i, static_cast<SimNanos>(i / 2));
+    // Appends onto a bucket that has already dispatched some events.
+    s.event(100, 19, [&s] {
+      for (std::uint64_t i = 0; i < 8; ++i) s.event(101 + i, 20 + static_cast<SimNanos>(i));
+    });
+  });
+}
+
+TEST(EngineEquivalence, BucketListNewMinimumKeepsTheTail) {
+  expect_scenario_matches([](auto& s) {
+    s.event(0, 40);
+    s.event(1, 50);
+    s.event(2, 10);  // new head: the tail must stay at 50
+    s.event(3, 60);  // append after 50, through the new head's tail
+    s.event(4, 5);   // new head again
+    s.event(5, 45);  // walks to the middle
+    s.event(6, 60);  // ties 3: append
+    s.event(7, 5);   // ties the head at a later seq: walks one node
+    s.event(8, 61);
+  });
+}
+
+TEST(EngineEquivalence, BucketListWalksForAnOlderClaimedKey) {
+  expect_scenario_matches([](auto& s) {
+    s.event(0, 10);
+    const auto mid = s.claims.claim(20);
+    const auto first = s.claims.claim(10);
+    const auto last = s.claims.claim(30);
+    s.event(1, 20);
+    s.event(2, 25);
+    s.event(3, 30);
+    s.event(4, 30);
+    // Each older key lands between events queued after its claim.
+    s.materialise(10, mid);
+    s.materialise(11, first);
+    s.materialise(12, last);
+    s.event(5, 31);  // and the tail is still the last node
+  });
+}
+
+TEST(EngineEquivalence, BucketListTakesMigratingOverflowEvents) {
+  expect_scenario_matches([](auto& s) {
+    // Far-future events, scheduled while the window is at day 0: on a
+    // 4-bucket ring of 64 ns they wait in overflow.
+    s.event(0, 100'000);
+    s.event(1, 100'010);
+    s.event(2, 100'040);
+    s.event(3, 99'990);
+    // Step the cursor toward them, then queue ring events into the very
+    // bucket the overflow events migrate into.
+    s.event(4, 50'000, [&s] {
+      s.event(5, 99'900, [&s] {
+        s.event(6, 99'995);
+        s.event(7, 100'005);
+        s.event(8, 100'020);
+        s.event(9, 100'050);
+      });
+    });
+  });
+}
+
+TEST(EngineEquivalence, BucketListEmptiesAndRefillsWithinADay) {
+  expect_scenario_matches([](auto& s) {
+    s.event(0, 0);
+    s.event(1, 0, [&s] {
+      // Popping 0 and 1 emptied the bucket; refill it at now().
+      s.event(2, 0, [&s] { s.event(5, 2); });  // walks past 8
+      s.event(3, 1);
+      s.event(4, 3, [&s] {
+        s.event(6, 3);  // new head before 9
+        s.event(7, 4);  // walks between 6 and 9
+      });
+      s.event(8, 2, [&s] {
+        // Pops have handed the tail on through heads 3, 8 and 5: the
+        // append must land after 4.
+        s.event(9, 6);
+        s.event(10, 2);  // walks between 5 and 4
+      });
+    });
+  });
 }
 
 TEST(EngineEquivalence, RunEndsAtTheLatestClaim) {
