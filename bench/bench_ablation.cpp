@@ -54,7 +54,8 @@ Outcome run_merged(const RigOptions& options) {
   rig.add_hosts(device, options);
 
   auto& merged = rig.network.add_node<softswitch::SoftSwitch>(
-      "merged-ss", 0x99, 1, /*table_count=*/1, options.specialized_matchers);
+      "merged-ss", 0x99, 1,
+      softswitch::SwitchSpec{.tables = 1, .specialized = options.sw.specialized});
   rig.network.connect(device, static_cast<std::size_t>(options.host_count), merged, 0,
                       options.trunk_link);
 
@@ -115,10 +116,10 @@ int main() {
     const Outcome harmless_outcome = run_harmless(options);
     const Outcome merged_outcome = run_merged(options);
     RigOptions linear_options = options;
-    linear_options.specialized_matchers = false;
+    linear_options.sw.specialized = false;
     const Outcome linear_outcome = run_harmless(linear_options);
     RigOptions uncached_options = options;
-    uncached_options.flow_cache = false;
+    uncached_options.sw.flow_cache = false;
     const Outcome uncached_outcome = run_harmless(uncached_options);
     table.add_row({std::to_string(hosts), "HARMLESS (SS_1+SS_2)",
                    util::si_format(harmless_outcome.pps, "pps"),

@@ -80,10 +80,10 @@ struct ScalingRun {
 /// per-packet number.
 ScalingRun connection_scaling(std::size_t connections, std::size_t packets) {
   sim::Network network;
-  auto& sw = network.add_node<softswitch::SoftSwitch>("ct-scale", 0x90, 2);
   openflow::CtConfig config;
   config.max_connections = 1'200'000;  // hold the largest preload
-  sw.enable_conntrack(config);
+  auto& sw = network.add_node<softswitch::SoftSwitch>("ct-scale", 0x90, 2,
+                                                      softswitch::SwitchSpec{.conntrack = config});
 
   auto& a = network.add_host("a", host_mac(0), host_ip(0));
   auto& b = network.add_host("b", host_mac(1), host_ip(1));
@@ -198,19 +198,14 @@ NatRun nat_core_scaling(std::size_t cores, std::size_t packets_per_port) {
   constexpr int kInside = 8;
   constexpr std::size_t kPortQueue = 256;
   sim::Network network;
-  sim::IngressSpec ingress;
-  ingress.cores.cores = cores;
-  ingress.cores.rss = sim::RssPolicy::kSymmetric;
-  ingress.port_queue_capacity = kPortQueue;
-  ingress.queue_capacity = (kInside + 1) * kPortQueue;
-  auto& sw = network.add_node<softswitch::SoftSwitch>("natgw", 0x91, kInside + 1, 2, true,
-                                                      true, 32, ingress);
-  openflow::CtConfig config;
-  config.udp_timeout = 500'000'000;  // shorten the post-offer drain
-  sw.enable_conntrack(config);
-  softswitch::DatapathCosts costs;
-  costs.rx_tx_pkt_ns = 600;  // ~1.5 Mpps per core: the ports overload it
-  sw.set_costs(costs);
+  softswitch::SwitchSpec spec{
+      .ingress = {.queue_capacity = (kInside + 1) * kPortQueue,
+                  .port_queue_capacity = kPortQueue,
+                  .cores = {.cores = cores, .rss = sim::RssPolicy::kSymmetric}},
+      .conntrack = openflow::CtConfig{}};
+  spec.conntrack->udp_timeout = 500'000'000;  // shorten the post-offer drain
+  spec.costs.rx_tx_pkt_ns = 600;  // ~1.5 Mpps per core: the ports overload it
+  auto& sw = network.add_node<softswitch::SoftSwitch>("natgw", 0x91, kInside + 1, spec);
 
   const net::Ipv4Addr external_ip(203, 0, 113, 1);
   sim::Host& server = network.add_host("server", host_mac(16), net::Ipv4Addr(198, 51, 100, 10));
@@ -314,8 +309,9 @@ struct PathRun {
 PathRun firewall_path(bool established, bool flow_cache, std::size_t packets,
                       const std::string& name) {
   sim::Network network;
-  auto& sw = network.add_node<softswitch::SoftSwitch>("fw", 0x92, 2, 2, true, flow_cache);
-  sw.enable_conntrack(openflow::CtConfig{});
+  auto& sw = network.add_node<softswitch::SoftSwitch>(
+      "fw", 0x92, 2,
+      softswitch::SwitchSpec{.flow_cache = flow_cache, .conntrack = openflow::CtConfig{}});
 
   auto& a = network.add_host("a", host_mac(0), host_ip(0));
   auto& b = network.add_host("b", host_mac(1), host_ip(1));

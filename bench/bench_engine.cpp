@@ -199,15 +199,13 @@ EngineRun table7_overload(std::size_t cores, int ports, std::size_t packets_per_
   RigOptions options;
   options.host_count = ports;
   options.access_link = sim::LinkSpec::gbps(1);
-  options.burst_size = 32;
-  options.cores.cores = cores;
-  options.cores.rss = sim::RssPolicy::kStride;
-  options.port_queue_capacity = 256;
-  options.queue_capacity = static_cast<std::size_t>(ports) * 256;
+  options.sw.burst_size = 32;
+  options.sw.ingress.cores.cores = cores;
+  options.sw.ingress.cores.rss = sim::RssPolicy::kStride;
+  options.sw.ingress.port_queue_capacity = 256;
+  options.sw.ingress.queue_capacity = static_cast<std::size_t>(ports) * 256;
+  options.sw.costs.rx_tx_pkt_ns = 600;  // ~1.6 Mpps per core: the ports overload it
   NativeRig rig(options);
-  softswitch::DatapathCosts costs;
-  costs.rx_tx_pkt_ns = 600;  // ~1.6 Mpps per core: the ports overload it
-  rig.datapath->set_costs(costs);
 
   sim::LatencyRecorder recorder;
   for (sim::Host* host : rig.hosts) host->set_recorder(&recorder);

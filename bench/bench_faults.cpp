@@ -108,8 +108,14 @@ Row run_scenario(softswitch::FailoverSpec::Mode mode, sim::SimNanos outage_ns,
   const sim::SimNanos heal = kOutageStart + outage_ns;
 
   sim::Network network;
+  softswitch::FailoverSpec spec;
+  spec.mode = mode;
+  spec.echo_interval_ns = 500'000;
+  spec.warmup_ns = kMs;  // post-resync packet-in governor
+  spec.warmup_packet_in_budget = 8;
   auto& sw = network.add_node<softswitch::SoftSwitch>(
-      "dp", 0xD0, static_cast<std::size_t>(host_count), /*table_count=*/1);
+      "dp", 0xD0, static_cast<std::size_t>(host_count),
+      softswitch::SwitchSpec{.tables = 1, .failover = spec});
   std::vector<sim::Host*> local_hosts;
   for (int i = 0; i < host_count; ++i) {
     sim::Host& host = network.add_host("h" + std::to_string(i), host_mac(i), host_ip(i));
@@ -122,13 +128,6 @@ Row run_scenario(softswitch::FailoverSpec::Mode mode, sim::SimNanos outage_ns,
   // the previous one, so re-installing N rules takes ~5N us.
   channel.set_min_gap(5'000);
   sw.attach_channel(channel);
-
-  softswitch::FailoverSpec spec;
-  spec.mode = mode;
-  spec.echo_interval_ns = 500'000;
-  spec.warmup_ns = kMs;  // post-resync packet-in governor
-  spec.warmup_packet_in_budget = 8;
-  sw.set_failover(spec);
 
   controller::Controller ctrl;
   auto& program = ctrl.add_app<controller::StaticFlowApp>();
@@ -350,8 +349,13 @@ void schedule_flow(sim::Engine& engine, sim::Host& a, sim::Host& b, const HaFlow
 
 HaRow run_crash_restart(sim::SimNanos checkpoint_interval) {
   sim::Network network;
-  auto& sw = network.add_node<softswitch::SoftSwitch>("fw", 0xE0, 2, /*table_count=*/1);
-  sw.enable_conntrack(openflow::CtConfig{});
+  softswitch::FailoverSpec spec;
+  spec.mode = softswitch::FailoverSpec::Mode::kFailSecure;
+  spec.echo_interval_ns = 500'000;
+  spec.checkpoint_interval_ns = checkpoint_interval;
+  auto& sw = network.add_node<softswitch::SoftSwitch>(
+      "fw", 0xE0, 2,
+      softswitch::SwitchSpec{.tables = 1, .conntrack = openflow::CtConfig{}, .failover = spec});
   auto& a = network.add_host("a", host_mac(0), host_ip(0));
   auto& b = network.add_host("b", host_mac(1), host_ip(1));
   network.connect(a, 0, sw, 0, sim::LinkSpec::gbps(10));
@@ -360,11 +364,6 @@ HaRow run_crash_restart(sim::SimNanos checkpoint_interval) {
   openflow::ControlChannel channel(network.engine());
   channel.set_min_gap(5'000);
   sw.attach_channel(channel);
-  softswitch::FailoverSpec spec;
-  spec.mode = softswitch::FailoverSpec::Mode::kFailSecure;
-  spec.echo_interval_ns = 500'000;
-  spec.checkpoint_interval_ns = checkpoint_interval;
-  sw.set_failover(spec);
 
   controller::Controller ctrl;
   auto& program = ctrl.add_app<controller::StaticFlowApp>();
@@ -413,11 +412,11 @@ HaRow run_crash_restart(sim::SimNanos checkpoint_interval) {
 HaRow run_takeover(sim::SimNanos lag_ns, double loss, bool auto_monitor) {
   constexpr std::size_t kFlowCount = 8;
   sim::Network network;
-  auto& mux = network.add_node<softswitch::SoftSwitch>("mux", 0xE1, 6, /*table_count=*/1);
-  auto& act = network.add_node<softswitch::SoftSwitch>("act", 0xE2, 2, /*table_count=*/1);
-  auto& stb = network.add_node<softswitch::SoftSwitch>("stb", 0xE3, 2, /*table_count=*/1);
-  act.enable_conntrack(openflow::CtConfig{});
-  stb.enable_conntrack(openflow::CtConfig{});
+  const softswitch::SwitchSpec gateway{.tables = 1, .conntrack = openflow::CtConfig{}};
+  auto& mux = network.add_node<softswitch::SoftSwitch>("mux", 0xE1, 6,
+                                                       softswitch::SwitchSpec{.tables = 1});
+  auto& act = network.add_node<softswitch::SoftSwitch>("act", 0xE2, 2, gateway);
+  auto& stb = network.add_node<softswitch::SoftSwitch>("stb", 0xE3, 2, gateway);
   auto& a = network.add_host("a", host_mac(0), host_ip(0));
   auto& b = network.add_host("b", host_mac(1), host_ip(1));
   network.connect(a, 0, mux, 0, sim::LinkSpec::gbps(10));
@@ -588,10 +587,9 @@ struct T11Row {
 T11Row run_partition(PartitionKind kind, bool fencing) {
   sim::Network network;
   sim::Engine& engine = network.engine();
-  auto& act = network.add_node<softswitch::SoftSwitch>("act", 0xF1, 2, /*table_count=*/1);
-  auto& stb = network.add_node<softswitch::SoftSwitch>("stb", 0xF2, 2, /*table_count=*/1);
-  act.enable_conntrack(openflow::CtConfig{});
-  stb.enable_conntrack(openflow::CtConfig{});
+  const softswitch::SwitchSpec gateway{.tables = 1, .conntrack = openflow::CtConfig{}};
+  auto& act = network.add_node<softswitch::SoftSwitch>("act", 0xF1, 2, gateway);
+  auto& stb = network.add_node<softswitch::SoftSwitch>("stb", 0xF2, 2, gateway);
   auto& a1 = network.add_host("a1", host_mac(0), host_ip(0));
   auto& b1 = network.add_host("b1", host_mac(1), host_ip(1));
   auto& a2 = network.add_host("a2", host_mac(2), host_ip(2));
@@ -714,23 +712,21 @@ CheckpointRow run_checkpoint_bytes(bool incremental) {
   constexpr sim::SimNanos kCkptEnd = 100 * kMs;
   sim::Network network;
   sim::Engine& engine = network.engine();
-  sim::IngressSpec ingress;
-  ingress.cores.cores = 8;
-  ingress.cores.rss = sim::RssPolicy::kSymmetric;
-  auto& sw = network.add_node<softswitch::SoftSwitch>("fw", 0xF5, 2, /*table_count=*/1,
-                                                      /*specialized=*/true, /*flow_cache=*/true,
-                                                      /*burst_size=*/32, ingress);
-  sw.enable_conntrack(openflow::CtConfig{});
+  softswitch::FailoverSpec spec;
+  spec.checkpoint_interval_ns = kMs;
+  spec.incremental_checkpoints = incremental;
+  auto& sw = network.add_node<softswitch::SoftSwitch>(
+      "fw", 0xF5, 2,
+      softswitch::SwitchSpec{
+          .tables = 1,
+          .ingress = {.cores = {.cores = 8, .rss = sim::RssPolicy::kSymmetric}},
+          .conntrack = openflow::CtConfig{},
+          .failover = spec});
   for (const openflow::FlowModMsg& rule : ct_firewall_rules()) sw.install(rule).check();
   auto& a = network.add_host("a", host_mac(0), host_ip(0));
   auto& b = network.add_host("b", host_mac(1), host_ip(1));
   network.connect(a, 0, sw, 0, sim::LinkSpec::gbps(10));
   network.connect(b, 0, sw, 1, sim::LinkSpec::gbps(10));
-
-  softswitch::FailoverSpec spec;
-  spec.checkpoint_interval_ns = kMs;
-  spec.incremental_checkpoints = incremental;
-  sw.set_failover(spec);
 
   // The skew: 32 connections committed once and then idle, spread by
   // RSS across the 8 shards...

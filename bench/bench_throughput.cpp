@@ -287,13 +287,11 @@ HolRun hol_run(sim::SchedulerSpec scheduler, std::size_t port_queue_capacity) {
   RigOptions options;
   options.host_count = 4;
   options.access_link = sim::LinkSpec::gbps(10);
-  options.burst_size = 32;
-  options.scheduler = scheduler;
-  options.port_queue_capacity = port_queue_capacity;
+  options.sw.burst_size = 32;
+  options.sw.ingress.scheduler = scheduler;
+  options.sw.ingress.port_queue_capacity = port_queue_capacity;
+  options.sw.costs.rx_tx_pkt_ns = 600;  // ~1.6 Mpps core: the elephant overloads it
   NativeRig rig(options);
-  softswitch::DatapathCosts costs;
-  costs.rx_tx_pkt_ns = 600;  // ~1.6 Mpps core: the elephant overloads it
-  rig.datapath->set_costs(costs);
 
   sim::LatencyRecorder mouse, elephant;
   rig.hosts[1]->set_recorder(&mouse);
@@ -450,9 +448,9 @@ CoreScaleRun core_scaling_run(std::size_t cores, int ports, bool skewed,
   RigOptions options;
   options.host_count = ports;
   options.access_link = sim::LinkSpec::gbps(1);
-  options.burst_size = 32;
-  options.cores.cores = cores;
-  options.cores.rss = policy;
+  options.sw.burst_size = 32;
+  options.sw.ingress.cores.cores = cores;
+  options.sw.ingress.cores.rss = policy;
   // Partitioned ingress buffers (the PR-3 isolation knob), with the
   // shared bound lifted out of the way: under a shared buffer, a
   // heavily-steered core's ports monopolize admission and starve the
@@ -460,12 +458,10 @@ CoreScaleRun core_scaling_run(std::size_t cores, int ports, bool skewed,
   // imbalance shows up where it belongs: as idle makespan on
   // under-steered cores (and empty cores at high core counts, the real
   // port-hash failure mode).
-  options.port_queue_capacity = 256;
-  options.queue_capacity = static_cast<std::size_t>(ports) * 256;
+  options.sw.ingress.port_queue_capacity = 256;
+  options.sw.ingress.queue_capacity = static_cast<std::size_t>(ports) * 256;
+  options.sw.costs.rx_tx_pkt_ns = 600;  // ~1.6 Mpps per core: the ports overload it
   NativeRig rig(options);
-  softswitch::DatapathCosts costs;
-  costs.rx_tx_pkt_ns = 600;  // ~1.6 Mpps per core: the ports overload it
-  rig.datapath->set_costs(costs);
 
   sim::LatencyRecorder recorder;
   for (sim::Host* host : rig.hosts) host->set_recorder(&recorder);

@@ -145,44 +145,17 @@ struct RigOptions {
   int host_count = 4;
   sim::LinkSpec access_link = sim::LinkSpec::gbps(10);
   sim::LinkSpec trunk_link = sim::LinkSpec::gbps(10);
-  bool specialized_matchers = true;
-  /// Two-tier flow cache on the soft switches (ablation knob).
-  bool flow_cache = true;
-  /// Megaflow tier probed by the pre-classifier linear scan instead of
-  /// the dpcls-style per-mask subtables (ablation knob).
-  bool cache_linear_scan = false;
-  /// Service burst size on the soft switches; 1 = per-packet datapath
-  /// (batching ablation knob).
-  std::size_t burst_size = 32;
-  /// Burst scheduler across the per-port RX queues (FCFS / RR / DRR).
-  sim::SchedulerSpec scheduler;
-  /// Shared ingress buffer bound (sum across all port queues).
-  std::size_t queue_capacity = 1024;
-  /// Per-port RX queue bound; 0 = only the shared buffer
-  /// (the historical shared-FIFO admission rule).
-  std::size_t port_queue_capacity = 0;
-  /// Worker-core layout of the soft switches: core count, RSS steering
-  /// policy, pin map. cores.cores = 1 is the single-core datapath.
-  sim::CoreSpec cores;
+  /// The OF datapath's shape: NativeRig's switch (with one table) and
+  /// both of HarmlessRig's soft switches (FabricSpec::sw). The failover
+  /// member applies to the controller-managed switch only; disabled by
+  /// default — identical to the pre-fault rigs.
+  softswitch::SwitchSpec sw;
   /// Bonded trunk legs between the legacy switch and the S4 box.
   int trunk_count = 1;
-  /// Controller-loss behaviour on the OF datapath (NativeRig's switch,
-  /// HarmlessRig's SS_2). Default disabled: no probes, no degraded
-  /// modes — identical to the pre-fault rigs.
-  softswitch::FailoverSpec failover;
   /// Control-channel serialization gap per message (resync pacing) and
   /// one-way latency.
   sim::SimNanos control_min_gap = 0;
   sim::SimNanos control_latency = 50'000;
-
-  [[nodiscard]] sim::IngressSpec ingress() const {
-    sim::IngressSpec spec;
-    spec.queue_capacity = queue_capacity;
-    spec.port_queue_capacity = port_queue_capacity;
-    spec.scheduler = scheduler;
-    spec.cores = cores;
-    return spec;
-  }
 };
 
 inline net::MacAddr host_mac(int index) {
@@ -262,12 +235,10 @@ struct NativeRig : BaseRig {
   softswitch::SoftSwitch* datapath = nullptr;
 
   explicit NativeRig(const RigOptions& options = {}) {
+    softswitch::SwitchSpec spec = options.sw;
+    spec.tables = 1;
     datapath = &network.add_node<softswitch::SoftSwitch>(
-        "native-ss", 0xbe, static_cast<std::size_t>(options.host_count), 1,
-        options.specialized_matchers, options.flow_cache, options.burst_size,
-        options.ingress());
-    datapath->pipeline().set_linear_scan(options.cache_linear_scan);
-    if (options.failover.enabled()) datapath->set_failover(options.failover);
+        "native-ss", 0xbe, static_cast<std::size_t>(options.host_count), spec);
     add_hosts(*datapath, options);
     for (int i = 0; i < options.host_count; ++i) {
       openflow::FlowModMsg mod;
@@ -296,14 +267,9 @@ struct HarmlessRig : BaseRig {
     auto map = core::PortMap::make_bonded(access_ports, trunk_ports);
     core::FabricSpec spec;
     spec.trunk_link = options.trunk_link;
-    spec.specialized_matchers = options.specialized_matchers;
-    spec.flow_cache = options.flow_cache;
-    spec.cache_linear_scan = options.cache_linear_scan;
-    spec.burst_size = options.burst_size;
-    spec.ingress = options.ingress();
+    spec.sw = options.sw;
     spec.control_latency = options.control_latency;
     spec.control_min_gap = options.control_min_gap;
-    spec.ss2_failover = options.failover;
     fabric.emplace(core::Fabric::build(network, *device, *map, spec));
     // Static L2 program on SS_2 (what the learning app would converge to).
     for (int i = 0; i < options.host_count; ++i) {

@@ -4,10 +4,11 @@
 // started on, so draining a backend never breaks connections in
 // flight.
 //
-//   $ ./maglev_lb [clients]
+//   $ ./maglev_lb [clients] [--cores N]   (N worker cores, symmetric RSS)
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <string_view>
 
 #include "controller/apps/maglev.hpp"
 #include "controller/controller.hpp"
@@ -20,12 +21,21 @@
 using namespace harmless;
 
 int main(int argc, char** argv) {
-  const std::uint32_t clients = argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 90;
+  std::uint32_t clients = 90;
+  std::size_t cores = 1;
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) == "--cores" && i + 1 < argc)
+      cores = std::strtoul(argv[++i], nullptr, 10);
+    else
+      clients = static_cast<std::uint32_t>(std::atoi(argv[i]));
+  }
   std::printf("== Maglev LB with conntrack affinity: %u clients, 3 backends ==\n\n", clients);
 
   sim::Network network;
-  auto& sw = network.add_node<softswitch::SoftSwitch>("lb", 0x1B, 4);
-  sw.enable_conntrack(openflow::CtConfig{});
+  const softswitch::SwitchSpec spec{
+      .ingress = {.cores = {.cores = cores, .rss = sim::RssPolicy::kSymmetric}},
+      .conntrack = openflow::CtConfig{}};
+  auto& sw = network.add_node<softswitch::SoftSwitch>("lb", 0x1B, 4, spec);
   openflow::ControlChannel channel(network.engine(), 10'000);
   sw.attach_channel(channel);
 

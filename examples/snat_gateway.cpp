@@ -3,9 +3,11 @@
 // allocated by the tracker, replies translated back, unsolicited
 // inbound dropped.
 //
-//   $ ./snat_gateway
+//   $ ./snat_gateway [--cores N]   (N worker cores, symmetric RSS)
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
+#include <string_view>
 
 #include "controller/apps/nat.hpp"
 #include "controller/controller.hpp"
@@ -16,12 +18,17 @@
 
 using namespace harmless;
 
-int main() {
+int main(int argc, char** argv) {
+  std::size_t cores = 1;
+  for (int i = 1; i + 1 < argc; ++i)
+    if (std::string_view(argv[i]) == "--cores") cores = std::strtoul(argv[i + 1], nullptr, 10);
   std::puts("== Source NAT gateway on the stateful conntrack tier ==\n");
 
   sim::Network network;
-  auto& sw = network.add_node<softswitch::SoftSwitch>("natgw", 0x0A, 3);
-  sw.enable_conntrack(openflow::CtConfig{});
+  const softswitch::SwitchSpec spec{
+      .ingress = {.cores = {.cores = cores, .rss = sim::RssPolicy::kSymmetric}},
+      .conntrack = openflow::CtConfig{}};
+  auto& sw = network.add_node<softswitch::SoftSwitch>("natgw", 0x0A, 3, spec);
   openflow::ControlChannel channel(network.engine(), 10'000);
   sw.attach_channel(channel);
 

@@ -3,9 +3,11 @@
 // inbound traffic on the uplink is admitted only when conntrack says
 // it belongs to a connection an inside host opened.
 //
-//   $ ./stateful_firewall
+//   $ ./stateful_firewall [--cores N]   (N worker cores, symmetric RSS)
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
+#include <string_view>
 
 #include "controller/apps/stateful_fw.hpp"
 #include "controller/controller.hpp"
@@ -16,12 +18,17 @@
 
 using namespace harmless;
 
-int main() {
+int main(int argc, char** argv) {
+  std::size_t cores = 1;
+  for (int i = 1; i + 1 < argc; ++i)
+    if (std::string_view(argv[i]) == "--cores") cores = std::strtoul(argv[i + 1], nullptr, 10);
   std::puts("== Stateful perimeter firewall on the conntrack tier ==\n");
 
   sim::Network network;
-  auto& sw = network.add_node<softswitch::SoftSwitch>("fw", 0x0F, 3);
-  sw.enable_conntrack(openflow::CtConfig{});
+  const softswitch::SwitchSpec spec{
+      .ingress = {.cores = {.cores = cores, .rss = sim::RssPolicy::kSymmetric}},
+      .conntrack = openflow::CtConfig{}};
+  auto& sw = network.add_node<softswitch::SoftSwitch>("fw", 0x0F, 3, spec);
   openflow::ControlChannel channel(network.engine(), 10'000);
   sw.attach_channel(channel);
 

@@ -10,16 +10,14 @@ Fabric Fabric::build(sim::Network& network, legacy::LegacySwitch& device, const 
   network.engine().reserve(4096);
 
   // SS_1: trunk leg (OF 1) + one patch leg per mapping.
+  softswitch::SwitchSpec ss1_spec = spec.sw;
+  ss1_spec.tables = 1;
+  ss1_spec.failover = {};
   fabric.ss1_ = &network.add_node<softswitch::SoftSwitch>(
-      "SS_1", spec.ss1_datapath_id, fabric.map_.ss1_port_count(), /*table_count=*/1,
-      spec.specialized_matchers, spec.flow_cache, spec.burst_size, spec.ingress);
+      "SS_1", spec.ss1_datapath_id, fabric.map_.ss1_port_count(), ss1_spec);
   // SS_2: one OF port per managed access port.
-  fabric.ss2_ = &network.add_node<softswitch::SoftSwitch>(
-      "SS_2", spec.ss2_datapath_id, fabric.map_.size(), /*table_count=*/2,
-      spec.specialized_matchers, spec.flow_cache, spec.burst_size, spec.ingress);
-  // Every cache shard (one per worker core) follows the ablation knob.
-  fabric.ss1_->pipeline().set_linear_scan(spec.cache_linear_scan);
-  fabric.ss2_->pipeline().set_linear_scan(spec.cache_linear_scan);
+  fabric.ss2_ = &network.add_node<softswitch::SoftSwitch>("SS_2", spec.ss2_datapath_id,
+                                                          fabric.map_.size(), spec.sw);
 
   // Trunk cables: one per bonded leg, legacy trunk port i <-> SS_1 OF
   // port (1+i).
@@ -47,7 +45,6 @@ Fabric Fabric::build(sim::Network& network, legacy::LegacySwitch& device, const 
       network.engine(), spec.control_latency, spec.control_seed);
   fabric.channel_->set_min_gap(spec.control_min_gap);
   fabric.ss2_->attach_channel(*fabric.channel_);
-  if (spec.ss2_failover.enabled()) fabric.ss2_->set_failover(spec.ss2_failover);
   return fabric;
 }
 

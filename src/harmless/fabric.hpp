@@ -35,25 +35,10 @@ struct FabricSpec {
   /// Trunk interconnect: typically faster than access links (the paper
   /// uses a 10G trunk-port-to-soft-switch cable for 1G access ports).
   sim::LinkSpec trunk_link = sim::LinkSpec::gbps(10);
-  /// Specialized flow-table matchers on both soft switches (false =
-  /// the linear matcher).
-  bool specialized_matchers = true;
-  /// Two-tier flow cache on both soft switches (ablation knob).
-  bool flow_cache = true;
-  /// Probe the megaflow tier with the pre-classifier linear scan
-  /// instead of the per-mask subtables (ablation knob; only meaningful
-  /// with flow_cache on).
-  bool cache_linear_scan = false;
-  /// Service burst size on both soft switches; 1 = the per-packet
-  /// datapath (batching ablation knob).
-  std::size_t burst_size = 32;
-  /// Ingress queueing on both soft switches: per-port RX queue bounds,
-  /// the burst scheduler (FCFS / RR / DRR) that picks which ports each
-  /// service burst drains, and the worker-core layout
-  /// (`ingress.cores`: core count, RSS steering policy, pin map — one
-  /// burst scheduler and one flow-cache shard per core). FCFS over the
-  /// shared bound with one core == the historical shared-FIFO datapath.
-  sim::IngressSpec ingress;
+  /// Both soft switches' shape: matchers, cache, burst, ingress queues
+  /// and cores, costs, conntrack. SS_2 takes it as given; SS_1 takes it
+  /// with one table and no failover, because SS_1 has no controller.
+  softswitch::SwitchSpec sw;
   /// Control channel one-way latency (controller is usually on-box or
   /// one rack away).
   sim::SimNanos control_latency = 50'000;
@@ -62,9 +47,6 @@ struct FabricSpec {
   /// model resync time scaling with flow count).
   std::uint64_t control_seed = 0xc0a7'0150'0fULL;
   sim::SimNanos control_min_gap = 0;
-  /// SS_2 controller-loss behaviour (disabled by default: no probes,
-  /// PR-6-identical). SS_1 never gets one — it has no controller.
-  softswitch::FailoverSpec ss2_failover;
   std::uint64_t ss1_datapath_id = 0x51;
   std::uint64_t ss2_datapath_id = 0x52;
 };

@@ -165,11 +165,6 @@ class Pipeline {
   [[nodiscard]] FlowCache& cache(std::size_t shard) { return *caches_.at(shard); }
   [[nodiscard]] const FlowCache& cache(std::size_t shard) const { return *caches_.at(shard); }
   [[nodiscard]] bool cache_enabled() const { return cache_enabled_; }
-  /// Flip every shard between dpcls subtables and the linear-scan
-  /// ablation (the per-shard knob, applied uniformly).
-  void set_linear_scan(bool linear) {
-    for (auto& shard : caches_) shard->set_linear_scan(linear);
-  }
   /// Set every shard's capacity limits uniformly. On a multi-core
   /// switch, `cache().set_limits(...)` configures shard 0 only — for
   /// capacity experiments use this (typically with per-shard limits of

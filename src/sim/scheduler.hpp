@@ -112,8 +112,9 @@ using Burst = std::vector<std::pair<int, net::Packet>>;
 enum class SchedulerKind : std::uint8_t { kFcfs, kRoundRobin, kDrr };
 [[nodiscard]] const char* to_string(SchedulerKind kind);
 
-/// Value-type selection of a scheduler, carried by FabricSpec /
-/// RigOptions and turned into a live object with make_scheduler().
+/// Value-type selection of a scheduler, carried by IngressSpec (and so
+/// by softswitch::SwitchSpec) and turned into a live object with
+/// make_scheduler().
 struct SchedulerSpec {
   SchedulerKind kind = SchedulerKind::kFcfs;
   /// Drr: bytes of credit banked per queue visit (one MTU by default,
@@ -123,7 +124,7 @@ struct SchedulerSpec {
   /// policy weights — a port with twice the quantum banks twice the
   /// credit per round and gets ~twice the goodput under overload.
   /// Ports beyond the vector (or with a 0 entry) use drr_quantum_bytes.
-  std::vector<std::size_t> drr_port_quantum_bytes;
+  std::vector<std::size_t> drr_port_quantum_bytes{};
   /// Adaptive burst sizing: each service step, a core's burst budget
   /// tracks its own backlog, clamped to [adaptive_min_burst, the
   /// node's burst_size]. Light load degrades to the per-packet
@@ -174,7 +175,7 @@ struct CoreSpec {
   /// other than kCoreUnpinned pin that port's queue to the given core
   /// (mod cores, so a map built for 8 cores still works on 2). Ports
   /// beyond the vector fall back to the RSS policy.
-  std::vector<std::uint32_t> pin_map;
+  std::vector<std::uint32_t> pin_map{};
 
   /// The steering decision: which core services queue `queue_index`.
   [[nodiscard]] std::size_t core_of(std::size_t queue_index) const {
@@ -292,10 +293,10 @@ class DrrScheduler final : public BurstScheduler {
 struct IngressSpec {
   std::size_t queue_capacity = 1024;
   std::size_t port_queue_capacity = 0;
-  SchedulerSpec scheduler;
+  SchedulerSpec scheduler{};
   /// Worker-core layout: queue -> core steering plus the core count.
   /// Every core gets its own scheduler instance built from `scheduler`.
-  CoreSpec cores;
+  CoreSpec cores{};
 };
 
 }  // namespace harmless::sim

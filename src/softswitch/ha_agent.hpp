@@ -128,7 +128,7 @@ class HaAgent {
   /// reference must outlive the agent.
   HaAgent(sim::Engine& engine, std::string owner, openflow::Pipeline& pipeline,
           const FailoverSpec& spec, FailoverStats& stats, const bool& crashed,
-          const sim::SimNanos& checkpoint_entry_ns)
+          sim::SimNanos checkpoint_entry_ns)
       : engine_(engine),
         owner_(std::move(owner)),
         pipeline_(pipeline),
@@ -246,7 +246,7 @@ class HaAgent {
   const FailoverSpec& spec_;
   FailoverStats& stats_;
   const bool& crashed_;
-  const sim::SimNanos& checkpoint_entry_ns_;
+  const sim::SimNanos checkpoint_entry_ns_;
 
   bool ct_sweep_scheduled_ = false;
   // The checkpoint image lives *outside* the datapath state a crash

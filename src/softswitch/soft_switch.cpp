@@ -9,17 +9,29 @@ namespace harmless::softswitch {
 
 using namespace openflow;
 
+void SwitchSpec::validate(const std::string& name) const {
+  if (conntrack && ingress.cores.cores > 1 && ingress.cores.rss != sim::RssPolicy::kSymmetric)
+    throw util::ConfigError(name + ": conntrack on " + std::to_string(ingress.cores.cores) +
+                            " cores needs RssPolicy::kSymmetric (replies must reach the "
+                            "shard that committed the connection)");
+}
+
 SoftSwitch::SoftSwitch(sim::Engine& engine, std::string name, std::uint64_t datapath_id,
-                       std::size_t of_port_count, std::size_t table_count, bool specialized,
-                       bool flow_cache, std::size_t burst_size, const sim::IngressSpec& ingress)
-    : ServicedNode(engine, std::move(name), ingress, burst_size),
+                       std::size_t of_port_count, const SwitchSpec& spec)
+    : ServicedNode(engine, std::move(name), spec.ingress, spec.burst_size),
       datapath_id_(datapath_id),
       of_port_count_(of_port_count),
-      pipeline_(table_count, specialized, flow_cache, core_count()),
+      pipeline_(spec.tables, spec.specialized, spec.flow_cache, core_count()),
+      costs_(spec.costs),
       port_up_(of_port_count + 1, true),
+      failover_(spec.failover),
+      failover_rng_(spec.failover.seed),
+      backoff_ns_(spec.failover.backoff_initial_ns),
       seen_cache_epoch_(pipeline_.cache().epoch()),
       ha_(engine_, this->name(), pipeline_, failover_, failover_stats_, restarting_,
           costs_.checkpoint_entry_ns) {
+  spec.validate(this->name());
+  if (spec.conntrack) pipeline_.enable_conntrack(*spec.conntrack);
   ensure_ports(of_port_count);
   // One RX queue per OF port from the start: the poll sweep pays for
   // every port the switch fronts, busy or idle (and the queue -> core
@@ -47,10 +59,7 @@ void SoftSwitch::bind_patch(std::uint32_t of_port, SoftSwitch& peer,
 }
 
 void SoftSwitch::enable_conntrack(const openflow::CtConfig& config) {
-  if (core_count() > 1 && ingress().cores.rss != sim::RssPolicy::kSymmetric)
-    throw util::ConfigError(name() + ": conntrack on " + std::to_string(core_count()) +
-                            " cores needs RssPolicy::kSymmetric (replies must reach the "
-                            "shard that committed the connection)");
+  SwitchSpec{.ingress = ingress(), .conntrack = config}.validate(name());
   pipeline_.enable_conntrack(config);
 }
 

@@ -1,8 +1,12 @@
 // softswitch/soft_switch.hpp — the x86 software switch datapath.
 //
 // One SoftSwitch is one software-switch instance of the paper (SS_1 or
-// SS_2): an OF1.3 pipeline bound to ports. OpenFlow port n corresponds
-// to sim port index n-1. A port is either
+// SS_2): an OF1.3 pipeline bound to ports. Everything that shapes it —
+// tables, matcher, cache, burst size, ingress queues and cores, the
+// price list, conntrack and failover — is one SwitchSpec, fixed and
+// validated (SwitchSpec::validate) at construction; SS_1 and SS_2
+// differ only in theirs. OpenFlow port n corresponds to sim port index
+// n-1. A port is either
 //   * wired  — attached to a sim Channel (a NIC + cable), or
 //   * patch  — bound to a port of another SoftSwitch in the same box
 //     (the SS_1<->SS_2 interconnect of Fig. 1): delivery is a queue
@@ -49,13 +53,13 @@
 // ESwitch/DPDK-class switch (~10 Mpps/core simple pipelines,
 // per-packet); the legacy ASIC in legacy_switch.hpp is faster per
 // packet but dumb — that contrast is exactly the trade HARMLESS
-// exploits. All knobs are documented in EXPERIMENTS.md.
+// exploits. Every SwitchSpec field is documented in EXPERIMENTS.md.
 //
 // The control side implements the OF session: hello/features, flow and
 // group mods with error replies, packet-in/out, barriers, flow stats,
 // flow-removed on expiry, port-status on failure injection.
 //
-// The control side is failable (PR 7). With a FailoverSpec enabled the
+// The control side is failable. With SwitchSpec::failover enabled the
 // switch probes controller liveness with echo requests; after
 // `echo_miss_threshold` consecutive unanswered probes it declares the
 // controller lost and enters one of the two OF1.3 §6.4 degraded modes:
@@ -217,12 +221,50 @@ struct DatapathCosts {
   }
 };
 
+/// Everything that shapes one soft switch, fixed at construction. SS_1
+/// and SS_2 of the paper are two SwitchSpecs; a bench rig or a fabric
+/// embeds one as `sw`. Build it with designated initializers — every
+/// member has a default, so `SwitchSpec{.burst_size = 1}` names only
+/// what differs.
+struct SwitchSpec {
+  std::size_t tables = 2;       // OF tables in the pipeline
+  bool specialized = true;      // specialized matchers (false = the linear matcher)
+  bool flow_cache = true;       // two-tier flow cache (ablation knob)
+  std::size_t burst_size = 32;  // service burst; 1 = the per-packet datapath
+  /// Per-port RX queue bounds, the burst scheduler and the worker-core
+  /// layout (one scheduler, cache shard and conntrack shard per core).
+  sim::IngressSpec ingress{};
+  DatapathCosts costs{};  // the price list of every simulated nanosecond
+  /// The stateful conntrack tier (openflow/conntrack.hpp), off when
+  /// empty: one connection-table shard per worker core; idle
+  /// connections expire off a self-disarming sweep timer
+  /// (CtConfig::sweep_interval).
+  std::optional<openflow::CtConfig> conntrack{};
+  /// Controller-loss handling and checkpoints; disabled by default. The
+  /// echo timer arms at attach_channel.
+  FailoverSpec failover{};
+
+  /// Throws util::ConfigError, naming switch `name`, for every illegal
+  /// combination: conntrack on more than one core needs
+  /// RssPolicy::kSymmetric, so both directions of a connection reach the
+  /// shard that committed it.
+  void validate(const std::string& name) const;
+};
+
 class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
  public:
+  /// `spec` is validated here (SwitchSpec::validate).
   SoftSwitch(sim::Engine& engine, std::string name, std::uint64_t datapath_id,
-             std::size_t of_port_count, std::size_t table_count = 2, bool specialized = true,
+             std::size_t of_port_count, const SwitchSpec& spec = {});
+  /// The positional form bench_suite builds with; forwards to the spec.
+  SoftSwitch(sim::Engine& engine, std::string name, std::uint64_t datapath_id,
+             std::size_t of_port_count, std::size_t table_count, bool specialized = true,
              bool flow_cache = true, std::size_t burst_size = 32,
-             const sim::IngressSpec& ingress = {});
+             const sim::IngressSpec& ingress = {})
+      : SoftSwitch(engine, std::move(name), datapath_id, of_port_count,
+                   SwitchSpec{.tables = table_count, .specialized = specialized,
+                              .flow_cache = flow_cache, .burst_size = burst_size,
+                              .ingress = ingress}) {}
 
   [[nodiscard]] std::uint64_t datapath_id() const { return datapath_id_; }
   [[nodiscard]] std::size_t of_port_count() const { return of_port_count_; }
@@ -287,20 +329,15 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
     return of_port >= 1 ? port_queue_peak_depth(of_port - 1) : 0;
   }
 
-  void set_costs(const DatapathCosts& costs) { costs_ = costs; }
   [[nodiscard]] const DatapathCosts& costs() const { return costs_; }
 
-  /// Enable the stateful conntrack tier (one connection-table shard per
-  /// worker core; see openflow/conntrack.hpp). Call before traffic and
-  /// HA wiring, like the other datapath shape knobs. Idle connections
-  /// expire off a self-disarming sweep timer (CtConfig::sweep_interval).
-  /// On more than one core both directions of a connection must reach
-  /// the same shard, so any RSS policy but kSymmetric throws
-  /// util::ConfigError.
+  /// SwitchSpec::conntrack after construction, for bench_suite; throws
+  /// through the same SwitchSpec::validate. Call before traffic.
   void enable_conntrack(const openflow::CtConfig& config);
 
-  /// Enable (or reconfigure) controller-loss handling. With the probe
-  /// timer armed the engine's queue never drains — use run_until().
+  /// SwitchSpec::failover after construction, for bench_suite; arms the
+  /// echo timer if a channel is attached. With the probe timer armed
+  /// the engine's queue never drains — use run_until().
   void set_failover(const FailoverSpec& spec);
   [[nodiscard]] const FailoverStats& failover_stats() const { return failover_stats_; }
 
@@ -383,7 +420,7 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   std::uint64_t datapath_id_;
   std::size_t of_port_count_;
   openflow::Pipeline pipeline_;
-  DatapathCosts costs_;
+  const DatapathCosts costs_;
   Counters counters_;
   openflow::ControlChannel* channel_ = nullptr;
   /// Fold any epoch advance since the last observation into the
@@ -422,7 +459,7 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   std::vector<openflow::BurstPacket> burst_items_;
   openflow::BurstResult burst_result_;
   /// Declared last: it holds references to pipeline_, failover_,
-  /// failover_stats_, restarting_ and costs_.
+  /// failover_stats_ and restarting_.
   HaAgent ha_;
 };
 

@@ -124,7 +124,7 @@ TEST(Fabric, MultiCoreFabricForwardsAndBillsSteering) {
   // steering bill (rss_hash_ns per packet, multi-core only) must show
   // up on both switches. Core counters must tile the node totals.
   FabricSpec spec;
-  spec.ingress.cores.cores = 4;
+  spec.sw.ingress.cores.cores = 4;
   Rig rig(spec);
   for (int round = 0; round < 3; ++round) {
     rig.hosts[0]->send(rig.udp(0, 1));

@@ -106,14 +106,10 @@ std::string describe(const ConnEntry& entry) {
 
 Observed run_nat_workload(const std::vector<Conn>& conns, std::size_t cores) {
   sim::Network network;
-  sim::IngressSpec ingress;
-  ingress.cores.cores = cores;
-  if (cores > 1) ingress.cores.rss = sim::RssPolicy::kSymmetric;
-  auto& sw = network.add_node<softswitch::SoftSwitch>("natgw", 0x4E, kInside + 1, 2, true, true,
-                                                      32, ingress);
-  CtConfig config;
-  config.nat_steer_shards = kSteerShards;
-  sw.enable_conntrack(config);
+  softswitch::SwitchSpec spec{.conntrack = CtConfig{.nat_steer_shards = kSteerShards}};
+  spec.ingress.cores.cores = cores;
+  if (cores > 1) spec.ingress.cores.rss = sim::RssPolicy::kSymmetric;
+  auto& sw = network.add_node<softswitch::SoftSwitch>("natgw", 0x4E, kInside + 1, spec);
 
   std::vector<sim::Host*> hosts;
   for (int i = 0; i < kInside; ++i) {
@@ -252,11 +248,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ConntrackEquivalence, ::testing::Values(3, 11, 2
 TEST(ConntrackEquivalence, DisabledConntrackSymmetricRssMatchesSingleCore) {
   auto run = [](std::size_t cores) {
     sim::Network network;
-    sim::IngressSpec ingress;
-    ingress.cores.cores = cores;
-    if (cores > 1) ingress.cores.rss = sim::RssPolicy::kSymmetric;
-    auto& sw = network.add_node<softswitch::SoftSwitch>("sw", 0x4F, kInside, 2, true, true, 32,
-                                                        ingress);
+    softswitch::SwitchSpec spec;
+    spec.ingress.cores.cores = cores;
+    if (cores > 1) spec.ingress.cores.rss = sim::RssPolicy::kSymmetric;
+    auto& sw = network.add_node<softswitch::SoftSwitch>("sw", 0x4F, kInside, spec);
     std::vector<sim::Host*> hosts;
     for (int i = 0; i < kInside; ++i) {
       auto& host = network.add_host("h" + std::to_string(i), inside_mac(i), inside_ip(i));

@@ -34,6 +34,7 @@ namespace {
 using namespace harmless;
 using softswitch::FailoverSpec;
 using softswitch::SoftSwitch;
+using softswitch::SwitchSpec;
 
 constexpr sim::SimNanos kMs = 1'000'000;
 
@@ -127,8 +128,13 @@ struct ChaosOutcome {
 ChaosOutcome run_chaos(std::uint64_t seed) {
   const int host_count = 4;
   sim::Network network;
+  FailoverSpec spec;
+  spec.mode = (seed % 2 == 0) ? FailoverSpec::Mode::kFailSecure
+                              : FailoverSpec::Mode::kFailStandalone;
+  spec.echo_interval_ns = 500'000;
+  spec.seed = seed;
   auto& sw = network.add_node<SoftSwitch>("sw", 0xC0, static_cast<std::size_t>(host_count),
-                                          /*table_count=*/1);
+                                          SwitchSpec{.tables = 1, .failover = spec});
   std::vector<sim::Host*> hosts;
   std::vector<std::unordered_set<std::uint64_t>> seen(static_cast<std::size_t>(host_count));
   ChaosOutcome outcome;
@@ -145,12 +151,6 @@ ChaosOutcome run_chaos(std::uint64_t seed) {
 
   openflow::ControlChannel channel(network.engine());
   sw.attach_channel(channel);
-  FailoverSpec spec;
-  spec.mode = (seed % 2 == 0) ? FailoverSpec::Mode::kFailSecure
-                              : FailoverSpec::Mode::kFailStandalone;
-  spec.echo_interval_ns = 500'000;
-  spec.seed = seed;
-  sw.set_failover(spec);
 
   controller::Controller ctrl;
   auto& app = ctrl.add_app<controller::StaticFlowApp>();
@@ -352,8 +352,15 @@ struct CtChaosRig {
   std::unordered_set<std::uint64_t> seen_b;
 
   explicit CtChaosRig(std::uint64_t seed, sim::SimNanos checkpoint_interval) {
-    sw = &network.add_node<SoftSwitch>("fw", 0xC7, 2, /*table_count=*/1);
-    sw->enable_conntrack(openflow::CtConfig{});
+    FailoverSpec spec;
+    spec.mode = FailoverSpec::Mode::kFailSecure;
+    spec.echo_interval_ns = 500'000;
+    spec.echo_miss_threshold = 3;
+    spec.seed = seed;
+    spec.checkpoint_interval_ns = checkpoint_interval;
+    sw = &network.add_node<SoftSwitch>(
+        "fw", 0xC7, 2,
+        SwitchSpec{.tables = 1, .conntrack = openflow::CtConfig{}, .failover = spec});
     a = &network.add_host("a", host_mac(0), host_ip(0));
     b = &network.add_host("b", host_mac(1), host_ip(1));
     network.connect(*a, 0, *sw, 0, sim::LinkSpec::gbps(10));
@@ -366,13 +373,6 @@ struct CtChaosRig {
     });
     channel = std::make_unique<openflow::ControlChannel>(network.engine());
     sw->attach_channel(*channel);
-    FailoverSpec spec;
-    spec.mode = FailoverSpec::Mode::kFailSecure;
-    spec.echo_interval_ns = 500'000;
-    spec.echo_miss_threshold = 3;
-    spec.seed = seed;
-    spec.checkpoint_interval_ns = checkpoint_interval;
-    sw->set_failover(spec);
     auto& app = ctrl.add_app<controller::StaticFlowApp>();
     for (const openflow::FlowModMsg& rule : ct_firewall_rules()) {
       app.flow(rule);
@@ -541,8 +541,9 @@ std::vector<openflow::FlowModMsg> snat_rules(net::MacAddr a_mac, net::MacAddr b_
 /// hosts a and b hang off the active and both boxes get snat_rules.
 struct HaPair {
   sim::Network network;
-  SoftSwitch& act = network.add_node<SoftSwitch>("act", 0xA1, 2, /*table_count=*/1);
-  SoftSwitch& stb = network.add_node<SoftSwitch>("stb", 0xA2, 2, /*table_count=*/1);
+  const SwitchSpec gateway{.tables = 1, .conntrack = openflow::CtConfig{}};
+  SoftSwitch& act = network.add_node<SoftSwitch>("act", 0xA1, 2, gateway);
+  SoftSwitch& stb = network.add_node<SoftSwitch>("stb", 0xA2, 2, gateway);
   sim::Host* a = nullptr;
   sim::Host* b = nullptr;
   softswitch::ReplicationChannel ab{network.engine()};  // act -> stb
@@ -552,8 +553,6 @@ struct HaPair {
   sim::WitnessLink wl_stb{network.engine(), witness, 0xA2};
 
   explicit HaPair(bool traffic) {
-    act.enable_conntrack(openflow::CtConfig{});
-    stb.enable_conntrack(openflow::CtConfig{});
     if (traffic) {
       a = &network.add_host("a", host_mac(0), host_ip(0));
       b = &network.add_host("b", host_mac(1), host_ip(1));

@@ -137,9 +137,9 @@ Observed run_waves(const std::vector<Wave>& waves, const sim::CoreSpec& cores,
                    bool adaptive_burst) {
   RigOptions options;
   options.host_count = kHosts;
-  options.burst_size = 8;
-  options.cores = cores;
-  options.scheduler.adaptive_burst = adaptive_burst;
+  options.sw.burst_size = 8;
+  options.sw.ingress.cores = cores;
+  options.sw.ingress.scheduler.adaptive_burst = adaptive_burst;
   NativeRig rig(options);
   install_port_l2(rig);
 
@@ -261,12 +261,12 @@ struct StormRun {
 StormRun run_storm(std::size_t cores, std::size_t megaflow_limit) {
   RigOptions options;
   options.host_count = kHosts;
-  options.burst_size = 8;
-  options.cores.cores = cores;
+  options.sw.burst_size = 8;
+  options.sw.ingress.cores.cores = cores;
   // Balanced by construction: stride pinning + a port-cycling workload
   // give every shard an identical slice of the storm, so per-shard
   // limits of limit/cores reproduce the single-core pressure exactly.
-  options.cores.rss = sim::RssPolicy::kStride;
+  options.sw.ingress.cores.rss = sim::RssPolicy::kStride;
   NativeRig rig(options);
   install_port_l2(rig);
   openflow::FlowCache::Limits limits;

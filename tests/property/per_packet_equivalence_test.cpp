@@ -41,6 +41,7 @@ using openflow::ControlChannel;
 using openflow::FlowModMsg;
 using softswitch::FailoverSpec;
 using softswitch::SoftSwitch;
+using softswitch::SwitchSpec;
 
 constexpr sim::SimNanos kUs = 1'000;
 constexpr sim::SimNanos kMs = 1'000'000;
@@ -105,13 +106,11 @@ FailoverSpec probing(FailoverSpec::Mode mode) {
 
 struct Options {
   int hosts = 4;
-  bool flow_cache = true;
-  bool conntrack = false;
-  openflow::CtConfig ct;
   /// Program the rules through a controller session (resync reinstalls
   /// them after a crash) instead of installing them directly.
   bool controller = false;
-  FailoverSpec failover;
+  /// The switch; the rig sets its burst size and ingress per Way.
+  SwitchSpec sw{.tables = 1};
 };
 
 /// `options.hosts` hosts on one soft switch running the per-packet
@@ -125,19 +124,17 @@ struct Rig {
   Digest digest;
 
   Rig(Way way, const Options& options, const std::vector<FlowModMsg>& rules) {
-    sim::IngressSpec ingress;
-    std::size_t burst_size = 1;
+    SwitchSpec spec = options.sw;
+    spec.burst_size = 1;
     if (way == Way::kAdaptiveTwoCores) {
-      burst_size = 32;
-      ingress.scheduler.adaptive_burst = true;
-      ingress.scheduler.adaptive_min_burst = 1;
-      ingress.cores.cores = 2;
-      ingress.cores.rss = sim::RssPolicy::kSymmetric;
+      spec.burst_size = 32;
+      spec.ingress.scheduler.adaptive_burst = true;
+      spec.ingress.scheduler.adaptive_min_burst = 1;
+      spec.ingress.cores.cores = 2;
+      spec.ingress.cores.rss = sim::RssPolicy::kSymmetric;
     }
     sw = &network.add_node<SoftSwitch>("sw", 0xE1, static_cast<std::size_t>(options.hosts),
-                                       /*table_count=*/1, /*specialized=*/true,
-                                       options.flow_cache, burst_size, ingress);
-    if (options.conntrack) sw->enable_conntrack(options.ct);
+                                       spec);
     for (int i = 0; i < options.hosts; ++i) {
       sim::Host& host = network.add_host("h" + std::to_string(i), host_mac(i), host_ip(i));
       network.connect(host, 0, *sw, static_cast<std::size_t>(i), sim::LinkSpec::gbps(10));
@@ -150,12 +147,10 @@ struct Rig {
     if (options.controller) {
       channel = std::make_unique<ControlChannel>(network.engine());
       sw->attach_channel(*channel);
-      sw->set_failover(options.failover);
       auto& app = ctrl.add_app<controller::StaticFlowApp>();
       for (const FlowModMsg& rule : rules) app.flow(rule);
       ctrl.connect(*channel, "sw");
     } else {
-      sw->set_failover(options.failover);
       for (const FlowModMsg& rule : rules) sw->install(rule).check();
     }
   }
@@ -219,7 +214,7 @@ struct Rig {
 /// Four hosts in a ring plus an unroutable stream and a port flap.
 Outcome run_plain(Way way, bool flow_cache) {
   Options options;
-  options.flow_cache = flow_cache;
+  options.sw.flow_cache = flow_cache;
   std::vector<FlowModMsg> rules;
   for (int i = 0; i < options.hosts; ++i) rules.push_back(l2_rule(i));
   rules.push_back(miss_rule(/*to_controller=*/false));
@@ -239,7 +234,7 @@ Outcome run_standalone_outage(Way way) {
   Options options;
   options.hosts = 3;
   options.controller = true;
-  options.failover = probing(FailoverSpec::Mode::kFailStandalone);
+  options.sw.failover = probing(FailoverSpec::Mode::kFailStandalone);
   Rig rig(way, options, {l2_rule(0), l2_rule(1), miss_rule(/*to_controller=*/true)});
   for (int i = 0; i < options.hosts; ++i)
     rig.stream(2 * kMs + static_cast<sim::SimNanos>(i) * 5 * kUs, i, (i + 1) % options.hosts,
@@ -255,7 +250,7 @@ Outcome run_switch_crash(Way way) {
   Options options;
   options.hosts = 3;
   options.controller = true;
-  options.failover = probing(FailoverSpec::Mode::kFailSecure);
+  options.sw.failover = probing(FailoverSpec::Mode::kFailSecure);
   Rig rig(way, options, {l2_rule(0), l2_rule(1), l2_rule(2), miss_rule(/*to_controller=*/true)});
   for (int i = 0; i < options.hosts; ++i)
     rig.stream(2 * kMs + static_cast<sim::SimNanos>(i) * 5 * kUs, i, (i + 1) % options.hosts,
@@ -273,13 +268,12 @@ Outcome run_conntrack_checkpointing(Way way) {
   Options options;
   options.hosts = 2;
   options.controller = true;
-  options.conntrack = true;
-  options.ct.tcp_established_timeout = 3 * kMs;
-  options.ct.tcp_transient_timeout = 3 * kMs;
-  options.ct.udp_timeout = 3 * kMs;
-  options.ct.sweep_interval = 1 * kMs;
-  options.failover = probing(FailoverSpec::Mode::kFailSecure);
-  options.failover.checkpoint_interval_ns = 1 * kMs;
+  options.sw.conntrack = openflow::CtConfig{.tcp_established_timeout = 3 * kMs,
+                                            .tcp_transient_timeout = 3 * kMs,
+                                            .udp_timeout = 3 * kMs,
+                                            .sweep_interval = 1 * kMs};
+  options.sw.failover = probing(FailoverSpec::Mode::kFailSecure);
+  options.sw.failover.checkpoint_interval_ns = 1 * kMs;
 
   FlowModMsg out;
   out.table_id = 0;

@@ -249,9 +249,9 @@ struct SinglePortRun {
 SinglePortRun run_single_port(const Script& script, sim::SchedulerSpec scheduler) {
   RigOptions options;
   options.host_count = 4;
-  options.burst_size = 8;
-  options.scheduler = scheduler;
-  options.port_queue_capacity = 16;  // tight per-port bound: drops happen
+  options.sw.burst_size = 8;
+  options.sw.ingress.scheduler = scheduler;
+  options.sw.ingress.port_queue_capacity = 16;  // tight per-port bound: drops happen
   NativeRig rig(options);
 
   for (const Script::Event& event : script.events) {
@@ -320,8 +320,8 @@ TEST(SchedulerMultiset, ReorderingNeverChangesWhatIsDeliveredOrCounted) {
   auto run = [](sim::SchedulerSpec scheduler) {
     RigOptions options;
     options.host_count = 4;
-    options.burst_size = 16;
-    options.scheduler = scheduler;
+    options.sw.burst_size = 16;
+    options.sw.ingress.scheduler = scheduler;
     NativeRig rig(options);
 
     SimNanos at = 10'000;

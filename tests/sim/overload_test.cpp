@@ -23,7 +23,7 @@ TEST(Overload, SoftSwitchQueueDropsUnderSaturation) {
   // the batched datapath out-serves this feed — see the next test.)
   RigOptions options;
   options.access_link = sim::LinkSpec::gbps(10);
-  options.burst_size = 1;
+  options.sw.burst_size = 1;
   NativeRig rig(options);
   sim::LatencyRecorder recorder;
   rig.hosts[0]->set_recorder(&recorder);
@@ -52,7 +52,7 @@ TEST(Overload, BatchedDatapathAbsorbsTheSameFeed) {
   // and nothing tail-drops.
   RigOptions options;
   options.access_link = sim::LinkSpec::gbps(10);
-  options.burst_size = 32;
+  options.sw.burst_size = 32;
   NativeRig rig(options);
   sim::LatencyRecorder recorder;
   rig.hosts[0]->set_recorder(&recorder);
@@ -82,9 +82,9 @@ IsolationRun isolation_run(sim::SchedulerSpec scheduler, std::size_t port_queue_
   RigOptions options;
   options.host_count = 4;
   options.access_link = sim::LinkSpec::gbps(10);
-  options.burst_size = 1;  // the CPU-bound per-packet datapath: overload is real
-  options.scheduler = scheduler;
-  options.port_queue_capacity = port_queue_capacity;
+  options.sw.burst_size = 1;  // the CPU-bound per-packet datapath: overload is real
+  options.sw.ingress.scheduler = scheduler;
+  options.sw.ingress.port_queue_capacity = port_queue_capacity;
   NativeRig rig(options);
   sim::LatencyRecorder mouse;
   rig.hosts[1]->set_recorder(&mouse);

@@ -81,10 +81,9 @@ TEST(CoreSpecPolicy, AsymmetricPoliciesUnchangedBySymmetricVariant) {
 // enter on different ports.
 TEST(SymmetricRss, BothFlowDirectionsLandOnOneCore) {
   Network network;
-  IngressSpec ingress;
-  ingress.cores.cores = 4;
-  ingress.cores.rss = RssPolicy::kSymmetric;
-  auto& sw = network.add_node<softswitch::SoftSwitch>("sw", 0x51, 2, 2, true, true, 32, ingress);
+  auto& sw = network.add_node<softswitch::SoftSwitch>(
+      "sw", 0x51, 2,
+      softswitch::SwitchSpec{.ingress = {.cores = {.cores = 4, .rss = RssPolicy::kSymmetric}}});
 
   auto& a = network.add_host("a", net::MacAddr::from_u64(0xA), net::Ipv4Addr(10, 0, 0, 1));
   auto& b = network.add_host("b", net::MacAddr::from_u64(0xB), net::Ipv4Addr(10, 0, 0, 2));
@@ -147,11 +146,9 @@ TEST(SymmetricRss, BothFlowDirectionsLandOnOneCore) {
 TEST(SymmetricRss, SingleCoreCollapsesToDefaultLayout) {
   auto deliver = [](RssPolicy policy) {
     Network network;
-    IngressSpec ingress;
-    ingress.cores.cores = 1;
-    ingress.cores.rss = policy;
-    auto& sw =
-        network.add_node<softswitch::SoftSwitch>("sw", 0x52, 2, 2, true, true, 32, ingress);
+    auto& sw = network.add_node<softswitch::SoftSwitch>(
+        "sw", 0x52, 2,
+        softswitch::SwitchSpec{.ingress = {.cores = {.cores = 1, .rss = policy}}});
     auto& a = network.add_host("a", net::MacAddr::from_u64(0xA), net::Ipv4Addr(10, 0, 0, 1));
     auto& b = network.add_host("b", net::MacAddr::from_u64(0xB), net::Ipv4Addr(10, 0, 0, 2));
     network.connect(a, 0, sw, 0, LinkSpec::gbps(1));

@@ -27,8 +27,8 @@ struct Rig {
   sim::Host* b;
 
   explicit Rig(CtConfig config = {}, std::size_t burst_size = 32) {
-    sw = &network.add_node<SoftSwitch>("sw", 0xC7, 2, 2, true, true, burst_size);
-    sw->enable_conntrack(config);
+    sw = &network.add_node<SoftSwitch>("sw", 0xC7, 2,
+                                       SwitchSpec{.burst_size = burst_size, .conntrack = config});
     a = &network.add_host("a", MacAddr::from_u64(0xA), Ipv4Addr(10, 0, 0, 1));
     b = &network.add_host("b", MacAddr::from_u64(0xB), Ipv4Addr(10, 0, 0, 2));
     network.connect(*a, 0, *sw, 0, LinkSpec::gbps(1));
@@ -272,17 +272,48 @@ TEST(ConntrackDatapath, DisabledConntrackReportsZeroes) {
   EXPECT_EQ(sw.pipeline().ct_connection_count(), 0u);
 }
 
-/// A switch on `cores` worker cores under `rss`.
-SoftSwitch& switch_with_cores(Network& network, std::size_t cores, sim::RssPolicy rss) {
-  sim::IngressSpec ingress;
-  ingress.cores.cores = cores;
-  ingress.cores.rss = rss;
-  return network.add_node<SoftSwitch>("gw", 0xC9, 4, 1, true, true, 32, ingress);
+/// A switch on `cores` worker cores under `rss`, conntrack on or off.
+SwitchSpec spec_with_cores(std::size_t cores, sim::RssPolicy rss, bool conntrack = true) {
+  SwitchSpec spec{.tables = 1, .ingress = {.cores = {.cores = cores, .rss = rss}}};
+  if (conntrack) spec.conntrack = CtConfig{};
+  return spec;
 }
 
 TEST(ConntrackDatapath, MultiCoreHashRssIsRejected) {
   Network network;
-  SoftSwitch& sw = switch_with_cores(network, 4, sim::RssPolicy::kHash);
+  try {
+    network.add_node<SoftSwitch>("gw", 0xC9, 4, spec_with_cores(4, sim::RssPolicy::kHash));
+    FAIL() << "conntrack on 4 kHash cores was accepted";
+  } catch (const util::ConfigError& error) {
+    EXPECT_NE(std::string(error.what()).find("gw"), std::string::npos) << error.what();
+  }
+}
+
+TEST(ConntrackDatapath, MultiCoreStrideRssIsRejected) {
+  Network network;
+  EXPECT_THROW(
+      network.add_node<SoftSwitch>("gw", 0xC9, 4, spec_with_cores(2, sim::RssPolicy::kStride)),
+      util::ConfigError);
+}
+
+TEST(ConntrackDatapath, OneCoreAcceptsAnyRssPolicy) {
+  for (const sim::RssPolicy rss :
+       {sim::RssPolicy::kHash, sim::RssPolicy::kStride, sim::RssPolicy::kSymmetric}) {
+    Network network;
+    EXPECT_NO_THROW(network.add_node<SoftSwitch>("gw", 0xC9, 4, spec_with_cores(1, rss)));
+  }
+  Network network;
+  EXPECT_NO_THROW(
+      network.add_node<SoftSwitch>("gw", 0xC9, 4, spec_with_cores(4, sim::RssPolicy::kSymmetric)));
+}
+
+// The post-construction enable_conntrack (kept for bench_suite) checks
+// the same rule through SwitchSpec::validate, and a rejected call
+// leaves conntrack off.
+TEST(ConntrackDatapath, EnableConntrackForwardIsValidatedLikeTheSpec) {
+  Network network;
+  auto& sw = network.add_node<SoftSwitch>("gw", 0xC9, 4,
+                                          spec_with_cores(4, sim::RssPolicy::kHash, false));
   try {
     sw.enable_conntrack(CtConfig{});
     FAIL() << "conntrack on 4 kHash cores was accepted";
@@ -290,24 +321,6 @@ TEST(ConntrackDatapath, MultiCoreHashRssIsRejected) {
     EXPECT_NE(std::string(error.what()).find("gw"), std::string::npos) << error.what();
   }
   EXPECT_FALSE(sw.pipeline().conntrack_enabled());
-}
-
-TEST(ConntrackDatapath, MultiCoreStrideRssIsRejected) {
-  Network network;
-  SoftSwitch& sw = switch_with_cores(network, 2, sim::RssPolicy::kStride);
-  EXPECT_THROW(sw.enable_conntrack(CtConfig{}), util::ConfigError);
-}
-
-TEST(ConntrackDatapath, OneCoreAcceptsAnyRssPolicy) {
-  for (const sim::RssPolicy rss :
-       {sim::RssPolicy::kHash, sim::RssPolicy::kStride, sim::RssPolicy::kSymmetric}) {
-    Network network;
-    SoftSwitch& sw = switch_with_cores(network, 1, rss);
-    EXPECT_NO_THROW(sw.enable_conntrack(CtConfig{}));
-  }
-  Network network;
-  EXPECT_NO_THROW(
-      switch_with_cores(network, 4, sim::RssPolicy::kSymmetric).enable_conntrack(CtConfig{}));
 }
 
 }  // namespace

@@ -30,6 +30,7 @@ using namespace harmless;
 using openflow::ControlChannel;
 using softswitch::FailoverSpec;
 using softswitch::SoftSwitch;
+using softswitch::SwitchSpec;
 
 constexpr sim::SimNanos kMs = 1'000'000;
 
@@ -72,7 +73,7 @@ struct Rig {
 
   explicit Rig(int host_count, const FailoverSpec& spec, bool install_l2 = true) {
     sw = &network.add_node<SoftSwitch>("sw", 0xA5, static_cast<std::size_t>(host_count),
-                                       /*table_count=*/1);
+                                       SwitchSpec{.tables = 1, .failover = spec});
     for (int i = 0; i < host_count; ++i) {
       sim::Host& host = network.add_host("h" + std::to_string(i), host_mac(i), host_ip(i));
       network.connect(host, 0, *sw, static_cast<std::size_t>(i), sim::LinkSpec::gbps(10));
@@ -80,7 +81,6 @@ struct Rig {
     }
     channel = std::make_unique<ControlChannel>(network.engine());
     sw->attach_channel(*channel);
-    sw->set_failover(spec);
     auto& app = ctrl.add_app<controller::StaticFlowApp>();
     if (install_l2) {
       for (int i = 0; i < host_count; ++i) app.flow(l2_rule(i));
@@ -340,15 +340,15 @@ struct CtRig {
   net::FlowKey reply_flow;    // b -> a
 
   explicit CtRig(const FailoverSpec& spec) {
-    sw = &network.add_node<SoftSwitch>("fw", 0xA5, 2, /*table_count=*/1);
-    sw->enable_conntrack(openflow::CtConfig{});
+    sw = &network.add_node<SoftSwitch>(
+        "fw", 0xA5, 2,
+        SwitchSpec{.tables = 1, .conntrack = openflow::CtConfig{}, .failover = spec});
     a = &network.add_host("a", host_mac(0), host_ip(0));
     b = &network.add_host("b", host_mac(1), host_ip(1));
     network.connect(*a, 0, *sw, 0, sim::LinkSpec::gbps(10));
     network.connect(*b, 0, *sw, 1, sim::LinkSpec::gbps(10));
     channel = std::make_unique<ControlChannel>(network.engine());
     sw->attach_channel(*channel);
-    sw->set_failover(spec);
     auto& app = ctrl.add_app<controller::StaticFlowApp>();
     for (const openflow::FlowModMsg& rule : firewall_rules()) app.flow(rule);
     session = &ctrl.connect(*channel, "fw");
@@ -455,10 +455,9 @@ TEST(StatefulHa, ControllerCrashResyncAuditsWarm) {
 
 TEST(StatefulHa, StandbyTakeoverPreservesEstablishedState) {
   sim::Network network;
-  auto& act = network.add_node<SoftSwitch>("act", 0xA1, 2, /*table_count=*/1);
-  auto& stb = network.add_node<SoftSwitch>("stb", 0xA2, 2, /*table_count=*/1);
-  act.enable_conntrack(openflow::CtConfig{});
-  stb.enable_conntrack(openflow::CtConfig{});
+  const SwitchSpec gateway{.tables = 1, .conntrack = openflow::CtConfig{}};
+  auto& act = network.add_node<SoftSwitch>("act", 0xA1, 2, gateway);
+  auto& stb = network.add_node<SoftSwitch>("stb", 0xA2, 2, gateway);
   for (const openflow::FlowModMsg& rule : firewall_rules()) {
     act.install(rule).check();
     stb.install(rule).check();
@@ -526,14 +525,14 @@ void expect_config_error_naming(const std::string& name, Wire&& wire) {
 
 TEST(StatefulHa, EnableActiveWithoutConntrackThrowsConfigError) {
   sim::Network network;
-  auto& sw = network.add_node<SoftSwitch>("gw-a", 0xA1, 2, /*table_count=*/1);
+  auto& sw = network.add_node<SoftSwitch>("gw-a", 0xA1, 2, SwitchSpec{.tables = 1});
   softswitch::ReplicationChannel repl(network.engine());
   expect_config_error_naming("gw-a", [&] { sw.enable_ha_active(repl); });
 }
 
 TEST(StatefulHa, EnableStandbyWithoutConntrackThrowsConfigError) {
   sim::Network network;
-  auto& sw = network.add_node<SoftSwitch>("gw-b", 0xA2, 2, /*table_count=*/1);
+  auto& sw = network.add_node<SoftSwitch>("gw-b", 0xA2, 2, SwitchSpec{.tables = 1});
   softswitch::ReplicationChannel repl(network.engine());
   expect_config_error_naming("gw-b", [&] { sw.enable_ha_standby(repl); });
 }
@@ -542,7 +541,7 @@ TEST(WitnessFencing, WitnessBeforeConntrackThrowsConfigError) {
   // Attaching the witness first would report the box fenced while its
   // (not yet existing) conntrack shards could still mint NAT state.
   sim::Network network;
-  auto& sw = network.add_node<SoftSwitch>("gw-a", 0xA1, 2, /*table_count=*/1);
+  auto& sw = network.add_node<SoftSwitch>("gw-a", 0xA1, 2, SwitchSpec{.tables = 1});
   sim::Witness witness;
   sim::WitnessLink link(network.engine(), witness, 0xA1);
   expect_config_error_naming("gw-a", [&] { sw.set_ha_witness(link); });
@@ -701,10 +700,9 @@ std::vector<openflow::FlowModMsg> snat_rules(net::MacAddr a_mac, net::MacAddr b_
 
 TEST(WitnessFencing, StandbyPromotionRequiresLeaseQuorum) {
   sim::Network network;
-  auto& act = network.add_node<SoftSwitch>("act", 0xA1, 2, /*table_count=*/1);
-  auto& stb = network.add_node<SoftSwitch>("stb", 0xA2, 2, /*table_count=*/1);
-  act.enable_conntrack(openflow::CtConfig{});
-  stb.enable_conntrack(openflow::CtConfig{});
+  const SwitchSpec gateway{.tables = 1, .conntrack = openflow::CtConfig{}};
+  auto& act = network.add_node<SoftSwitch>("act", 0xA1, 2, gateway);
+  auto& stb = network.add_node<SoftSwitch>("stb", 0xA2, 2, gateway);
   softswitch::ReplicationChannel repl(network.engine());
   sim::Witness witness;
   sim::WitnessLink wl_act(network.engine(), witness, 0xA1);
@@ -745,8 +743,8 @@ TEST(WitnessFencing, StandbyPromotionRequiresLeaseQuorum) {
 
 TEST(WitnessFencing, ActiveSelfFencesWhenWitnessUnreachable) {
   sim::Network network;
-  auto& sw = network.add_node<SoftSwitch>("act", 0xA1, 2, /*table_count=*/1);
-  sw.enable_conntrack(openflow::CtConfig{});
+  auto& sw = network.add_node<SoftSwitch>(
+      "act", 0xA1, 2, SwitchSpec{.tables = 1, .conntrack = openflow::CtConfig{}});
   for (const openflow::FlowModMsg& rule : firewall_rules()) sw.install(rule).check();
   sim::Host& a = network.add_host("a", host_mac(0), host_ip(0));
   sim::Host& b = network.add_host("b", host_mac(1), host_ip(1));
@@ -805,10 +803,9 @@ TEST(WitnessFencing, ActiveSelfFencesWhenWitnessUnreachable) {
 
 TEST(WitnessFailback, ExActiveRejoinsWarmWithNatBindings) {
   sim::Network network;
-  auto& act = network.add_node<SoftSwitch>("act", 0xA1, 2, /*table_count=*/1);
-  auto& stb = network.add_node<SoftSwitch>("stb", 0xA2, 2, /*table_count=*/1);
-  act.enable_conntrack(openflow::CtConfig{});
-  stb.enable_conntrack(openflow::CtConfig{});
+  const SwitchSpec gateway{.tables = 1, .conntrack = openflow::CtConfig{}};
+  auto& act = network.add_node<SoftSwitch>("act", 0xA1, 2, gateway);
+  auto& stb = network.add_node<SoftSwitch>("stb", 0xA2, 2, gateway);
   sim::Host& a = network.add_host("a", host_mac(0), host_ip(0));
   sim::Host& b = network.add_host("b", host_mac(1), host_ip(1));
   network.connect(a, 0, act, 0, sim::LinkSpec::gbps(10));
