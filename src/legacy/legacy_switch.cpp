@@ -64,15 +64,15 @@ void LegacySwitch::egress(int port_number, net::VlanId vlan, net::Packet&& packe
 
   if (port.mode == PortMode::kAccess) {
     // Access egress is always untagged.
-    if (tagged) net::vlan_pop(packet.frame());
+    if (tagged) net::vlan_pop(packet);
   } else {
     const bool send_untagged = port.native_vlan && *port.native_vlan == vlan;
     if (send_untagged) {
-      if (tagged) net::vlan_pop(packet.frame());
+      if (tagged) net::vlan_pop(packet);
     } else if (!tagged) {
-      net::vlan_push(packet.frame(), net::VlanTag{vlan, 0, false});
+      net::vlan_push(packet, net::VlanTag{vlan, 0, false});
     } else {
-      net::vlan_set_vid(packet.frame(), vlan);
+      net::vlan_set_vid(packet, vlan);
     }
   }
   packet.charge(costs_.rewrite_ns);
@@ -87,10 +87,7 @@ sim::SimNanos LegacySwitch::service_burst(sim::Burst&& burst) {
 
 sim::SimNanos LegacySwitch::forward(int in_port, net::Packet&& packet) {
   const int port_number = in_port + 1;
-  // By-value copy of the interned parse: egress rewrites the frame
-  // (dropping the intern), and the flood loop reads `parsed` between
-  // egress calls — a reference would dangle.
-  const net::ParsedPacket parsed = net::parse_cached(packet).parsed;
+  const net::ParsedPacket& parsed = net::parse_cached(packet).parsed;
   sim::SimNanos cost = costs_.classify_ns;
 
   packet.add_hop();

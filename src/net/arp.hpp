@@ -31,6 +31,8 @@ struct ArpPacket {
   [[nodiscard]] Bytes serialize() const;
 
   [[nodiscard]] std::string to_string() const;
+
+  friend bool operator==(const ArpPacket&, const ArpPacket&) = default;
 };
 
 constexpr std::size_t kArpPayloadSize = 28;

@@ -4,25 +4,33 @@
 
 namespace harmless::net {
 
-std::uint16_t internet_checksum(BytesView data) {
-  std::uint32_t sum = 0;
+namespace {
+
+/// One's-complement sum of `data` as big-endian 16-bit words, added to
+/// `sum` (an odd trailing byte is the high half of a last word).
+std::uint32_t add_words(std::uint32_t sum, BytesView data) {
   std::size_t i = 0;
   for (; i + 1 < data.size(); i += 2) sum += rd16(data, i);
   if (i < data.size()) sum += static_cast<std::uint32_t>(data[i]) << 8;  // odd trailing byte
+  return sum;
+}
+
+std::uint16_t fold_complement(std::uint32_t sum) {
   while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
   return static_cast<std::uint16_t>(~sum);
 }
 
+}  // namespace
+
+std::uint16_t internet_checksum(BytesView data) { return fold_complement(add_words(0, data)); }
+
 std::uint16_t l4_checksum(Ipv4Addr src, Ipv4Addr dst, IpProto proto, BytesView l4_segment) {
-  Bytes pseudo;
-  pseudo.reserve(12 + l4_segment.size());
-  put32(pseudo, src.value());
-  put32(pseudo, dst.value());
-  put8(pseudo, 0);
-  put8(pseudo, static_cast<std::uint8_t>(proto));
-  put16(pseudo, static_cast<std::uint16_t>(l4_segment.size()));
-  pseudo.insert(pseudo.end(), l4_segment.begin(), l4_segment.end());
-  return internet_checksum(pseudo);
+  // The 12-byte pseudo-header is summed as words, not built: it is an
+  // even length, so the segment's words stay aligned either way.
+  std::uint32_t sum = (src.value() >> 16) + (src.value() & 0xffff) + (dst.value() >> 16) +
+                      (dst.value() & 0xffff) + static_cast<std::uint8_t>(proto) +
+                      static_cast<std::uint16_t>(l4_segment.size());
+  return fold_complement(add_words(sum, l4_segment));
 }
 
 std::optional<Ipv4Header> Ipv4Header::parse(BytesView payload) {

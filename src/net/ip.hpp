@@ -35,12 +35,15 @@ struct Ipv4Header {
   [[nodiscard]] Bytes serialize() const;
 
   [[nodiscard]] std::string to_string() const;
+
+  friend bool operator==(const Ipv4Header&, const Ipv4Header&) = default;
 };
 
 /// RFC 1071 internet checksum over an arbitrary byte range.
 std::uint16_t internet_checksum(BytesView data);
 
-/// TCP/UDP checksum with the IPv4 pseudo-header.
+/// TCP/UDP checksum with the IPv4 pseudo-header, summed in place (no
+/// pseudo-header buffer is built or segment copied).
 std::uint16_t l4_checksum(Ipv4Addr src, Ipv4Addr dst, IpProto proto, BytesView l4_segment);
 
 }  // namespace harmless::net

@@ -29,8 +29,10 @@ Bytes UdpHeader::serialize(std::uint16_t src_port, std::uint16_t dst_port, Bytes
 
 std::optional<TcpHeader> TcpHeader::parse(BytesView segment) {
   if (segment.size() < kTcpHeaderSize) return std::nullopt;
+  // data_offset counts 32-bit words, options included; a header that
+  // claims more bytes than the segment holds is not TCP.
   const std::uint8_t data_offset = segment[12] >> 4;
-  if (data_offset < 5) return std::nullopt;
+  if (data_offset < 5 || data_offset * 4u > segment.size()) return std::nullopt;
   TcpHeader header;
   header.src_port = rd16(segment, 0);
   header.dst_port = rd16(segment, 2);

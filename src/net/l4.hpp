@@ -15,7 +15,7 @@
 namespace harmless::net {
 
 constexpr std::size_t kUdpHeaderSize = 8;
-constexpr std::size_t kTcpHeaderSize = 20;  // no options
+constexpr std::size_t kTcpHeaderSize = 20;  // without options
 constexpr std::size_t kIcmpHeaderSize = 8;
 
 struct UdpHeader {
@@ -27,6 +27,8 @@ struct UdpHeader {
   /// Serialize header+payload with checksum over the pseudo-header.
   [[nodiscard]] static Bytes serialize(std::uint16_t src_port, std::uint16_t dst_port,
                                        BytesView payload, Ipv4Addr ip_src, Ipv4Addr ip_dst);
+
+  friend bool operator==(const UdpHeader&, const UdpHeader&) = default;
 };
 
 /// TCP flag bits (subset).
@@ -46,9 +48,12 @@ struct TcpHeader {
   std::uint8_t flags = 0;
   std::uint16_t window = 65535;
 
+  /// Rejects a data offset below 5 words or past the segment's end.
   static std::optional<TcpHeader> parse(BytesView segment);
   [[nodiscard]] static Bytes serialize(const TcpHeader& header, BytesView payload,
                                        Ipv4Addr ip_src, Ipv4Addr ip_dst);
+
+  friend bool operator==(const TcpHeader&, const TcpHeader&) = default;
 };
 
 enum class IcmpType : std::uint8_t {
@@ -63,6 +68,8 @@ struct IcmpHeader {
 
   static std::optional<IcmpHeader> parse(BytesView segment);
   [[nodiscard]] static Bytes serialize(const IcmpHeader& header, BytesView payload);
+
+  friend bool operator==(const IcmpHeader&, const IcmpHeader&) = default;
 };
 
 }  // namespace harmless::net

@@ -12,8 +12,10 @@
 // flood fan-out, group buckets, controller punts — and counted, which
 // is what the zero-copy property test asserts against. Frame buffers
 // recycle through a thread-local pool on destruction, and a Packet can
-// carry an interned parse (net::PacketParse) that header mutation
-// automatically invalidates: any non-const frame() access drops it.
+// carry an interned parse (net::PacketParse) that header rewrites keep
+// exact: the Packet forms of the VLAN helpers (net/vlan.hpp) and
+// openflow's set_field patch it in place, and any other non-const
+// frame() access drops it.
 #pragma once
 
 #include <cstdint>
@@ -86,13 +88,17 @@ class Packet {
   static void reset_frame_copies();
 
   [[nodiscard]] const Bytes& frame() const { return frame_; }
-  /// Mutable frame access invalidates any interned parse: byte-level
-  /// header rewrites (net/vlan.hpp, openflow/action.cpp) all come
-  /// through here, so a cached parse can never go stale.
+  /// Mutable frame access invalidates any interned parse, so a writer
+  /// that knows nothing of the intern can never leave it stale.
   [[nodiscard]] Bytes& frame() {
     drop_intern();
     return frame_;
   }
+  /// Mutable frame access that keeps the interned parse, for the header
+  /// writers that keep it exact themselves (the Packet forms in
+  /// net/vlan.hpp, openflow's set_field): each patches intern() to
+  /// describe the bytes it wrote.
+  [[nodiscard]] Bytes& frame_keeping_intern() { return frame_; }
   [[nodiscard]] std::size_t size() const { return frame_.size(); }
 
   /// Monotone per-process id, assigned at first call; used to correlate
@@ -117,7 +123,8 @@ class Packet {
   [[nodiscard]] PacketParse* intern() const { return intern_; }
   /// Adopt `parse` (releasing any previous intern back to its pool).
   void set_intern(PacketParse* parse);
-  /// Release the interned parse (called by any mutable frame access).
+  /// Release the interned parse (mutable frame() access, and a rewrite
+  /// that cannot patch it, call this).
   void drop_intern();
 
   /// classic "offset: xx xx .. ascii" dump for debugging and examples.

@@ -67,8 +67,11 @@ ParsedPacket parse_packet(BytesView frame) {
     case IpProto::kTcp:
       out.tcp = TcpHeader::parse(l4);
       if (out.tcp) {
-        out.l4_payload_offset = l4_offset + kTcpHeaderSize;
-        out.l4_payload_size = l4.size() - kTcpHeaderSize;
+        // The data offset (options included), which parse() checked
+        // fits the segment.
+        const std::size_t header_size = static_cast<std::size_t>(l4[12] >> 4) * 4;
+        out.l4_payload_offset = l4_offset + header_size;
+        out.l4_payload_size = l4.size() - header_size;
       }
       break;
     case IpProto::kIcmp:
@@ -93,6 +96,7 @@ std::string_view l4_payload(const ParsedPacket& parsed, BytesView frame) {
 namespace {
 
 constexpr std::size_t kParsePoolCap = 4096;
+std::uint64_t g_parses = 0;
 
 /// Leaked on purpose, like net::FramePool's freelist: static-storage
 /// Packets may release interns during shutdown, after a function-local
@@ -122,8 +126,12 @@ void PacketParse::release(PacketParse* parse) {
   pool.push_back(parse);
 }
 
+std::uint64_t PacketParse::parses() { return g_parses; }
+void PacketParse::reset_parses() { g_parses = 0; }
+
 PacketParse& parse_cached(Packet& packet) {
   if (PacketParse* intern = packet.intern()) return *intern;
+  ++g_parses;
   PacketParse* parse = PacketParse::acquire();
   parse->parsed = parse_packet(std::as_const(packet).frame());
   parse->projection_valid = false;

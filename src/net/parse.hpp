@@ -6,8 +6,9 @@
 // unknown EtherTypes/protocols (fields stay unset, `l2_valid` alone).
 //
 // The view holds copies of the fields (not pointers into the frame), so
-// it stays valid while actions rewrite the frame; re-parse after
-// structural changes (tag push/pop).
+// a by-value copy stays valid while actions rewrite the frame. An
+// interned parse (PacketParse) is kept exact instead: header rewrites
+// patch it in place, tag push/pop included.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +61,8 @@ struct ParsedPacket {
 
   /// tcpdump-ish one-liner.
   [[nodiscard]] std::string to_string() const;
+
+  friend bool operator==(const ParsedPacket&, const ParsedPacket&) = default;
 };
 
 /// Parse a frame. Never throws; missing/garbled layers simply leave the
@@ -73,8 +76,10 @@ inline ParsedPacket parse_packet(const Packet& packet) { return parse_packet(pac
 /// ParsedPacket plus one opaque projection slot a higher layer may
 /// cache its own flattened view in (openflow keeps its FieldView here
 /// without net/ depending on openflow/). Instances recycle through a
-/// thread-local pool; Packet invalidates its intern on any mutable
-/// frame() access, so a cached parse can never describe stale bytes.
+/// thread-local pool. A header rewrite patches `parsed` to match the
+/// bytes it wrote and invalidates only the projection; where a patch
+/// would be wrong it drops the intern, as any other mutable frame()
+/// access does, so a cached parse never describes stale bytes.
 class PacketParse {
  public:
   ParsedPacket parsed;
@@ -90,12 +95,20 @@ class PacketParse {
   static void release(PacketParse* parse);
   /// A pooled (or fresh) instance; parsed/projection state undefined.
   [[nodiscard]] static PacketParse* acquire();
+
+  /// Full parses run by parse_cached() (its cache misses) since the
+  /// last reset — the parse-counting fixture, as Packet::frame_copies()
+  /// counts clones.
+  [[nodiscard]] static std::uint64_t parses();
+  static void reset_parses();
 };
 
 /// The interned parse of `packet`, parsing (once) on a cache miss. The
-/// reference stays valid until the packet is mutated, moved-from, or
-/// destroyed. Repeated calls between mutations are O(1) — this is the
-/// once-per-hop parse the pipeline, hosts and the legacy switch share.
+/// reference travels with moves and stays valid until the intern is
+/// dropped (a mutable frame() access, or a rewrite that cannot patch
+/// it) or the packet is destroyed. Repeated calls are O(1) — this is
+/// the once-per-packet parse the pipeline, hosts and the legacy switch
+/// share.
 PacketParse& parse_cached(Packet& packet);
 
 /// Extract the L4 payload of a parsed packet as a string_view into the

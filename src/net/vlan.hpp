@@ -7,7 +7,9 @@
 // push/pop/rewrite operate on raw frames and are the primitive HARMLESS
 // relies on: the legacy switch pushes the access-port VLAN on ingress,
 // SS_1 pops it toward the patch ports and pushes the output port's VLAN
-// on the way back.
+// on the way back. Each has a Packet form as well, which keeps the
+// packet's interned parse (net/parse.hpp) exact instead of dropping it,
+// so the next hop does not parse the frame again.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +18,8 @@
 #include "net/bytes.hpp"
 
 namespace harmless::net {
+
+class Packet;
 
 /// 12-bit VLAN identifier. 0 = priority tag (no VLAN), 4095 = reserved.
 using VlanId = std::uint16_t;
@@ -58,5 +62,20 @@ std::optional<VlanTag> vlan_pop(Bytes& frame);
 /// Overwrite the VID of the outermost tag in place. Returns false if
 /// the frame is untagged.
 bool vlan_set_vid(Bytes& frame, VlanId vid);
+
+/// Overwrite the priority (PCP) of the outermost tag in place. Returns
+/// false if the frame is untagged.
+bool vlan_set_pcp(Bytes& frame, std::uint8_t pcp);
+
+/// The same rewrites on a Packet's frame, patching its interned parse
+/// to match: the tag is set or reset, the L4 payload offset moves by 4,
+/// and only the cached projection is invalidated. Without an intern,
+/// on a frame too short for Ethernet, and where the patch would be
+/// wrong — a push onto a tagged frame, a pop exposing an inner 0x8100
+/// tag — they drop the intern instead, as a mutable frame() access does.
+void vlan_push(Packet& packet, VlanTag tag);
+std::optional<VlanTag> vlan_pop(Packet& packet);
+bool vlan_set_vid(Packet& packet, VlanId vid);
+bool vlan_set_pcp(Packet& packet, std::uint8_t pcp);
 
 }  // namespace harmless::net

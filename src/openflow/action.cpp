@@ -3,6 +3,7 @@
 #include "net/ethernet.hpp"
 #include "net/ip.hpp"
 #include "net/l4.hpp"
+#include "net/parse.hpp"
 #include "util/strings.hpp"
 
 namespace harmless::openflow {
@@ -49,73 +50,91 @@ void refresh_l4_checksum(net::Bytes& frame, std::size_t l3) {
   }
 }
 
-bool set_field(const SetFieldAction& action, net::Packet& packet) {
-  net::Bytes& frame = packet.frame();
-  if (frame.size() < net::kEthHeaderSize) return false;
-  std::span<std::uint8_t> bytes(frame.data(), frame.size());
-
-  switch (action.field) {
-    case Field::kEthDst: {
-      const auto mac = net::MacAddr::from_u64(action.value).octets();
-      std::copy(mac.begin(), mac.end(), frame.begin());
-      return true;
-    }
-    case Field::kEthSrc: {
-      const auto mac = net::MacAddr::from_u64(action.value).octets();
-      std::copy(mac.begin(), mac.end(), frame.begin() + 6);
-      return true;
-    }
-    case Field::kVlanVid:
-      return net::vlan_set_vid(frame, static_cast<net::VlanId>(action.value & 0x0fff));
-    case Field::kVlanPcp: {
-      if (!net::vlan_peek(frame)) return false;
-      auto tag = net::VlanTag::from_tci(net::rd16(net::BytesView(frame), 14));
-      tag.pcp = static_cast<std::uint8_t>(action.value & 0x7);
-      net::wr16(bytes, 14, tag.tci());
-      return true;
-    }
-    default: break;
-  }
-
-  // IP/L4 rewrites need an IPv4 packet.
+/// Write an IPv4 address or a TCP/UDP port, then refresh both checksums.
+bool set_l3l4(const SetFieldAction& action, net::Packet& packet) {
+  net::Bytes& frame = packet.frame_keeping_intern();
   const std::size_t l3 = l3_offset(frame);
   if (frame.size() < l3 + net::kIpv4HeaderSize) return false;
   if ((frame[l3] >> 4) != 4) return false;
+  const std::size_t l4 = l3 + net::kIpv4HeaderSize;
+  const bool port = action.field == Field::kL4Src || action.field == Field::kL4Dst;
+  if (port) {
+    const auto proto = static_cast<net::IpProto>(frame[l3 + 9]);
+    if (proto != net::IpProto::kTcp && proto != net::IpProto::kUdp) return false;
+    if (frame.size() < l4 + 4) return false;
+  }
 
-  switch (action.field) {
-    case Field::kIpSrc:
-      net::wr32(bytes, l3 + 12, static_cast<std::uint32_t>(action.value));
-      break;
-    case Field::kIpDst:
-      net::wr32(bytes, l3 + 16, static_cast<std::uint32_t>(action.value));
-      break;
-    case Field::kL4Src:
-    case Field::kL4Dst: {
-      const auto proto = static_cast<net::IpProto>(frame[l3 + 9]);
-      if (proto != net::IpProto::kTcp && proto != net::IpProto::kUdp) return false;
-      const std::size_t l4 = l3 + net::kIpv4HeaderSize;
-      if (frame.size() < l4 + 4) return false;
-      const std::size_t offset = (action.field == Field::kL4Src) ? l4 : l4 + 2;
-      net::wr16(bytes, offset, static_cast<std::uint16_t>(action.value));
-      break;
-    }
-    default:
-      return false;
+  // An intern that parsed this header as IPv4 describes the rewrite
+  // exactly. One that did not cannot: the checksum refresh below may
+  // repair a header its parse rejected.
+  net::PacketParse* intern = packet.intern();
+  if (intern != nullptr && !intern->parsed.ipv4) {
+    packet.drop_intern();
+    intern = nullptr;
+  }
+  std::span<std::uint8_t> bytes(frame.data(), frame.size());
+  const bool src = action.field == Field::kIpSrc || action.field == Field::kL4Src;
+  if (port) {
+    const auto value = static_cast<std::uint16_t>(action.value);
+    net::wr16(bytes, src ? l4 : l4 + 2, value);
+    // A TCP/UDP header the intern did not parse stays unparsable: the
+    // port and checksum writes touch neither its length nor offset.
+    if (intern != nullptr && intern->parsed.tcp)
+      (src ? intern->parsed.tcp->src_port : intern->parsed.tcp->dst_port) = value;
+    if (intern != nullptr && intern->parsed.udp)
+      (src ? intern->parsed.udp->src_port : intern->parsed.udp->dst_port) = value;
+  } else {
+    const auto value = static_cast<std::uint32_t>(action.value);
+    net::wr32(bytes, l3 + (src ? 12 : 16), value);
+    if (intern != nullptr)
+      (src ? intern->parsed.ipv4->src : intern->parsed.ipv4->dst) = net::Ipv4Addr(value);
   }
   refresh_ip_checksum(frame, l3);
   refresh_l4_checksum(frame, l3);
+  if (intern != nullptr) intern->projection_valid = false;
   return true;
+}
+
+bool set_field(const SetFieldAction& action, net::Packet& packet) {
+  if (packet.size() < net::kEthHeaderSize) return false;
+
+  switch (action.field) {
+    case Field::kEthDst:
+    case Field::kEthSrc: {
+      const bool dst = action.field == Field::kEthDst;
+      const auto mac = net::MacAddr::from_u64(action.value);
+      net::Bytes& frame = packet.frame_keeping_intern();
+      std::copy(mac.octets().begin(), mac.octets().end(), frame.begin() + (dst ? 0 : 6));
+      // The frame holds an Ethernet header, so any intern parsed one.
+      if (net::PacketParse* intern = packet.intern(); intern != nullptr) {
+        (dst ? intern->parsed.eth_dst : intern->parsed.eth_src) = mac;
+        intern->projection_valid = false;
+      }
+      return true;
+    }
+    case Field::kVlanVid:
+      return net::vlan_set_vid(packet, static_cast<net::VlanId>(action.value & 0x0fff));
+    case Field::kVlanPcp:
+      return net::vlan_set_pcp(packet, static_cast<std::uint8_t>(action.value & 0x7));
+    case Field::kIpSrc:
+    case Field::kIpDst:
+    case Field::kL4Src:
+    case Field::kL4Dst:
+      return set_l3l4(action, packet);
+    default:
+      return false;
+  }
 }
 
 }  // namespace
 
 bool apply_header_action(const Action& action, net::Packet& packet) {
   if (std::holds_alternative<PushVlanAction>(action)) {
-    net::vlan_push(packet.frame(), net::VlanTag{0, 0, false});
+    net::vlan_push(packet, net::VlanTag{0, 0, false});
     return true;
   }
   if (std::holds_alternative<PopVlanAction>(action)) {
-    return net::vlan_pop(packet.frame()).has_value();
+    return net::vlan_pop(packet).has_value();
   }
   if (const auto* set = std::get_if<SetFieldAction>(&action)) {
     return set_field(*set, packet);

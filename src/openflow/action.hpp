@@ -2,8 +2,10 @@
 //
 // Actions mutate the frame bytes in place (tags pushed/popped, fields
 // rewritten with checksums fixed up) or direct it somewhere (output,
-// group, controller). The ActionList is std::vector<Action>; the
-// OF1.3 *action set* semantics live in pipeline.cpp.
+// group, controller). A rewrite patches the packet's interned parse to
+// match what it wrote, so the next lookup does not parse again. The
+// ActionList is std::vector<Action>; the OF1.3 *action set* semantics
+// live in pipeline.cpp.
 #pragma once
 
 #include <cstdint>

@@ -129,7 +129,8 @@ struct FieldView {
 /// intern's projection slot), then patch kInPort for this lookup. The
 /// returned view is an independent by-value copy with `use` unset, so
 /// callers record learning exactly as with build_field_view. Header
-/// mutation invalidates the whole intern via Packet::frame().
+/// rewrites patch the intern and invalidate only the projection; any
+/// other mutable Packet::frame() access drops the whole intern.
 [[nodiscard]] FieldView cached_field_view(net::Packet& packet, std::uint32_t in_port);
 
 /// As cached_field_view, but writes into caller-owned storage — the

@@ -222,7 +222,7 @@ void SoftSwitch::standalone_forward(std::uint32_t in_of_port, net::Packet&& pack
                                     sim::SimNanos charge_ns) {
   ++failover_stats_.standalone_packets;
   packet.charge(charge_ns);
-  const net::ParsedPacket parsed = net::parse_cached(packet).parsed;
+  const net::ParsedPacket& parsed = net::parse_cached(packet).parsed;
   if (!parsed.l2_valid) return;  // not bridgeable: drop
   const net::VlanId vlan = parsed.has_vlan() ? parsed.vlan_vid() : 0;
   if (!parsed.eth_src.is_multicast() && !parsed.eth_src.is_zero())

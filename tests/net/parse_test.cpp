@@ -82,6 +82,54 @@ TEST(Parse, HttpGetPayloadExtractable) {
   EXPECT_NE(payload.find("Host: example.com"), std::string_view::npos);
 }
 
+/// Grow an untagged TCP frame's header by `words` 4-byte words of NOP
+/// options (IP total_length and header checksum fixed up).
+Packet with_tcp_options(Packet packet, std::size_t words, std::uint8_t data_offset = 0) {
+  Bytes& frame = packet.frame();
+  const std::size_t l3 = kEthHeaderSize;
+  const std::size_t l4 = l3 + kIpv4HeaderSize;
+  frame.insert(frame.begin() + static_cast<std::ptrdiff_t>(l4 + kTcpHeaderSize), words * 4, 0x01);
+  std::span<std::uint8_t> bytes(frame.data(), frame.size());
+  const std::size_t offset = data_offset != 0 ? data_offset : 5 + words;
+  bytes[l4 + 12] = static_cast<std::uint8_t>(offset << 4);
+  wr16(bytes, l3 + 2, static_cast<std::uint16_t>(rd16(bytes, l3 + 2) + words * 4));
+  wr16(bytes, l3 + 10, 0);
+  wr16(bytes, l3 + 10, internet_checksum(BytesView(frame).subspan(l3, kIpv4HeaderSize)));
+  return packet;
+}
+
+TEST(Parse, TcpOptionsAreNotPayload) {
+  // One NOP word, and the 12 bytes every Linux segment carries.
+  for (const std::size_t words : {1u, 3u}) {
+    const Packet packet = with_tcp_options(make_tcp(flow(), kTcpAck | kTcpPsh, "GET /"), words);
+    const ParsedPacket parsed = parse_packet(packet);
+    ASSERT_TRUE(parsed.tcp) << words;
+    EXPECT_EQ(parsed.dst_port(), 80);
+    EXPECT_EQ(l4_payload(parsed, packet.frame()), "GET /") << words;
+    EXPECT_EQ(parsed.l4_payload_offset, kEthHeaderSize + kIpv4HeaderSize + 20 + words * 4);
+  }
+  const Packet http = with_tcp_options(make_http_get(flow(), "example.com", "/"), 3);
+  const std::string_view payload = l4_payload(parse_packet(http), http.frame());
+  EXPECT_EQ(payload.substr(0, 6), "GET / ");
+}
+
+TEST(Parse, TcpHeaderLongerThanItsSegmentIsNotTcp) {
+  // The segment holds 20 header bytes + 5 payload bytes; a data offset
+  // of 7 words (28 bytes) claims more than that.
+  const Packet packet = with_tcp_options(make_tcp(flow(), kTcpAck, "GET /"), 0, 7);
+  const ParsedPacket parsed = parse_packet(packet);
+  ASSERT_TRUE(parsed.ipv4);
+  EXPECT_FALSE(parsed.tcp);
+  EXPECT_EQ(parsed.l4_payload_offset, 0u);
+  EXPECT_TRUE(l4_payload(parsed, packet.frame()).empty());
+  // A data offset that exactly fills the segment is a TCP header with
+  // no payload.
+  const Packet full = with_tcp_options(make_tcp(flow(), kTcpAck, "12345678"), 0, 7);
+  const ParsedPacket full_parsed = parse_packet(full);
+  EXPECT_TRUE(full_parsed.tcp);
+  EXPECT_EQ(full_parsed.l4_payload_size, 0u);
+}
+
 TEST(Parse, TruncatedFramesAreSafe) {
   const Packet packet = make_udp(flow(), 128);
   for (std::size_t keep = 0; keep < packet.size(); keep += 7) {

@@ -144,7 +144,7 @@ void seed_initial(DriverT& driver, std::uint64_t seed, std::size_t count) {
 template <typename EngineT>
 Driver<EngineT> drain_workload(EngineT& engine, std::uint64_t seed, std::size_t initial,
                                int max_depth) {
-  Driver<EngineT> driver{engine, seed, max_depth};
+  Driver<EngineT> driver{engine, seed, max_depth, 0, {}};
   seed_initial(driver, seed, initial);
   engine.run();
   return driver;
@@ -177,8 +177,8 @@ TEST(EngineEquivalence, SameTimestampBurstsDispatchFifo) {
   // delta-0 chains. The FIFO tie-break must match the reference heap.
   Engine calendar;
   ReferenceEngine reference;
-  Driver<Engine> got{calendar, 99, 6};
-  Driver<ReferenceEngine> want{reference, 99, 6};
+  Driver<Engine> got{calendar, 99, 6, 0, {}};
+  Driver<ReferenceEngine> want{reference, 99, 6, 0, {}};
   for (int i = 0; i < 200; ++i) {
     got.spawn(0, i % 2 == 0 ? 1'000 : 2'000);
     want.spawn(0, i % 2 == 0 ? 1'000 : 2'000);
@@ -192,8 +192,8 @@ TEST(EngineEquivalence, SameTimestampBurstsDispatchFifo) {
 TEST(EngineEquivalence, RunUntilDeadlinesWithInterleavedScheduling) {
   Engine calendar;
   ReferenceEngine reference;
-  Driver<Engine> got{calendar, 7, 5};
-  Driver<ReferenceEngine> want{reference, 7, 5};
+  Driver<Engine> got{calendar, 7, 5, 0, {}};
+  Driver<ReferenceEngine> want{reference, 7, 5, 0, {}};
   seed_initial(got, 7, 32);
   seed_initial(want, 7, 32);
 
@@ -226,8 +226,8 @@ TEST(EngineEquivalence, FarFutureTimersRideTheOverflow) {
   // everything funnels through staging + sorted overflow + migration.
   Engine calendar;
   ReferenceEngine reference;
-  Driver<Engine> got{calendar, 31, 4};
-  Driver<ReferenceEngine> want{reference, 31, 4};
+  Driver<Engine> got{calendar, 31, 4, 0, {}};
+  Driver<ReferenceEngine> want{reference, 31, 4, 0, {}};
   std::uint64_t h = mix(31);
   for (int i = 0; i < 128; ++i) {
     h = mix(h);

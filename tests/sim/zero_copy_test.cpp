@@ -9,6 +9,7 @@
 
 #include "bench/common.hpp"
 #include "net/packet.hpp"
+#include "net/parse.hpp"
 #include "sim/network.hpp"
 
 namespace harmless {
@@ -73,6 +74,31 @@ TEST(ZeroCopy, HarmlessFabricSteadyStateNeverCopiesFrames) {
       << "legacy switch flooded in steady state — MAC learning regressed";
   EXPECT_EQ(net::Packet::frame_copies(), 0u)
       << "steady-state fabric forwarding deep-copied frame bytes";
+}
+
+TEST(ZeroCopy, HarmlessFabricSteadyStateParsesEachFrameOnce) {
+  // Every hop reads the frame's interned parse, and every rewrite on
+  // the hairpin — the legacy switch's tag toward the trunk, SS_1's pop
+  // and push, the legacy untag toward the host — patches it instead of
+  // dropping it: a packet is parsed once, at its first hop.
+  RigOptions options;
+  HarmlessRig rig(options);
+  sim::LatencyRecorder recorder;
+  for (sim::Host* host : rig.hosts) host->set_recorder(&recorder);
+
+  for (int i = 0; i < options.host_count; ++i) rig.stream(i, i ^ 1, 1, 64, 0);
+  rig.network.run();
+  const std::uint64_t warm_completed = recorder.completed();
+
+  net::PacketParse::reset_parses();
+  constexpr std::size_t kPackets = 1'000;
+  for (int i = 0; i < options.host_count; ++i) rig.stream(i, i ^ 1, kPackets, 64, 2'000);
+  rig.network.run();
+
+  const std::size_t sent = kPackets * static_cast<std::size_t>(options.host_count);
+  ASSERT_EQ(recorder.completed(), warm_completed + sent);
+  EXPECT_EQ(net::PacketParse::parses(), sent)
+      << "a hop re-parsed a frame whose interned parse a rewrite should have kept";
 }
 
 }  // namespace
