@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Symbolize pcsample files and print a flat profile.
 
-    python3 bench/tools/pcsample/report.py [--within REGEX] [--top N] FILE...
+    python3 bench/tools/pcsample/report.py [--within REGEX] [--group NAME=REGEX]...
+        [--top N] FILE...
 
 Each FILE is a pcsample.<pid>.txt written by libpcsample.so. Every
 address is mapped back to its ELF file through the process's saved
@@ -19,6 +20,13 @@ Two tables:
 "function file:line", that matches REGEX. That restricts the profile to
 one phase of a program: for example the frames under the call site of a
 measured loop.
+
+--group NAME=REGEX (repeatable) adds a third table: the self and
+inclusive share of each family of functions whose names match REGEX,
+counting each sample once however many of its frames match. One data
+structure is often many template rows (a std::unordered_map's find,
+hash, node and bucket helpers), and summing those rows by hand counts a
+sample once per row.
 """
 
 import argparse
@@ -105,8 +113,16 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("files", nargs="+")
     parser.add_argument("--within", help="keep samples with a frame matching this regex")
+    parser.add_argument("--group", action="append", default=[], metavar="NAME=REGEX",
+                        help="report the share of the functions matching REGEX as NAME")
     parser.add_argument("--top", type=int, default=25)
     args = parser.parse_args()
+    groups = []
+    for spec in args.group:
+        name, sep, regex = spec.partition("=")
+        if not sep or not name:
+            parser.error(f"--group wants NAME=REGEX, got {spec!r}")
+        groups.append((name, re.compile(regex)))
 
     segments, traces, wanted = {}, [], collections.defaultdict(set)
     for path in args.files:
@@ -123,13 +139,18 @@ def main():
 
     within = re.compile(args.within) if args.within else None
     self_counts, inclusive_counts, kept = collections.Counter(), collections.Counter(), 0
+    group_self, group_inclusive = collections.Counter(), collections.Counter()
     for trace in traces:
         frames = [names.get(f, [("??", "??:0")]) if f else [("??", "??:0")] for f in trace]
         if within and not any(within.search(f"{fn} {loc}") for chain in frames for fn, loc in chain):
             continue
         kept += 1
         self_counts[frames[0][0][0]] += 1
-        inclusive_counts.update({fn for chain in frames for fn, _ in chain})
+        functions = {fn for chain in frames for fn, _ in chain}
+        inclusive_counts.update(functions)
+        for name, regex in groups:
+            group_self[name] += bool(regex.search(frames[0][0][0]))
+            group_inclusive[name] += any(regex.search(fn) for fn in functions)
 
     print(f"{kept} of {len(traces)} samples from {len(args.files)} file(s)"
           + (f" within /{args.within}/" if within else ""))
@@ -139,6 +160,11 @@ def main():
         print(f"\n{title:>9}  function")
         for function, count in counts.most_common(args.top):
             print(f"{100.0 * count / kept:8.1f}%  {function}")
+    if groups:
+        print(f"\n{'self':>9}  {'inclusive':>9}  group")
+        for name, regex in groups:
+            print(f"{100.0 * group_self[name] / kept:8.1f}%  {100.0 * group_inclusive[name] / kept:8.1f}%"
+                  f"  {name} /{regex.pattern}/")
     return 0
 
 

@@ -3,36 +3,24 @@
 namespace harmless::legacy {
 
 void MacTable::learn(net::VlanId vlan, net::MacAddr mac, int port, sim::SimNanos now) {
-  const Key key{vlan, mac};
-  const auto it = table_.find(key);
-  if (it != table_.end()) {
-    if (it->second.port != port) ++moves_;
-    it->second = Entry{port, now};
+  const std::uint64_t key = pack(vlan, mac);
+  if (Cell* cell = table_.find(key, [key](const Cell& c) { return c.key == key; })) {
+    if (cell->port != port) ++moves_;
+    cell->port = port;
+    cell->learned_at = now;
     return;
   }
   if (table_.size() >= capacity_) return;  // table full: keep flooding
-  table_.emplace(key, Entry{port, now});
+  table_.insert(Cell{key, now, port, true});
 }
 
 std::optional<int> MacTable::lookup(net::VlanId vlan, net::MacAddr mac,
                                     sim::SimNanos now) const {
-  const auto it = table_.find(Key{vlan, mac});
-  if (it == table_.end()) return std::nullopt;
-  if (aging_ > 0 && now - it->second.learned_at > aging_) return std::nullopt;  // aged out
-  return it->second.port;
-}
-
-std::size_t MacTable::flush_port(int port) {
-  std::size_t flushed = 0;
-  for (auto it = table_.begin(); it != table_.end();) {
-    if (it->second.port == port) {
-      it = table_.erase(it);
-      ++flushed;
-    } else {
-      ++it;
-    }
-  }
-  return flushed;
+  const std::uint64_t key = pack(vlan, mac);
+  const Cell* cell = table_.find(key, [key](const Cell& c) { return c.key == key; });
+  if (cell == nullptr) return std::nullopt;
+  if (aging_ > 0 && now - cell->learned_at > aging_) return std::nullopt;  // aged out
+  return cell->port;
 }
 
 }  // namespace harmless::legacy

@@ -3,16 +3,20 @@
 // Entries are keyed by (VLAN, MAC) — independent learning per VLAN, as
 // required for HARMLESS where the same host MAC may appear in multiple
 // VLAN contexts during migration. Aging is lazy: entries are checked
-// against the clock on lookup, so no timer events are needed.
+// against the clock on lookup, so no timer events are needed, and an
+// aged-out entry still counts against capacity until it is re-learned
+// or flushed. Every hop learns one key and looks up another, so entries
+// are util::FlatIndex cells: a probe reads one cell, a learn never
+// allocates.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 
 #include "net/mac.hpp"
 #include "net/vlan.hpp"
 #include "sim/time.hpp"
+#include "util/flat_index.hpp"
 
 namespace harmless::legacy {
 
@@ -33,7 +37,9 @@ class MacTable {
 
   /// Drop all entries pointing at `port` (link-down handling); returns
   /// how many were flushed.
-  std::size_t flush_port(int port);
+  std::size_t flush_port(int port) {
+    return table_.erase_if([port](const Cell& cell) { return cell.port == port; });
+  }
 
   void clear() { table_.clear(); }
   [[nodiscard]] std::size_t size() const { return table_.size(); }
@@ -43,26 +49,23 @@ class MacTable {
   [[nodiscard]] sim::SimNanos aging() const { return aging_; }
 
  private:
-  struct Key {
-    net::VlanId vlan;
-    net::MacAddr mac;
-    friend bool operator==(const Key&, const Key&) = default;
+  struct Cell {
+    std::uint64_t key = 0;  // vlan << 48 | mac
+    sim::SimNanos learned_at = 0;
+    int port = 0;
+    bool live = false;
+    [[nodiscard]] bool empty() const { return !live; }
+    [[nodiscard]] std::uint64_t hash() const { return key; }
   };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const noexcept {
-      return std::hash<std::uint64_t>{}(key.mac.to_u64() ^
-                                        (static_cast<std::uint64_t>(key.vlan) << 48));
-    }
-  };
-  struct Entry {
-    int port;
-    sim::SimNanos learned_at;
-  };
+
+  static std::uint64_t pack(net::VlanId vlan, net::MacAddr mac) {
+    return static_cast<std::uint64_t>(vlan) << 48 | mac.to_u64();
+  }
 
   sim::SimNanos aging_;
   std::size_t capacity_;
   std::uint64_t moves_ = 0;
-  std::unordered_map<Key, Entry, KeyHash> table_;
+  util::FlatIndex<Cell> table_;
 };
 
 }  // namespace harmless::legacy

@@ -78,68 +78,6 @@ ConnEntry from_image(const CtSnapshotEntry& e, sim::SimNanos now) {
 
 }  // namespace
 
-// --- tuple index ----------------------------------------------------
-
-std::uint32_t ConnTracker::TupleIndex::find(const CtTuple& tuple) const {
-  const auto hash = static_cast<std::uint32_t>(tuple.key_hash());
-  for (std::size_t at = home(hash);; at = (at + 1) & mask_) {
-    const Cell& cell = cells_[at];
-    if (cell.id == kNil) return kNil;
-    if (holds(cell, hash, tuple)) return cell.id;
-  }
-}
-
-void ConnTracker::TupleIndex::insert(const CtTuple& tuple, std::uint32_t id) {
-  // Grow at 3/4 load: the SNAT allocator and every new connection
-  // probe for absent tuples, and a miss walks the whole run.
-  if ((size_ + 1) * 4 > cells_.size() * 3) {
-    std::vector<Cell> old = std::move(cells_);
-    reset(old.size() * 2);
-    for (const Cell& cell : old)
-      if (cell.id != kNil) place(cell);
-  }
-  place(Cell{id, static_cast<std::uint32_t>(tuple.key_hash())});
-}
-
-void ConnTracker::TupleIndex::erase(const CtTuple& tuple) {
-  const auto hash = static_cast<std::uint32_t>(tuple.key_hash());
-  std::size_t hole = home(hash);
-  for (;; hole = (hole + 1) & mask_) {
-    if (cells_[hole].id == kNil) return;
-    if (holds(cells_[hole], hash, tuple)) break;
-  }
-  // Backward-shift deletion (no tombstones): pull every follower whose
-  // home lies at or before the hole back over it, wrapping at the end.
-  for (std::size_t at = (hole + 1) & mask_; cells_[at].id != kNil; at = (at + 1) & mask_) {
-    if (((at - home(cells_[at].hash)) & mask_) >= ((at - hole) & mask_)) {
-      cells_[hole] = cells_[at];
-      hole = at;
-    }
-  }
-  cells_[hole] = Cell{};
-  --size_;
-}
-
-void ConnTracker::TupleIndex::clear() {
-  std::fill(cells_.begin(), cells_.end(), Cell{});
-  size_ = 0;
-}
-
-void ConnTracker::TupleIndex::reset(std::size_t cells) {
-  cells_.assign(cells, Cell{});
-  mask_ = cells - 1;
-  shift_ = 32;
-  while ((std::size_t{1} << (32 - shift_)) < cells) --shift_;
-  size_ = 0;
-}
-
-void ConnTracker::TupleIndex::place(Cell cell) {
-  std::size_t at = home(cell.hash);
-  while (cells_[at].id != kNil) at = (at + 1) & mask_;
-  cells_[at] = cell;
-  ++size_;
-}
-
 // --- connection table -----------------------------------------------
 
 std::uint64_t ConnTracker::classify(const CtTuple& tuple, std::uint8_t tcp_flags,

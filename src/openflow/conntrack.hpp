@@ -30,12 +30,12 @@
 //     every tuple resolves to at most one connection, on an active and
 //     on the standby that applies its delta stream alike.
 //
-// Connections live in a flat slot vector. Two flat open-addressing
-// indexes (ConnTracker::TupleIndex) map an original or a reply tuple to
-// its slot: linear probing, backward-shift deletion, 8-byte cells of
-// slot id plus the low half of CtTuple::key_hash(). A probe compares
-// the stored hash first and reads the tuple back from the slot, so the
-// indexes hold no copies of tuples and never allocate per connection.
+// Connections live in a flat slot vector. Two util::FlatIndex uses
+// (ConnTracker::TupleIndex) map an original or a reply tuple to its
+// slot through 8-byte cells of slot id plus the low half of
+// CtTuple::key_hash(). A probe compares the stored hash first and reads
+// the tuple back from the slot, so the indexes hold no copies of tuples
+// and never allocate per connection.
 // Nothing reads them in order: snapshots, checkpoints, demote_all and
 // resync walk the slots.
 //
@@ -55,6 +55,7 @@
 
 #include "openflow/action.hpp"
 #include "sim/time.hpp"
+#include "util/flat_index.hpp"
 #include "util/hash.hpp"
 
 namespace harmless::openflow {
@@ -370,45 +371,43 @@ class ConnTracker {
   class TupleIndex {
    public:
     TupleIndex(const std::vector<Slot>& slots, CtTuple ConnEntry::*key)
-        : slots_(slots), key_(key) {
-      reset(kMinCells);
-    }
+        : slots_(slots), key_(key) {}
 
-    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] std::size_t size() const { return cells_.size(); }
     /// The slot holding `tuple`, or kNil.
-    [[nodiscard]] std::uint32_t find(const CtTuple& tuple) const;
+    [[nodiscard]] std::uint32_t find(const CtTuple& tuple) const {
+      const auto hash = static_cast<std::uint32_t>(tuple.key_hash());
+      const Cell* cell = cells_.find(hash, [&](const Cell& c) { return holds(c, hash, tuple); });
+      return cell != nullptr ? cell->id : kNil;
+    }
     /// Map `tuple` to slot `id`. `tuple` must be unmapped: a connection
     /// enters only when neither of its tuples is claimed.
-    void insert(const CtTuple& tuple, std::uint32_t id);
-    void erase(const CtTuple& tuple);
+    void insert(const CtTuple& tuple, std::uint32_t id) {
+      cells_.insert(Cell{id, static_cast<std::uint32_t>(tuple.key_hash())});
+    }
+    void erase(const CtTuple& tuple) {
+      const auto hash = static_cast<std::uint32_t>(tuple.key_hash());
+      if (Cell* cell = cells_.find(hash, [&](const Cell& c) { return holds(c, hash, tuple); }))
+        cells_.erase(cell);
+    }
     /// Drop every cell. Reads no slot, so it is safe after the slots
     /// themselves are gone.
-    void clear();
+    void clear() { cells_.clear(); }
 
    private:
     struct Cell {
       std::uint32_t id = kNil;  // kNil marks an empty cell
-      std::uint32_t hash = 0;   // low 32 bits of CtTuple::key_hash()
+      std::uint32_t low_hash = 0;
+      [[nodiscard]] bool empty() const { return id == kNil; }
+      [[nodiscard]] std::uint64_t hash() const { return low_hash; }
     };
-    static constexpr std::size_t kMinCells = 64;
-
-    [[nodiscard]] std::size_t home(std::uint32_t hash) const {
-      // Fibonacci hashing of the stored 32 bits: growth and backward
-      // shift find a cell's home without reading its tuple.
-      return static_cast<std::size_t>((hash * 0x9E3779B9u) >> shift_);
-    }
     [[nodiscard]] bool holds(const Cell& cell, std::uint32_t hash, const CtTuple& tuple) const {
-      return cell.hash == hash && slots_[cell.id].entry.*key_ == tuple;
+      return cell.low_hash == hash && slots_[cell.id].entry.*key_ == tuple;
     }
-    void reset(std::size_t cells);
-    void place(Cell cell);
 
     const std::vector<Slot>& slots_;
     CtTuple ConnEntry::*key_;
-    std::vector<Cell> cells_;
-    std::size_t mask_ = 0;
-    unsigned shift_ = 32;
-    std::size_t size_ = 0;
+    util::FlatIndex<Cell> cells_;
   };
 
   [[nodiscard]] sim::SimNanos timeout_for(const ConnEntry& entry) const;

@@ -56,8 +56,8 @@ MegaflowEntry* FlowCache::find(const FieldView& view, sim::SimNanos now,
     return nullptr;
   }
   const std::uint64_t key = microflow_key(view);
-  if (MegaflowEntry** slot = microflow_.find(key)) {
-    MegaflowEntry* entry = *slot;
+  if (Microflow* slot = microflow(key)) {
+    MegaflowEntry* entry = slot->entry;
     if (entry->epoch == *epoch_ && entry->covers(view) && !entry->timed_out(now)) {
       ++stats_.hits;
       ++stats_.microflow_hits;
@@ -68,7 +68,7 @@ MegaflowEntry* FlowCache::find(const FieldView& view, sim::SimNanos now,
     // Self-invalidated (epoch/expiry) or a hash collision: unmap and
     // fall through to the megaflow tier. Stale entries are counted
     // once, in purge_stale, when the megaflow itself is discarded.
-    microflow_.erase(key);
+    microflow_.erase(slot);
   }
 
   // ---- tier 2 ----
@@ -84,8 +84,9 @@ MegaflowEntry* FlowCache::find(const FieldView& view, sim::SimNanos now,
 }
 
 MegaflowEntry* FlowCache::tier2_hit(MegaflowEntry* entry, std::uint64_t key) {
+  // find() has just missed or unmapped `key` in tier 1.
   if (microflow_.size() < limits_.max_microflows) {
-    microflow_.insert_or_assign(key, entry);
+    microflow_.insert(Microflow{key, entry});
     note_microflow_key(*entry, key);
   }
   ++stats_.hits;
@@ -106,9 +107,10 @@ MegaflowEntry* FlowCache::find_subtables(const FieldView& view, sim::SimNanos no
     if ((view.present & subtable.required_absent) != 0) continue;
     if (scanned != nullptr) ++*scanned;
     ++stats_.subtable_probes;
-    const auto bucket = subtable.buckets.find(subtable.hash_view(view));
-    if (bucket == subtable.buckets.end()) continue;
-    for (MegaflowEntry* candidate : bucket->second) {
+    const MegaflowSubtable::Bucket* bucket = subtable.bucket(subtable.hash_view(view));
+    if (bucket == nullptr) continue;
+    for (MegaflowEntry* candidate = bucket->head; candidate != nullptr;
+         candidate = candidate->bucket_next) {
       if (!candidate->covers(view)) continue;  // same-hash collision
       // A covering entry with timed-out flow references must not hit:
       // the slow path has to run so the table performs its lazy expiry
@@ -166,20 +168,28 @@ void FlowCache::index_entry(MegaflowEntry* entry) {
   masked.present = entry->required_present;
   entry->subtable = home;
   entry->subtable_hash = home->hash_view(masked);
-  home->buckets[entry->subtable_hash].push_back(entry);
-  ++home->entry_count;
+  entry->bucket_next = nullptr;
+  // Append: covers() takes a bucket's first covering candidate, so the
+  // chain keeps insertion order.
+  if (MegaflowSubtable::Bucket* bucket = home->bucket(entry->subtable_hash)) {
+    MegaflowEntry* tail = bucket->head;
+    while (tail->bucket_next != nullptr) tail = tail->bucket_next;
+    tail->bucket_next = entry;
+  } else {
+    home->buckets.insert(MegaflowSubtable::Bucket{entry->subtable_hash, entry});
+  }
 }
 
 void FlowCache::unindex_entry(MegaflowEntry* entry) {
   MegaflowSubtable* home = entry->subtable;
   if (home == nullptr) return;
-  const auto bucket = home->buckets.find(entry->subtable_hash);
-  if (bucket != home->buckets.end()) {
-    std::erase(bucket->second, entry);
-    if (bucket->second.empty()) home->buckets.erase(bucket);
-  }
+  MegaflowSubtable::Bucket* bucket = home->bucket(entry->subtable_hash);
+  MegaflowEntry** link = &bucket->head;
+  while (*link != entry) link = &(*link)->bucket_next;
+  *link = entry->bucket_next;
+  if (bucket->head == nullptr) home->buckets.erase(bucket);
   entry->subtable = nullptr;
-  if (--home->entry_count == 0)
+  if (home->buckets.size() == 0)
     std::erase_if(subtables_,
                   [home](const std::unique_ptr<MegaflowSubtable>& subtable) {
                     return subtable.get() == home;
@@ -198,8 +208,8 @@ void FlowCache::note_microflow_key(MegaflowEntry& entry, std::uint64_t key) {
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   std::erase_if(keys, [&](std::uint64_t stale_key) {
-    MegaflowEntry** slot = microflow_.find(stale_key);
-    return slot == nullptr || *slot != &entry;
+    const Microflow* slot = microflow(stale_key);
+    return slot == nullptr || slot->entry != &entry;
   });
   entry.microflow_compact_at = std::max<std::size_t>(64, 2 * keys.size());
 }
@@ -246,8 +256,8 @@ void FlowCache::evict_one() {
     // Unmap the victim's own microflow pointers before it is freed
     // (keys may have been remapped or reset since — re-check).
     for (const std::uint64_t key : candidate->microflow_keys) {
-      MegaflowEntry** slot = microflow_.find(key);
-      if (slot != nullptr && *slot == candidate) microflow_.erase(key);
+      Microflow* slot = microflow(key);
+      if (slot != nullptr && slot->entry == candidate) microflow_.erase(slot);
     }
     unindex_entry(candidate);
     // The hand moves to the victim's successor, or to end() when the
@@ -280,7 +290,8 @@ MegaflowEntry* FlowCache::insert(MegaflowEntry entry, const FieldView& view) {
   if (clock_hand_ == megaflows_.end()) clock_hand_ = std::prev(megaflows_.end());
   index_entry(inserted);
   const std::uint64_t key = microflow_key(view);
-  microflow_.insert_or_assign(key, inserted);
+  if (Microflow* slot = microflow(key)) slot->entry = inserted;
+  else microflow_.insert(Microflow{key, inserted});
   note_microflow_key(*inserted, key);
   ++stats_.insertions;
   return inserted;

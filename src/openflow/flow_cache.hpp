@@ -22,11 +22,14 @@
 // subtables keyed by the masked field values. A lookup hashes once per
 // *distinct mask* rather than comparing once per *entry*, so tier-2
 // cost is O(#subtables), not O(#megaflows), and stays flat as the cache
-// fills. Subtables are probed in a hit-ranked order (a decaying hit
-// count, OVS-style), so skewed workloads resolve in 1–2 probes. The
-// pre-classifier linear scan survives behind `set_linear_scan(true)` as
-// the ablation baseline; both modes are property-proven observationally
-// identical (tests/property/classifier_equivalence_test.cpp).
+// fills. A subtable's buckets are util::FlatIndex cells, each heading
+// an intrusive chain, in insertion order, through the megaflows filed
+// under its masked-key hash, so a new key allocates nothing. Subtables
+// are probed in a hit-ranked order (a decaying hit count, OVS-style), so
+// skewed workloads resolve in 1–2 probes. The pre-classifier linear
+// scan survives behind `set_linear_scan(true)` as the ablation
+// baseline; both modes are property-proven observationally identical
+// (tests/property/classifier_equivalence_test.cpp).
 //
 // A cached entry stores the traversal outcome: per-table apply-action
 // segments, the flattened final action set, and references to the flow
@@ -65,7 +68,7 @@
 #include <vector>
 
 #include "openflow/flow_entry.hpp"
-#include "util/id_map.hpp"
+#include "util/flat_index.hpp"
 
 namespace harmless::openflow {
 
@@ -112,10 +115,12 @@ struct MegaflowEntry {
   /// hovers just under a watermark.
   std::size_t microflow_compact_at = 64;
 
-  /// Classifier back-links: the subtable holding this entry and the
-  /// masked-key hash it is bucketed under (maintained by FlowCache).
+  /// Classifier back-links: the subtable holding this entry, the
+  /// masked-key hash it is bucketed under, and the next entry of that
+  /// bucket in insertion order (maintained by FlowCache).
   MegaflowSubtable* subtable = nullptr;
   std::uint64_t subtable_hash = 0;
+  MegaflowEntry* bucket_next = nullptr;
 
   /// Key check: the packet agrees on every examined bit and presence.
   [[nodiscard]] bool covers(const FieldView& view) const;
@@ -130,6 +135,15 @@ struct MegaflowEntry {
 /// signature, bucketed by the hash of its masked field values. One
 /// lookup probe = one hash + one bucket walk (usually length 1).
 struct MegaflowSubtable {
+  /// A bucket: the first entry filed under `key`; the rest follow
+  /// through MegaflowEntry::bucket_next.
+  struct Bucket {
+    std::uint64_t key = 0;
+    MegaflowEntry* head = nullptr;  // null marks an empty cell
+    [[nodiscard]] bool empty() const { return head == nullptr; }
+    [[nodiscard]] std::uint64_t hash() const { return key; }
+  };
+
   std::array<std::uint64_t, kFieldCount> masks{};
   std::uint32_t required_present = 0;
   std::uint32_t required_absent = 0;
@@ -137,8 +151,12 @@ struct MegaflowSubtable {
   /// halved every Limits::rank_decay_lookups tier-2 lookups so a
   /// formerly-hot mask cannot keep the front slot forever.
   std::uint64_t rank_hits = 0;
-  std::size_t entry_count = 0;
-  std::unordered_map<std::uint64_t, std::vector<MegaflowEntry*>> buckets;
+  util::FlatIndex<Bucket> buckets{8};
+
+  /// The bucket filed under `hash`, or nullptr.
+  [[nodiscard]] Bucket* bucket(std::uint64_t hash) {
+    return buckets.find(hash, [hash](const Bucket& b) { return b.key == hash; });
+  }
 
   /// True when `entry`'s key signature belongs in this subtable.
   [[nodiscard]] bool matches_signature(const MegaflowEntry& entry) const {
@@ -312,7 +330,17 @@ class FlowCache {
   /// The classifier, in probe order (kept sorted by decaying rank: a
   /// hit bubbles its subtable toward the front past colder neighbors).
   std::vector<std::unique_ptr<MegaflowSubtable>> subtables_;
-  util::IdMap<MegaflowEntry*> microflow_;
+  /// Tier 1: a microflow key and the megaflow that served it.
+  struct Microflow {
+    std::uint64_t key = 0;
+    MegaflowEntry* entry = nullptr;  // null marks an empty cell
+    [[nodiscard]] bool empty() const { return entry == nullptr; }
+    [[nodiscard]] std::uint64_t hash() const { return key; }
+  };
+  [[nodiscard]] Microflow* microflow(std::uint64_t key) {
+    return microflow_.find(key, [key](const Microflow& m) { return m.key == key; });
+  }
+  util::FlatIndex<Microflow> microflow_;
   Limits limits_;
   Stats stats_;
 };

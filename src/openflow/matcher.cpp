@@ -1,7 +1,6 @@
 #include "openflow/matcher.hpp"
 
 #include <algorithm>
-#include <bit>
 
 namespace harmless::openflow {
 
@@ -31,27 +30,19 @@ FlowEntry* LinearMatcher::lookup(const FieldView& view, LookupCost& cost) const 
 // ----------------------------------------------------------- specialized
 
 void SpecializedMatcher::KeyIndex::build(std::span<const std::uint64_t> hashes) {
+  // At most half load: a wildcard miss walks the whole probe run.
   std::size_t cells = 2;
   while (cells < hashes.size() * 2) cells *= 2;
-  shift_ = 64 - static_cast<unsigned>(std::countr_zero(cells));
-  cells_.assign(cells, Cell{});
-  next_.assign(hashes.size(), kNoRank);
+  index_.reset(cells);
   // Descending ranks: each cell ends up headed by its lowest rank, and
   // every chain ascends.
   for (std::size_t rank = hashes.size(); rank-- > 0;) {
     const std::uint64_t hash = hashes[rank];
-    std::size_t at = home(hash);
-    while (cells_[at].head != kNoRank && cells_[at].hash != hash) at = (at + 1) & (cells - 1);
-    next_[rank] = cells_[at].head;
-    cells_[at] = Cell{hash, static_cast<std::uint32_t>(rank)};
-  }
-}
-
-std::uint32_t SpecializedMatcher::KeyIndex::find(std::uint64_t hash) const {
-  const std::size_t mask = cells_.size() - 1;
-  for (std::size_t at = home(hash);; at = (at + 1) & mask) {
-    const Cell& cell = cells_[at];
-    if (cell.head == kNoRank || cell.hash == hash) return cell.head;
+    const auto id = static_cast<std::uint32_t>(rank);
+    Cell* cell = index_.find(hash, [hash](const Cell& c) { return c.key == hash; });
+    index_.link(id, cell != nullptr ? cell->head : kNoRank);
+    if (cell != nullptr) cell->head = id;
+    else index_.insert(Cell{hash, id});
   }
 }
 

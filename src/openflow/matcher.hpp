@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "openflow/flow_entry.hpp"
+#include "util/flat_index.hpp"
 
 namespace harmless::openflow {
 
@@ -80,30 +81,29 @@ class SpecializedMatcher : public Matcher {
  private:
   static constexpr std::uint32_t kNoRank = 0xffffffff;
 
-  /// Flat open-addressing map from a key hash to the lowest rank whose
-  /// key has that hash; `next` chains the other ranks with the same
-  /// hash in ascending order. Hashes can collide, so callers verify
-  /// the values of every rank they take from it.
+  /// A shape's masked-key hash -> the lowest rank with that hash: a
+  /// util::FlatIndex whose per-rank chain holds the other ranks with the
+  /// same hash in ascending order. Hashes can collide, so callers
+  /// verify the values of every rank they take from it.
   class KeyIndex {
    public:
     /// Index `hashes[rank]` for every rank.
     void build(std::span<const std::uint64_t> hashes);
     /// The lowest rank keyed by `hash`, or kNoRank.
-    [[nodiscard]] std::uint32_t find(std::uint64_t hash) const;
-    [[nodiscard]] std::uint32_t next(std::uint32_t rank) const { return next_[rank]; }
+    [[nodiscard]] std::uint32_t find(std::uint64_t hash) const {
+      const Cell* cell = index_.find(hash, [hash](const Cell& c) { return c.key == hash; });
+      return cell != nullptr ? cell->head : kNoRank;
+    }
+    [[nodiscard]] std::uint32_t next(std::uint32_t rank) const { return index_.next(rank); }
 
    private:
     struct Cell {
-      std::uint64_t hash = 0;
+      std::uint64_t key = 0;
       std::uint32_t head = kNoRank;  // kNoRank marks an empty cell
+      [[nodiscard]] bool empty() const { return head == kNoRank; }
+      [[nodiscard]] std::uint64_t hash() const { return key; }
     };
-    /// Fibonacci hashing: the top bits of the product pick the cell.
-    [[nodiscard]] std::size_t home(std::uint64_t hash) const {
-      return static_cast<std::size_t>((hash * 0x9E3779B97F4A7C15ULL) >> shift_);
-    }
-    std::vector<Cell> cells_;  // power-of-two size, linear probing
-    std::vector<std::uint32_t> next_;
-    unsigned shift_ = 64;
+    util::FlatIndex<Cell> index_{2};
   };
 
   struct Shape {

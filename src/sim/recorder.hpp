@@ -9,14 +9,15 @@
 
 #include "net/packet.hpp"
 #include "sim/time.hpp"
-#include "util/id_map.hpp"
+#include "util/flat_index.hpp"
 #include "util/stats.hpp"
 
 namespace harmless::sim {
 
 class LatencyRecorder {
  public:
-  /// Register a packet at transmission time.
+  /// Register a packet at transmission time. Packet ids are nonzero
+  /// (Engine::next_packet_id starts at 1).
   void arm(std::uint64_t packet_id, SimNanos sent_at);
 
   /// Mark delivery; returns false for unknown ids (e.g. flooded copies
@@ -34,7 +35,19 @@ class LatencyRecorder {
   void clear();
 
  private:
-  util::IdMap<std::int64_t> in_flight_;
+  struct InFlight {
+    std::uint64_t packet_id = 0;  // 0 marks an empty cell
+    SimNanos sent_at = 0;
+    [[nodiscard]] bool empty() const { return packet_id == 0; }
+    [[nodiscard]] std::uint64_t hash() const { return packet_id; }
+  };
+  [[nodiscard]] InFlight* in_flight(std::uint64_t packet_id) {
+    return in_flight_.find(packet_id, [packet_id](const InFlight& f) {
+      return f.packet_id == packet_id;
+    });
+  }
+
+  util::FlatIndex<InFlight> in_flight_;
   util::Histogram latency_ns_;
   util::Histogram processing_ns_;
   util::Histogram hops_;

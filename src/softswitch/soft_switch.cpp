@@ -23,6 +23,7 @@ SoftSwitch::SoftSwitch(sim::Engine& engine, std::string name, std::uint64_t data
       of_port_count_(of_port_count),
       pipeline_(spec.tables, spec.specialized, spec.flow_cache, core_count()),
       costs_(spec.costs),
+      patches_(of_port_count),
       port_up_(of_port_count + 1, true),
       failover_(spec.failover),
       failover_rng_(spec.failover.seed),
@@ -54,8 +55,8 @@ void SoftSwitch::bind_patch(std::uint32_t of_port, SoftSwitch& peer,
   if (peer_of_port == 0 || peer_of_port > peer.of_port_count_)
     throw util::ConfigError(peer.name() + ": patch of_port " + std::to_string(peer_of_port) +
                             " out of range");
-  patches_[of_port] = PatchBinding{&peer, peer_of_port};
-  peer.patches_[peer_of_port] = PatchBinding{this, of_port};
+  patches_[of_port - 1] = PatchBinding{&peer, peer_of_port};
+  peer.patches_[peer_of_port - 1] = PatchBinding{this, of_port};
 }
 
 void SoftSwitch::enable_conntrack(const openflow::CtConfig& config) {
@@ -596,9 +597,8 @@ sim::SimNanos SoftSwitch::service_burst(sim::ServicedNode::Burst&& burst) {
 }
 
 void SoftSwitch::transmit(std::size_t out_port, net::Packet&& packet) {
-  const std::uint32_t of_port = static_cast<std::uint32_t>(out_port) + 1;
-  const auto it = patches_.find(of_port);
-  if (it == patches_.end()) {
+  const PatchBinding& patch = patches_[out_port];
+  if (patch.peer == nullptr) {
     port(out_port).send(std::move(packet));
     return;
   }
@@ -606,9 +606,7 @@ void SoftSwitch::transmit(std::size_t out_port, net::Packet&& packet) {
   // datapath. rx/tx counters still tick on both pseudo-ports.
   packet.charge(costs_.patch_ns);
   port(out_port).tx.add(packet.size());
-  SoftSwitch& peer = *it->second.peer;
-  const std::uint32_t peer_of_port = it->second.peer_of_port;
-  peer.port(peer_of_port - 1).receive(std::move(packet));
+  patch.peer->port(patch.peer_of_port - 1).receive(std::move(packet));
 }
 
 }  // namespace harmless::softswitch

@@ -86,7 +86,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "legacy/mac_table.hpp"
 #include "openflow/channel.hpp"
@@ -382,7 +381,7 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
 
  private:
   struct PatchBinding {
-    SoftSwitch* peer = nullptr;
+    SoftSwitch* peer = nullptr;  // null: the port is not patched
     std::uint32_t peer_of_port = 0;
   };
 
@@ -432,7 +431,7 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   void dispatch_result(openflow::PipelineResult& result, std::uint32_t in_of_port,
                        sim::SimNanos packet_cost);
 
-  std::unordered_map<std::uint32_t, PatchBinding> patches_;
+  std::vector<PatchBinding> patches_;  // by OF port - 1
   std::vector<bool> port_up_;
   bool sweep_scheduled_ = false;
   // Failover state. connected_ means "the switch believes its control

@@ -426,6 +426,50 @@ TEST(FlowCache, SubtablesProbePerMaskNotPerEntry) {
   EXPECT_EQ(cache.stats().subtable_probes, 1u);  // no hashed probes in linear mode
 }
 
+TEST(FlowCache, BucketCandidatesKeepInsertionOrder) {
+  // Two megaflows with one signature and the same masked values share a
+  // subtable bucket. covers() takes the bucket's first covering
+  // candidate, so the first-inserted one answers until it leaves; a
+  // bucket that filed newcomers in front would answer with the second.
+  FlowCache cache;
+  FlowCache::Limits limits;
+  limits.max_megaflows = 2;
+  cache.set_limits(limits);
+  auto view_for = [](std::uint64_t dst, std::uint64_t sport) {
+    FieldView view;
+    view.set(Field::kEthDst, dst);
+    view.set(Field::kL4Src, sport);
+    return view;
+  };
+  auto dst_megaflow = [](std::uint64_t dst, std::uint32_t out_port) {
+    MegaflowEntry entry;
+    entry.required_present = field_bit(Field::kEthDst);
+    entry.masks[static_cast<std::size_t>(Field::kEthDst)] = field_all_ones(Field::kEthDst);
+    entry.values[static_cast<std::size_t>(Field::kEthDst)] = dst;
+    entry.final_actions = {output(out_port)};
+    return entry;
+  };
+  MegaflowEntry* first = cache.insert(dst_megaflow(0x2, 2), view_for(0x2, 1));
+  MegaflowEntry* second = cache.insert(dst_megaflow(0x2, 3), view_for(0x2, 2));
+  ASSERT_EQ(cache.subtable_count(), 1u);
+
+  // A fresh L4 source (a field no megaflow examines) misses tier 1.
+  MegaflowEntry* hit = cache.lookup(view_for(0x2, 100), 0);
+  ASSERT_EQ(hit, first);
+  EXPECT_EQ(hit->final_actions, ActionList{output(2)});
+  EXPECT_EQ(cache.stats().megaflow_hits, 1u);
+
+  // Evict the first: the CLOCK hand rests on it, and with its reference
+  // bit down an insert at capacity takes it.
+  first->referenced = false;
+  (void)cache.insert(dst_megaflow(0x9, 9), view_for(0x9, 1));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  hit = cache.lookup(view_for(0x2, 101), 0);
+  ASSERT_EQ(hit, second);
+  EXPECT_EQ(hit->final_actions, ActionList{output(3)});
+  EXPECT_EQ(cache.stats().megaflow_hits, 2u);
+}
+
 TEST(FlowCache, MicroflowKeyVectorStaysBoundedAcrossTierOneResets) {
   // Regression: a long-lived elephant megaflow re-seeds the microflow
   // tier after every tier-1 capacity reset, and each re-seed used to
