@@ -283,7 +283,7 @@ struct HolRun {
 /// burst-32 loop is the bottleneck, not the 10G wires — this isolates
 /// what the *scheduler* does under compute overload. FCFS runs the
 /// pre-refactor shared buffer; RR/DRR partition it per port.
-HolRun hol_run(sim::SchedulerSpec scheduler, std::size_t port_queue_capacity) {
+HolRun hol_run(sim::SchedulerKind scheduler, std::size_t port_queue_capacity) {
   RigOptions options;
   options.host_count = 4;
   options.access_link = sim::LinkSpec::gbps(10);
@@ -661,18 +661,18 @@ int main(int argc, char** argv) {
                        "elephant pps", "mouse drops", "elephant drops"});
     Json rows = Json::array();
     struct Config {
-      sim::SchedulerSpec spec;
+      sim::SchedulerKind scheduler;
       std::size_t port_queue_capacity;
       const char* queues;
     };
     const Config configs[] = {
-        {{sim::SchedulerKind::kFcfs}, 0, "shared"},  // the pre-refactor datapath
-        {{sim::SchedulerKind::kRoundRobin}, 256, "per-port"},
-        {{sim::SchedulerKind::kDrr}, 256, "per-port"},
+        {sim::SchedulerKind::kFcfs, 0, "shared"},  // the pre-refactor datapath
+        {sim::SchedulerKind::kRoundRobin, 256, "per-port"},
+        {sim::SchedulerKind::kDrr, 256, "per-port"},
     };
     for (const Config& config : configs) {
-      const HolRun run = hol_run(config.spec, config.port_queue_capacity);
-      table.add_row({sim::to_string(config.spec.kind), config.queues,
+      const HolRun run = hol_run(config.scheduler, config.port_queue_capacity);
+      table.add_row({sim::to_string(config.scheduler), config.queues,
                      util::si_format(run.mouse_delivered_pps, "pps"),
                      util::format("%.0f%%", run.mouse_share * 100),
                      util::format("%.1f", run.mouse_p99_us),
@@ -680,7 +680,7 @@ int main(int argc, char** argv) {
                      std::to_string(run.mouse_port_drops),
                      std::to_string(run.elephant_port_drops)});
       rows.push(Json::object()
-                    .set("scheduler", sim::to_string(config.spec.kind))
+                    .set("scheduler", sim::to_string(config.scheduler))
                     .set("port_queue_capacity", config.port_queue_capacity)
                     .set("mouse_offered_pps", run.mouse_offered_pps)
                     .set("mouse_delivered_pps", run.mouse_delivered_pps)

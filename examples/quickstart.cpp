@@ -55,7 +55,7 @@ int main() {
   // The S4 box's ingress: per-port RX queues arbitrated by byte-fair
   // deficit round-robin, so no single legacy port can head-of-line
   // block its neighbours through the soft switches.
-  request.fabric.sw.ingress.scheduler.kind = sim::SchedulerKind::kDrr;
+  request.fabric.sw.ingress.scheduler = sim::SchedulerKind::kDrr;
   request.fabric.sw.ingress.port_queue_capacity = 256;
 
   auto [report, deployment] = manager.migrate(request, ctrl);

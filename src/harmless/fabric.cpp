@@ -41,8 +41,8 @@ Fabric Fabric::build(sim::Network& network, legacy::LegacySwitch& device, const 
 
   // SS_2's controller channel (connected to a Controller by the caller
   // or the Manager).
-  fabric.channel_ = std::make_unique<openflow::ControlChannel>(
-      network.engine(), spec.control_latency, spec.control_seed);
+  fabric.channel_ =
+      std::make_unique<openflow::ControlChannel>(network.engine(), spec.control_latency);
   fabric.channel_->set_min_gap(spec.control_min_gap);
   fabric.ss2_->attach_channel(*fabric.channel_);
   return fabric;

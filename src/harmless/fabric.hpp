@@ -42,10 +42,9 @@ struct FabricSpec {
   /// Control channel one-way latency (controller is usually on-box or
   /// one rack away).
   sim::SimNanos control_latency = 50'000;
-  /// Control-channel seed (loss/jitter draws when impaired) and
-  /// per-message serialization gap (0 = instantaneous pipe; set to
-  /// model resync time scaling with flow count).
-  std::uint64_t control_seed = 0xc0a7'0150'0fULL;
+  /// Control-channel per-message serialization gap (0 = instantaneous
+  /// pipe; set to model resync time scaling with flow count). The
+  /// channel draws loss/jitter from ControlChannel's default seed.
   sim::SimNanos control_min_gap = 0;
   std::uint64_t ss1_datapath_id = 0x51;
   std::uint64_t ss2_datapath_id = 0x52;

@@ -75,7 +75,7 @@ void LegacySwitch::egress(int port_number, net::VlanId vlan, net::Packet&& packe
       net::vlan_set_vid(packet, vlan);
     }
   }
-  packet.charge(costs_.rewrite_ns);
+  packet.charge(kAsicCosts.rewrite_ns);
   emit(static_cast<std::size_t>(port_number - 1), std::move(packet));
 }
 
@@ -88,7 +88,7 @@ sim::SimNanos LegacySwitch::service_burst(sim::Burst&& burst) {
 sim::SimNanos LegacySwitch::forward(int in_port, net::Packet&& packet) {
   const int port_number = in_port + 1;
   const net::ParsedPacket& parsed = net::parse_cached(packet).parsed;
-  sim::SimNanos cost = costs_.classify_ns;
+  sim::SimNanos cost = kAsicCosts.classify_ns;
 
   packet.add_hop();
 
@@ -100,27 +100,17 @@ sim::SimNanos LegacySwitch::forward(int in_port, net::Packet&& packet) {
   }
   const net::VlanId vlan = classified->vlan;
 
-  // Learning (unicast sources only).
-  cost += costs_.lookup_ns;
-  if (!parsed.eth_src.is_multicast() && !parsed.eth_src.is_zero())
-    mac_table_.learn(vlan, parsed.eth_src, port_number, engine_.now());
-
-  // Known unicast?
-  std::optional<int> out;
-  if (!parsed.eth_dst.is_multicast())
-    out = mac_table_.lookup(vlan, parsed.eth_dst, engine_.now());
-
+  cost += kAsicCosts.lookup_ns;
+  const MacTable::Decision decision =
+      mac_table_.bridge(vlan, parsed.eth_src, parsed.eth_dst, port_number, engine_.now());
   packet.charge(cost);
 
-  if (out && *out != port_number) {
+  if (decision.verdict == MacTable::Verdict::kForward) {
     ++counters_.forwarded;
-    egress(*out, vlan, std::move(packet));
-    return cost + costs_.rewrite_ns;
+    egress(decision.port, vlan, std::move(packet));
+    return cost + kAsicCosts.rewrite_ns;
   }
-  if (out && *out == port_number) {
-    // Destination is on the ingress segment; filter (802.1D).
-    return cost;
-  }
+  if (decision.verdict == MacTable::Verdict::kFilter) return cost;
 
   // Flood within the VLAN.
   ++counters_.flooded;
@@ -132,7 +122,7 @@ sim::SimNanos LegacySwitch::forward(int in_port, net::Packet&& packet) {
   }
   counters_.flood_copies += copies;
   if (copies == 0) ++counters_.no_member_egress;
-  return cost + static_cast<sim::SimNanos>(copies) * costs_.rewrite_ns;
+  return cost + static_cast<sim::SimNanos>(copies) * kAsicCosts.rewrite_ns;
 }
 
 }  // namespace harmless::legacy

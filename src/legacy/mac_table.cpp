@@ -23,4 +23,13 @@ std::optional<int> MacTable::lookup(net::VlanId vlan, net::MacAddr mac,
   return cell->port;
 }
 
+MacTable::Decision MacTable::bridge(net::VlanId vlan, net::MacAddr src, net::MacAddr dst,
+                                   int in_port, sim::SimNanos now) {
+  if (!src.is_multicast() && !src.is_zero()) learn(vlan, src, in_port, now);
+  const std::optional<int> out = dst.is_multicast() ? std::nullopt : lookup(vlan, dst, now);
+  if (!out) return Decision{Verdict::kFlood, 0};
+  if (*out == in_port) return Decision{Verdict::kFilter, 0};
+  return Decision{Verdict::kForward, *out};
+}
+
 }  // namespace harmless::legacy

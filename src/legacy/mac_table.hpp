@@ -35,6 +35,21 @@ class MacTable {
   [[nodiscard]] std::optional<int> lookup(net::VlanId vlan, net::MacAddr mac,
                                           sim::SimNanos now) const;
 
+  /// What a bridge does with one frame (802.1D): send it out of the
+  /// learned port, filter it (the destination is on the ingress
+  /// segment), or flood it (multicast or unknown destination).
+  enum class Verdict : std::uint8_t { kForward, kFilter, kFlood };
+  struct Decision {
+    Verdict verdict;
+    int port;  // the learned port; kForward only
+  };
+
+  /// The bridging decision for a frame from `src` to `dst` arriving on
+  /// `in_port`: learn a unicast, non-zero source first, then look up a
+  /// unicast destination.
+  Decision bridge(net::VlanId vlan, net::MacAddr src, net::MacAddr dst, int in_port,
+                  sim::SimNanos now);
+
   /// Drop all entries pointing at `port` (link-down handling); returns
   /// how many were flushed.
   std::size_t flush_port(int port) {

@@ -39,6 +39,17 @@ const Port& Node::port(std::size_t index) const {
   return *ports_[index];
 }
 
+ServicedNode::ServicedNode(Engine& engine, std::string name, IngressSpec ingress,
+                           std::size_t burst_size)
+    : Node(engine, std::move(name)), ingress_(ingress), burst_size_(burst_size) {
+  if (burst_size_ == 0)
+    throw util::ConfigError(this->name() + ": burst_size must be at least 1");
+  if (ingress_.cores.cores == 0)
+    throw util::ConfigError(this->name() + ": cores must be at least 1");
+  cores_.resize(ingress_.cores.cores);
+  for (Core& core : cores_) core.scheduler = make_scheduler(ingress_.scheduler);
+}
+
 void ServicedNode::ensure_rx_queues(std::size_t port_count) {
   // One queue per port; under the symmetric grid, one per (port, core)
   // — queue index = port * stride + core, in_port = index / stride.
@@ -47,11 +58,10 @@ void ServicedNode::ensure_rx_queues(std::size_t port_count) {
     const std::size_t index = rx_queues_.size();
     rx_queues_.emplace_back(static_cast<int>(index / stride));
     // Steering decision: the queue belongs to one worker core for its
-    // lifetime (pin map override, RSS hash otherwise; the grid encodes
-    // its core in the index). Queue views hold pointers into
-    // rx_queues_, which may have just reallocated — rebuild them
-    // lazily before the next step.
-    const std::size_t core = ingress_.cores.core_of(index) % cores_.size();
+    // lifetime (the RSS policy; the grid encodes its core in the
+    // index). Queue views hold pointers into rx_queues_, which may have
+    // just reallocated — rebuild them lazily before the next step.
+    const std::size_t core = ingress_.cores.core_of(index);
     queue_core_.push_back(core);
     cores_[core].queue_indices.push_back(index);
     views_dirty_ = true;
@@ -68,10 +78,8 @@ void ServicedNode::refresh_views() {
   }
 }
 
-std::size_t ServicedNode::steer_core(std::size_t port, net::Packet& packet) {
+std::size_t ServicedNode::steer_core(net::Packet& packet) {
   if (queue_stride() == 1) return 0;  // collapsed grid: core_of steers the queue
-  const auto& pins = ingress_.cores.pin_map;
-  if (port < pins.size() && pins[port] != kCoreUnpinned) return pins[port] % cores_.size();
   // Symmetric per-flow steering: hash the sorted endpoint pair, so
   // a→b and b→a land on the same core (the conntrack shard-affinity
   // invariant). The interned parse rides the packet into the datapath,
@@ -91,9 +99,11 @@ std::size_t ServicedNode::steer_core(std::size_t port, net::Packet& packet) {
 }
 
 void ServicedNode::handle(int in_port, net::Packet&& packet) {
-  const auto port = static_cast<std::size_t>(in_port < 0 ? 0 : in_port);
+  if (in_port < 0)
+    throw util::ConfigError(name() + ": packet on negative in_port " + std::to_string(in_port));
+  const auto port = static_cast<std::size_t>(in_port);
   ensure_rx_queues(port + 1);
-  const std::size_t queue_index = port * queue_stride() + steer_core(port, packet);
+  const std::size_t queue_index = port * queue_stride() + steer_core(packet);
   RxQueue& queue = rx_queues_[queue_index];
   // Admission: the shared buffer bound applies always (exactly the
   // historical shared-FIFO drop rule); the per-port bound, when set,
@@ -160,17 +170,6 @@ SimNanos ServicedNode::serve_core(std::size_t core_index, SimNanos step_start) {
   Core& core = cores_[core_index];
   current_core_ = core_index;
 
-  // Adaptive burst sizing: the budget tracks this core's backlog
-  // between the configured floor and the node's burst_size — light
-  // load takes the per-packet path below (no poll sweep), overload
-  // runs the full batch. A fixed budget otherwise.
-  std::size_t budget = burst_size_;
-  if (ingress_.scheduler.adaptive_burst) {
-    const std::size_t floor =
-        std::min(std::max<std::size_t>(1, ingress_.scheduler.adaptive_min_burst), burst_size_);
-    budget = std::clamp(core.backlog, floor, burst_size_);
-  }
-
   in_service_ = true;
   // Reuse a delivered tx-burst vector's capacity when one has come
   // back through the pool (pending_out_ was moved into the tx event).
@@ -180,22 +179,19 @@ SimNanos ServicedNode::serve_core(std::size_t core_index, SimNanos step_start) {
   }
   pending_out_.clear();
   // One poll sweep over every RX queue this core owns, empty or not —
-  // a batched-datapath cost only. A budget-1 burst is the per-packet
-  // datapath and sweeps nothing (queues_polled() == 0 tells
-  // service_burst which of the two it is serving).
-  queues_polled_ = budget <= 1 ? 0 : core.view.size();
-  rx_polls_ += queues_polled_;
-  core.rx_polls += queues_polled_;
+  // a batched-datapath cost only. burst_size 1 is the per-packet
+  // datapath and sweeps nothing.
+  queues_polled_ = burst_size_ == 1 ? 0 : core.view.size();
 
-  // The core's scheduler picks what this burst serves (budget 1 in
+  // The core's scheduler picks what this burst serves (one packet in
   // per-packet mode: the classic single-server queue, scheduler-ordered).
   // The burst vector is per-core scratch: service_burst(Burst&&) binds
   // it by reference and moves only the packets out, so its capacity
   // survives from burst to burst.
   Burst& burst = core.burst;
   burst.clear();
-  burst.reserve(std::min(core.backlog, budget));
-  core.scheduler->next_burst(core.view, budget, burst);
+  burst.reserve(std::min(core.backlog, burst_size_));
+  core.scheduler->next_burst(core.view, burst_size_, burst);
   if (burst.empty())
     throw util::ConfigError(name() + ": scheduler " + core.scheduler->name() +
                             " idled with backlog (work-conserving contract)");

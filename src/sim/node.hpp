@@ -6,7 +6,7 @@
 // `ServicedNode` adds the processing model every switching element
 // uses: arriving packets land in one bounded RxQueue per ingress port
 // (sim/scheduler.hpp), each queue is steered to one worker core
-// (CoreSpec: RSS-style hash with a pin-map override), and every core
+// (CoreSpec: RSS-style hash, stride or symmetric per-flow), and every core
 // runs its own burst service loop — a pluggable BurstScheduler
 // instance picks which of *its* queues each service burst of up to
 // `burst_size` packets drains (FCFS by default — bit-exact with the
@@ -31,17 +31,14 @@
 // slowest core's bill, never a free lunch. With cores == 1 the loop
 // degrades bit-exactly to the single-core datapath of PR 2-4.
 //
-// With a budget of 1 a core degrades to the classic single-server
-// queue: each burst is one packet and sweeps no queues
-// (queues_polled() == 0) — the per-packet datapath, kept as the
-// batching ablation baseline. Every burst, of any size, enters the node
-// through service_burst(). `SchedulerSpec::adaptive_burst` makes the
-// budget track each core's backlog between adaptive_min_burst and
-// burst_size, so light load takes the per-packet path (no idle poll
-// sweep) and overload keeps the full batch. The bounded queues are what
-// turn per-packet (and per-burst) costs into throughput limits, so the
-// relative numbers in E1/E2 come from code, not from constants pasted
-// into benches.
+// Every burst holds up to `burst_size` packets, fixed at construction.
+// burst_size 1 is the classic single-server queue: each burst is one
+// packet and sweeps no queues (queues_polled() == 0) — the per-packet
+// datapath, kept as the batching ablation baseline. Every burst, of any
+// size, enters the node through service_burst(). The bounded queues are
+// what turn per-packet (and per-burst) costs into throughput limits, so
+// the relative numbers in E1/E2 come from code, not from constants
+// pasted into benches.
 #pragma once
 
 #include <cstdint>
@@ -131,15 +128,12 @@ class ServicedNode : public Node {
   /// One (in_port, packet) unit of a service burst, in service order.
   using Burst = sim::Burst;
 
+  /// Throws util::ConfigError, naming the node, when `burst_size` or
+  /// `ingress.cores.cores` is 0.
   ServicedNode(Engine& engine, std::string name, IngressSpec ingress = {},
-               std::size_t burst_size = 32)
-      : Node(engine, std::move(name)),
-        ingress_(ingress),
-        burst_size_(burst_size == 0 ? 1 : burst_size) {
-    cores_.resize(ingress_.cores.cores == 0 ? 1 : ingress_.cores.cores);
-    for (Core& core : cores_) core.scheduler = make_scheduler(ingress_.scheduler);
-  }
+               std::size_t burst_size = 32);
 
+  /// Throws util::ConfigError, naming the node, on a negative `in_port`.
   void handle(int in_port, net::Packet&& packet) final;
 
   /// Maximum packets drained per core per service burst. 1 = per-packet
@@ -152,28 +146,22 @@ class ServicedNode : public Node {
 
   /// Worker-core layout (fixed at construction via IngressSpec::cores).
   [[nodiscard]] std::size_t core_count() const { return cores_.size(); }
-  /// Which core queue `queue_index` is steered to (pin map / RSS hash).
+  /// Which core queue `queue_index` is steered to (the RSS policy).
   [[nodiscard]] std::size_t core_of_queue(std::size_t queue_index) const {
     return queue_index < queue_core_.size() ? queue_core_[queue_index]
                                             : ingress_.cores.core_of(queue_index);
   }
-  /// Per-core observables: simulated compute, bursts drained, queue
-  /// polls swept, packets served, queues owned, live backlog.
+  /// Per-core observables: simulated compute, bursts drained, packets
+  /// served, queues owned.
   [[nodiscard]] SimNanos core_busy_ns(std::size_t core) const { return cores_.at(core).busy_ns; }
   [[nodiscard]] std::uint64_t core_bursts(std::size_t core) const {
     return cores_.at(core).bursts;
-  }
-  [[nodiscard]] std::uint64_t core_rx_polls(std::size_t core) const {
-    return cores_.at(core).rx_polls;
   }
   [[nodiscard]] std::uint64_t core_packets(std::size_t core) const {
     return cores_.at(core).packets;
   }
   [[nodiscard]] std::size_t core_queue_count(std::size_t core) const {
     return cores_.at(core).queue_indices.size();
-  }
-  [[nodiscard]] std::size_t core_backlog(std::size_t core) const {
-    return cores_.at(core).backlog;
   }
 
   /// Total tail drops across all port queues (shared-bound and
@@ -199,10 +187,6 @@ class ServicedNode : public Node {
   [[nodiscard]] std::size_t port_queue_depth(std::size_t port) const;
   [[nodiscard]] std::uint64_t port_queue_drops(std::size_t port) const;
   [[nodiscard]] std::size_t port_queue_peak_depth(std::size_t port) const;
-  /// Cumulative per-queue polls across all service bursts (every burst
-  /// polls every RX queue once, empty or not — poll-mode drivers pay
-  /// for silence too; the datapath charges rx_poll_ns each).
-  [[nodiscard]] std::uint64_t rx_polls() const { return rx_polls_; }
 
   /// Total simulated compute spent in service bursts.
   [[nodiscard]] SimNanos busy_ns() const { return busy_ns_; }
@@ -225,9 +209,8 @@ class ServicedNode : public Node {
   [[nodiscard]] bool in_service() const { return in_service_; }
 
   /// RX queues polled by the burst currently in service (the serving
-  /// core's whole queue subset; 0 for a budget-1 per-packet burst) —
-  /// service_burst() implementations bill their per-queue poll cost
-  /// from this.
+  /// core's whole queue subset; 0 with burst_size 1) — service_burst()
+  /// implementations bill their per-queue poll cost from this.
   [[nodiscard]] std::size_t queues_polled() const { return queues_polled_; }
 
   /// The worker core whose burst is currently in service — SoftSwitch
@@ -261,7 +244,6 @@ class ServicedNode : public Node {
     std::size_t backlog = 0;     // packets across this core's queues
     SimNanos busy_ns = 0;
     std::uint64_t bursts = 0;
-    std::uint64_t rx_polls = 0;
     std::uint64_t packets = 0;
   };
 
@@ -269,10 +251,10 @@ class ServicedNode : public Node {
   /// Serve one burst on `core`; returns its compute cost (the step
   /// loop folds it into the makespan).
   SimNanos serve_core(std::size_t core_index, SimNanos step_start);
-  /// Which core of the symmetric grid this packet steers to (pin map
-  /// override by port, symmetric flow hash otherwise). Always 0 when
-  /// the grid is collapsed (stride 1 — core_of steers the queue).
-  [[nodiscard]] std::size_t steer_core(std::size_t port, net::Packet& packet);
+  /// Which core of the symmetric grid this packet steers to (its
+  /// symmetric flow hash). Always 0 when the grid is collapsed (stride
+  /// 1 — core_of steers the queue).
+  [[nodiscard]] std::size_t steer_core(net::Packet& packet);
   void refresh_views();
 
   IngressSpec ingress_;
@@ -285,7 +267,6 @@ class ServicedNode : public Node {
   std::size_t total_depth_ = 0;
   std::uint64_t arrival_seq_ = 0;
   std::size_t queues_polled_ = 0;
-  std::uint64_t rx_polls_ = 0;
   std::vector<std::pair<std::size_t, net::Packet>> pending_out_;
   /// Delivered tx-burst vectors come back here so serve_core can reuse
   /// their capacity instead of reallocating one per burst.

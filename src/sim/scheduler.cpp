@@ -20,13 +20,11 @@ const char* to_string(RssPolicy policy) {
   return "?";
 }
 
-std::unique_ptr<BurstScheduler> make_scheduler(const SchedulerSpec& spec) {
-  switch (spec.kind) {
+std::unique_ptr<BurstScheduler> make_scheduler(SchedulerKind kind) {
+  switch (kind) {
     case SchedulerKind::kFcfs: return std::make_unique<FcfsScheduler>();
     case SchedulerKind::kRoundRobin: return std::make_unique<RoundRobinScheduler>();
-    case SchedulerKind::kDrr:
-      return std::make_unique<DrrScheduler>(spec.drr_quantum_bytes,
-                                            spec.drr_port_quantum_bytes);
+    case SchedulerKind::kDrr: return std::make_unique<DrrScheduler>();
   }
   return std::make_unique<FcfsScheduler>();
 }
@@ -92,8 +90,7 @@ void DrrScheduler::next_burst(const std::vector<RxQueue*>& queues, std::size_t b
       continue;
     }
     empty_streak = 0;
-    if (!mid_visit_)
-      deficit_[cursor_] += quantum_for(static_cast<std::size_t>(queue.in_port()));
+    if (!mid_visit_) deficit_[cursor_] += kDrrQuantumBytes;
     mid_visit_ = false;
     while (!queue.empty() && out.size() < budget &&
            queue.front().packet.size() <= deficit_[cursor_]) {

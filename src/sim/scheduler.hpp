@@ -13,7 +13,7 @@
 //   * RoundRobin — packet sweep: one packet per non-empty queue per
 //                  visit, cursor persists across bursts.
 //   * Drr        — deficit round-robin (Shreedhar & Varghese): each
-//                  visited queue banks `drr_quantum_bytes` of credit
+//                  visited queue banks kDrrQuantumBytes of credit
 //                  and sends while its head frame fits; byte-fair
 //                  regardless of frame-size mix, so an elephant port
 //                  cannot starve a mouse port.
@@ -112,37 +112,11 @@ using Burst = std::vector<std::pair<int, net::Packet>>;
 enum class SchedulerKind : std::uint8_t { kFcfs, kRoundRobin, kDrr };
 [[nodiscard]] const char* to_string(SchedulerKind kind);
 
-/// Value-type selection of a scheduler, carried by IngressSpec (and so
-/// by softswitch::SwitchSpec) and turned into a live object with
-/// make_scheduler().
-struct SchedulerSpec {
-  SchedulerKind kind = SchedulerKind::kFcfs;
-  /// Drr: bytes of credit banked per queue visit (one MTU by default,
-  /// the classic choice — one full-size frame per round).
-  std::size_t drr_quantum_bytes = 1500;
-  /// Weighted DRR: per-port byte quanta (index = port), the operator's
-  /// policy weights — a port with twice the quantum banks twice the
-  /// credit per round and gets ~twice the goodput under overload.
-  /// Ports beyond the vector (or with a 0 entry) use drr_quantum_bytes.
-  std::vector<std::size_t> drr_port_quantum_bytes{};
-  /// Adaptive burst sizing: each service step, a core's burst budget
-  /// tracks its own backlog, clamped to [adaptive_min_burst, the
-  /// node's burst_size]. Light load degrades to the per-packet
-  /// datapath (budget 1: bursts of one with no per-queue poll sweep and
-  /// no replay setup — the idle-poll bill disappears); overload runs
-  /// the full batch and keeps the whole amortization win. Off by
-  /// default: a fixed budget is what the burst-sweep ablations compare
-  /// against.
-  bool adaptive_burst = false;
-  /// Floor of the adaptive budget (1 = allow the per-packet path).
-  std::size_t adaptive_min_burst = 1;
-};
+/// Drr: bytes of credit banked per queue visit — one MTU, the classic
+/// choice (one full-size frame per round).
+constexpr std::size_t kDrrQuantumBytes = 1500;
 
-/// In a CoreSpec pin map: this port has no pin; RSS steering decides.
-constexpr std::uint32_t kCoreUnpinned = 0xffffffffu;
-
-/// How a multi-core node spreads per-port RX queues over worker cores
-/// when the pin map does not dictate a core.
+/// How a multi-core node spreads per-port RX queues over worker cores.
 enum class RssPolicy : std::uint8_t {
   /// RSS-style: hash the port id through the shared project mix
   /// (util/hash.hpp — the same mix the flow cache keys with) and take
@@ -169,24 +143,16 @@ enum class RssPolicy : std::uint8_t {
 /// pre-multi-core code); each core owns its own BurstScheduler
 /// instance (and, in SoftSwitch, its own flow-cache shard).
 struct CoreSpec {
+  /// At least 1 (ServicedNode refuses 0).
   std::size_t cores = 1;
   RssPolicy rss = RssPolicy::kHash;
-  /// Per-port core override (index = sim port / queue index): entries
-  /// other than kCoreUnpinned pin that port's queue to the given core
-  /// (mod cores, so a map built for 8 cores still works on 2). Ports
-  /// beyond the vector fall back to the RSS policy.
-  std::vector<std::uint32_t> pin_map{};
 
   /// The steering decision: which core services queue `queue_index`.
   [[nodiscard]] std::size_t core_of(std::size_t queue_index) const {
-    const std::size_t count = cores == 0 ? 1 : cores;
     // kSymmetric queues form a (port, core) grid — the queue index
-    // already encodes its core; per-packet steering picked it (the pin
-    // map, when set, is consulted there, keyed by port).
-    if (rss == RssPolicy::kSymmetric) return queue_index % count;
-    if (queue_index < pin_map.size() && pin_map[queue_index] != kCoreUnpinned)
-      return pin_map[queue_index] % count;
-    if (rss == RssPolicy::kStride) return queue_index % count;
+    // already encodes its core, which per-packet steering picked; the
+    // same modulo is kStride's whole policy.
+    if (rss == RssPolicy::kSymmetric || rss == RssPolicy::kStride) return queue_index % cores;
     // Two extra finalizer rounds fold the high bits down: one round of
     // the FNV-style mix barely diffuses a small port id, leaving the
     // low bits (what `% cores` reads) a pure rotation of the id — i.e.
@@ -197,7 +163,7 @@ struct CoreSpec {
     std::uint64_t h = util::hash_u64(util::kHashSeed, queue_index);
     h = util::hash_u64(h, h >> 32);
     h = util::hash_u64(h, h >> 32);
-    return static_cast<std::size_t>(h) % count;
+    return static_cast<std::size_t>(h) % cores;
   }
 };
 
@@ -245,34 +211,15 @@ class RoundRobinScheduler final : public BurstScheduler {
 };
 
 /// Byte-quantum deficit round-robin (Shreedhar & Varghese, SIGCOMM
-/// '95): per-queue deficit counters persist across bursts; a queue
-/// that goes empty forfeits its credit, so idle ports cannot bank
-/// bandwidth. Optionally weighted: per-port quanta (operator policy)
-/// make the banked credit — and thus the overload goodput split —
-/// proportional to the weights.
+/// '95): every visit banks kDrrQuantumBytes; per-queue deficit counters
+/// persist across bursts; a queue that goes empty forfeits its credit,
+/// so idle ports cannot bank bandwidth.
 class DrrScheduler final : public BurstScheduler {
  public:
-  explicit DrrScheduler(std::size_t quantum_bytes = 1500,
-                        std::vector<std::size_t> port_quantum_bytes = {})
-      : quantum_(quantum_bytes == 0 ? 1 : quantum_bytes),
-        port_quantum_(std::move(port_quantum_bytes)) {}
   [[nodiscard]] const char* name() const override { return "drr"; }
   void next_burst(const std::vector<RxQueue*>& queues, std::size_t budget, Burst& out) override;
 
  private:
-  /// The quantum banked per visit of the queue on port `port`: the
-  /// per-port policy weight when configured, the uniform default
-  /// otherwise. Keyed by the queue's port id, not its position in the
-  /// core's view — policy weights follow the port wherever its queue
-  /// is steered.
-  [[nodiscard]] std::size_t quantum_for(std::size_t port) const {
-    if (port < port_quantum_.size() && port_quantum_[port] != 0)
-      return port_quantum_[port];
-    return quantum_;
-  }
-
-  std::size_t quantum_;
-  std::vector<std::size_t> port_quantum_;
   std::vector<std::size_t> deficit_;
   std::size_t cursor_ = 0;
   /// True when the previous burst's budget ran out mid-visit: the
@@ -281,7 +228,7 @@ class DrrScheduler final : public BurstScheduler {
   bool mid_visit_ = false;
 };
 
-[[nodiscard]] std::unique_ptr<BurstScheduler> make_scheduler(const SchedulerSpec& spec);
+[[nodiscard]] std::unique_ptr<BurstScheduler> make_scheduler(SchedulerKind kind);
 
 /// Ingress configuration of a ServicedNode: queue bounds plus the
 /// scheduling policy. `queue_capacity` bounds the sum across all port
@@ -293,9 +240,9 @@ class DrrScheduler final : public BurstScheduler {
 struct IngressSpec {
   std::size_t queue_capacity = 1024;
   std::size_t port_queue_capacity = 0;
-  SchedulerSpec scheduler{};
+  SchedulerKind scheduler = SchedulerKind::kFcfs;
   /// Worker-core layout: queue -> core steering plus the core count.
-  /// Every core gets its own scheduler instance built from `scheduler`.
+  /// Every core gets its own scheduler instance of kind `scheduler`.
   CoreSpec cores{};
 };
 

@@ -40,10 +40,12 @@
 
 namespace harmless::sim {
 
+/// How often the lease holder renews.
+constexpr SimNanos kLeaseRenewIntervalNs = 500'000;
+
 /// Lease/arbitration tunables (EXPERIMENTS.md "Witness & fencing knobs").
 struct WitnessSpec {
   SimNanos lease_validity_ns = 2'000'000;  // grant lifetime on both clocks
-  SimNanos renew_interval_ns = 500'000;    // how often the holder renews
   SimNanos rtt_ns = 100'000;               // witness link round-trip
 };
 
@@ -121,8 +123,6 @@ class WitnessLink : public FaultPoint {
   void set_up(bool up) { wire_.set_up(up); }
   [[nodiscard]] bool is_up() const { return wire_.is_up(); }
   void fault_set_up(bool up) override { set_up(up); }
-
-  [[nodiscard]] const WitnessSpec& spec() const { return witness_.spec(); }
 
   struct Stats {
     std::uint64_t requests_sent = 0;

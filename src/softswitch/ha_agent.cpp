@@ -122,10 +122,8 @@ void HaAgent::enable_active(ReplicationChannel& channel, ReplicationChannel* rev
 
 void HaAgent::schedule_heartbeat() {
   if (heartbeat_armed_ || repl_out_ == nullptr) return;
-  const sim::SimNanos interval = repl_out_->spec().heartbeat_interval_ns;
-  if (interval <= 0) return;
   heartbeat_armed_ = true;
-  engine_.schedule_after(interval, [this] {
+  engine_.schedule_after(kHeartbeatIntervalNs, [this] {
     heartbeat_armed_ = false;
     // A crashed or fenced active is silent — silence *is* the takeover
     // signal, and a fenced box advertising liveness would stall a
@@ -163,13 +161,10 @@ void HaAgent::set_witness(sim::WitnessLink& link) {
 
 void HaAgent::schedule_monitor() {
   if (monitor_armed_ || repl_in_ == nullptr || role_ != Role::kStandby) return;
-  const ReplicationSpec& spec = repl_in_->spec();
-  if (spec.heartbeat_interval_ns <= 0) return;
   monitor_armed_ = true;
-  engine_.schedule_after(spec.heartbeat_interval_ns, [this] {
+  engine_.schedule_after(kHeartbeatIntervalNs, [this] {
     monitor_armed_ = false;
     if (role_ != Role::kStandby) return;  // promotion stops the monitor
-    const ReplicationSpec& spec = repl_in_->spec();
     const sim::SimNanos silence = engine_.now() - last_heartbeat_;
     // A demoted ex-active still begging for its warm resync retries
     // here (the first sync request may have died on the wire).
@@ -179,8 +174,8 @@ void HaAgent::schedule_monitor() {
     // from sync latency longer than the miss threshold (bootstrap
     // promotion is the operator's call, not the monitor's).
     if (!crashed_ && heartbeat_seen_ &&
-        silence > static_cast<sim::SimNanos>(spec.takeover_miss_threshold) *
-                      spec.heartbeat_interval_ns) {
+        silence > static_cast<sim::SimNanos>(repl_in_->spec().takeover_miss_threshold) *
+                      kHeartbeatIntervalNs) {
       // Witness-less pair: heartbeat silence alone decides. Otherwise
       // request the lease and promote only on a grant.
       if (witness_ == nullptr)
@@ -279,10 +274,8 @@ void HaAgent::on_lease_reply(Role sent_as, bool granted, std::uint64_t epoch,
 
 void HaAgent::schedule_lease_renew() {
   if (renew_armed_ || witness_ == nullptr) return;
-  const sim::SimNanos interval = witness_->spec().renew_interval_ns;
-  if (interval <= 0) return;
   renew_armed_ = true;
-  engine_.schedule_after(interval, [this] {
+  engine_.schedule_after(sim::kLeaseRenewIntervalNs, [this] {
     renew_armed_ = false;
     if (role_ != Role::kActive) return;  // a standby does not renew
     request_lease();

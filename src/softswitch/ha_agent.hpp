@@ -24,6 +24,15 @@
 
 namespace harmless::softswitch {
 
+/// Reconnect backoff while the controller is lost: the first attempt
+/// waits kReconnectBackoffInitialNs, each next one twice as long up to
+/// kReconnectBackoffCapNs, each plus a uniform jitter of up to
+/// kReconnectBackoffJitter * delay drawn from a seeded Rng
+/// (deterministic; decorrelates fleets).
+constexpr sim::SimNanos kReconnectBackoffInitialNs = 1'000'000;  // 1 ms
+constexpr sim::SimNanos kReconnectBackoffCapNs = 8'000'000;      // 8 ms
+constexpr double kReconnectBackoffJitter = 0.25;
+
 /// Controller-loss behaviour (OF1.3 §6.4). Disabled by default
 /// (echo_interval_ns == 0): no probes, no degraded modes, no backoff —
 /// the plain datapath exactly. NOTE: enabling liveness probing makes the
@@ -40,12 +49,7 @@ struct FailoverSpec {
   /// Consecutive unanswered probes before the controller is declared
   /// lost (so detection takes ~threshold * interval).
   int echo_miss_threshold = 3;
-  /// Reconnect backoff: initial delay, doubling per attempt up to the
-  /// cap, plus a uniform jitter of up to `backoff_jitter` * delay drawn
-  /// from a seeded Rng (deterministic; decorrelates fleets).
-  sim::SimNanos backoff_initial_ns = 1'000'000;  // 1 ms
-  sim::SimNanos backoff_cap_ns = 8'000'000;      // 8 ms
-  double backoff_jitter = 0.25;
+  /// Seeds the reconnect backoff jitter (kReconnectBackoffJitter).
   std::uint64_t seed = 0xfa11'0f3aULL;
   /// Post-resync warm-up: for `warmup_ns` after the resync barrier, at
   /// most `warmup_packet_in_budget` packet-ins are admitted (a governor
@@ -162,7 +166,7 @@ class HaAgent {
 
   /// Become the active of an HA pair: every conntrack shard's delta
   /// stream is published into `channel` (stamped with the fencing
-  /// epoch), and a heartbeat fires every heartbeat_interval_ns (silent
+  /// epoch), and a heartbeat fires every kHeartbeatIntervalNs (silent
   /// while crashed or fenced). `reverse` (standby→active direction),
   /// when given, is listened on for failback sync requests and the
   /// peer's snapshots/heartbeats after a role swap. Requires conntrack.

@@ -11,11 +11,11 @@
 // independently of the data and control planes. Deltas coalesce for
 // batch_interval_ns and depart as one message.
 //
-// Liveness rides the same pipe: the active publishes heartbeats on a
-// timer (paused while it is crashed), and the standby's monitor trips
-// a takeover after `takeover_miss_threshold` silent intervals. The
-// channel only transports; the takeover decision lives in each
-// switch's HaAgent (ha_agent.hpp: enable_standby / takeover).
+// Liveness rides the same pipe: the active publishes heartbeats every
+// kHeartbeatIntervalNs (paused while it is crashed), and the standby's
+// monitor trips a takeover after `takeover_miss_threshold` silent
+// intervals. The channel only transports; the takeover decision lives
+// in each switch's HaAgent (ha_agent.hpp: enable_standby / takeover).
 #pragma once
 
 #include <cstdint>
@@ -30,6 +30,10 @@
 
 namespace harmless::softswitch {
 
+/// The active's liveness beacon cadence; the standby's monitor checks
+/// for silence at the same cadence.
+constexpr sim::SimNanos kHeartbeatIntervalNs = 500'000;
+
 /// Replication tunables (EXPERIMENTS.md "Stateful HA knobs").
 struct ReplicationSpec {
   sim::SimNanos latency_ns = 50'000;         // one-way sync latency (lag)
@@ -37,8 +41,7 @@ struct ReplicationSpec {
   double loss = 0.0;                         // per-batch loss probability
   sim::SimNanos jitter_ns = 0;               // uniform extra latency per batch
   std::uint64_t seed = 0x5ec0'17da'7aULL;
-  sim::SimNanos heartbeat_interval_ns = 500'000;  // active liveness beacon cadence
-  std::uint32_t takeover_miss_threshold = 3;      // silent intervals before takeover
+  std::uint32_t takeover_miss_threshold = 3;  // silent heartbeats before takeover
 };
 
 /// One replicated event, tagged with the conntrack shard it belongs to

@@ -27,7 +27,6 @@ SoftSwitch::SoftSwitch(sim::Engine& engine, std::string name, std::uint64_t data
       port_up_(of_port_count + 1, true),
       failover_(spec.failover),
       failover_rng_(spec.failover.seed),
-      backoff_ns_(spec.failover.backoff_initial_ns),
       seen_cache_epoch_(pipeline_.cache().epoch()),
       ha_(engine_, this->name(), pipeline_, failover_, failover_stats_, restarting_,
           costs_.checkpoint_entry_ns) {
@@ -74,7 +73,6 @@ void SoftSwitch::attach_channel(openflow::ControlChannel& channel) {
 void SoftSwitch::set_failover(const FailoverSpec& spec) {
   failover_ = spec;
   failover_rng_.reseed(spec.seed);
-  backoff_ns_ = spec.backoff_initial_ns;
   arm_liveness();
 }
 
@@ -113,18 +111,16 @@ void SoftSwitch::on_control_lost() {
   failover_stats_.last_disconnect_at = engine_.now();
   degraded_since_ = engine_.now();
   echo_outstanding_ = 0;
-  backoff_ns_ = failover_.backoff_initial_ns;
+  backoff_ns_ = kReconnectBackoffInitialNs;
   schedule_reconnect_attempt();
 }
 
 void SoftSwitch::schedule_reconnect_attempt() {
-  sim::SimNanos delay = backoff_ns_;
-  if (failover_.backoff_jitter > 0) {
-    const auto spread = static_cast<std::uint64_t>(
-        static_cast<double>(backoff_ns_) * failover_.backoff_jitter);
-    if (spread > 0) delay += static_cast<sim::SimNanos>(failover_rng_.below(spread + 1));
-  }
-  backoff_ns_ = std::min(backoff_ns_ * 2, failover_.backoff_cap_ns);
+  const auto spread =
+      static_cast<std::uint64_t>(static_cast<double>(backoff_ns_) * kReconnectBackoffJitter);
+  const sim::SimNanos delay =
+      backoff_ns_ + static_cast<sim::SimNanos>(failover_rng_.below(spread + 1));
+  backoff_ns_ = std::min(backoff_ns_ * 2, kReconnectBackoffCapNs);
   engine_.schedule_after(delay, [this] {
     if (connected_ || channel_ == nullptr) return;  // healed meanwhile: stop the loop
     if (!restarting_) {
@@ -142,7 +138,7 @@ void SoftSwitch::on_control_reconnected() {
   failover_stats_.degraded_ns += engine_.now() - degraded_since_;
   resync_window_ = true;
   echo_outstanding_ = 0;
-  backoff_ns_ = failover_.backoff_initial_ns;
+  backoff_ns_ = kReconnectBackoffInitialNs;
   // The controller's world may have moved while we were deaf: every
   // cached action program is suspect, and standalone-learned stations
   // must not shadow the re-installed flow rules.
@@ -226,15 +222,11 @@ void SoftSwitch::standalone_forward(std::uint32_t in_of_port, net::Packet&& pack
   const net::ParsedPacket& parsed = net::parse_cached(packet).parsed;
   if (!parsed.l2_valid) return;  // not bridgeable: drop
   const net::VlanId vlan = parsed.has_vlan() ? parsed.vlan_vid() : 0;
-  if (!parsed.eth_src.is_multicast() && !parsed.eth_src.is_zero())
-    standalone_macs_.learn(vlan, parsed.eth_src, static_cast<int>(in_of_port), engine_.now());
-  std::optional<int> out;
-  if (!parsed.eth_dst.is_multicast())
-    out = standalone_macs_.lookup(vlan, parsed.eth_dst, engine_.now());
-  if (out && static_cast<std::uint32_t>(*out) == in_of_port)
-    return;  // destination on the ingress segment: filter
-  if (out) {
-    resolve_output(static_cast<std::uint32_t>(*out), in_of_port, std::move(packet));
+  const legacy::MacTable::Decision decision = standalone_macs_.bridge(
+      vlan, parsed.eth_src, parsed.eth_dst, static_cast<int>(in_of_port), engine_.now());
+  if (decision.verdict == legacy::MacTable::Verdict::kFilter) return;
+  if (decision.verdict == legacy::MacTable::Verdict::kForward) {
+    resolve_output(static_cast<std::uint32_t>(decision.port), in_of_port, std::move(packet));
     return;
   }
   ++failover_stats_.standalone_floods;
@@ -514,9 +506,9 @@ void SoftSwitch::punt(std::uint32_t in_port, std::uint8_t table_id, PacketInReas
 }
 
 sim::SimNanos SoftSwitch::service_burst(sim::ServicedNode::Burst&& burst) {
-  // A burst that swept no queues is a budget-1 burst: the per-packet
-  // datapath, which runs strictly sequentially and pays no replay setup.
-  const bool per_packet = queues_polled() == 0;
+  // burst_size 1 is the per-packet datapath, which runs strictly
+  // sequentially and pays no poll sweep and no replay setup.
+  const bool per_packet = burst_size() == 1;
   if (!per_packet) ++counters_.service_bursts;
   const std::size_t rx_packets = burst.size();
   DatapathCosts::BurstWork work;

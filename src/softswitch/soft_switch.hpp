@@ -23,14 +23,14 @@
 // packets per gulp (default 32) and runs them through
 // Pipeline::run_burst — probe the cache for the whole burst, replay
 // the hits in arrival order (one replay setup per distinct megaflow),
-// slow-path only the residue. A budget-1 burst (burst_size 1, or an
-// adaptive budget at light load) is the per-packet datapath, the
-// batching ablation baseline: it runs Pipeline::run_burst_sequential
-// and pays no poll sweep and no replay setup.
+// slow-path only the residue. burst_size 1 is the per-packet datapath,
+// the batching ablation baseline: every burst is one packet, runs
+// Pipeline::run_burst_sequential and pays no poll sweep and no replay
+// setup.
 //
 // The datapath is multi-core capable (IngressSpec::cores): each worker
-// core owns a subset of the per-port RX queues (RSS-hash steered, pin
-// map override), its own BurstScheduler instance, and its own
+// core owns a subset of the per-port RX queues (RSS-hash, stride or
+// symmetric per-flow steered), its own BurstScheduler instance, and its own
 // flow-cache *shard* (Pipeline cache shard = core index) — microflow
 // map, classifier subtables, rank order and CLOCK hand are all
 // per-core, so a shard's probe order tracks exactly the skew its own
@@ -70,7 +70,8 @@
 //                       reusing legacy::MacTable), bypassing the
 //                       OpenFlow pipeline entirely.
 // While lost it retries the session with capped exponential backoff
-// (deterministic seeded jitter). The controller answers a reconnect
+// (kReconnectBackoff*: 1 ms doubling to 8 ms, deterministic seeded
+// jitter). The controller answers a reconnect
 // Hello with a features handshake; the switch then bumps the flow-
 // cache epoch, flushes standalone MACs, and counts re-installed flows
 // until the controller's resync barrier arrives — after which an
@@ -107,7 +108,7 @@ struct DatapathCosts {
   sim::SimNanos group_ns = 10;       // group indirection overhead
   sim::SimNanos miss_ns = 8;         // table miss bookkeeping
   /// NIC rx/tx: one poll-mode rx burst + tx burst costs a fixed setup
-  /// plus a small marginal per packet. A per-packet (budget-1) burst
+  /// plus a small marginal per packet. A per-packet (burst_size 1) burst
   /// pays both — 55 ns of rx/tx with the defaults — and nothing else
   /// burst-level: no poll sweep, no replay setup.
   sim::SimNanos rx_tx_burst_ns = 40;  // fixed per rx/tx burst call
@@ -301,8 +302,8 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
     std::uint64_t cache_misses = 0;        // packets that took the slow path
     std::uint64_t cache_invalidations = 0; // epoch bumps observed (flow/group mods,
                                            // expiry, port state changes)
-    // Batched bursts only (zero while every burst is per-packet, e.g.
-    // burst_size 1):
+    // Batched bursts only (zero with burst_size 1, the per-packet
+    // datapath):
     std::uint64_t service_bursts = 0;      // batched bursts served
     std::uint64_t replay_groups = 0;       // replay setups billed across bursts
     std::uint64_t rx_queue_polls = 0;      // per-port RX queues polled across bursts
@@ -446,7 +447,7 @@ class SoftSwitch : public sim::ServicedNode, public sim::FaultPoint {
   bool resync_window_ = false;  // between reconnect and the resync barrier
   int echo_outstanding_ = 0;
   std::uint64_t echo_seq_ = 0;
-  sim::SimNanos backoff_ns_ = 0;
+  sim::SimNanos backoff_ns_ = kReconnectBackoffInitialNs;
   sim::SimNanos degraded_since_ = 0;
   sim::SimNanos warmup_until_ = 0;
   std::uint64_t warmup_budget_ = 0;

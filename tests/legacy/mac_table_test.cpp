@@ -1,5 +1,5 @@
 // MAC learning table tests: learning, per-VLAN isolation, aging,
-// station moves, port flush, capacity.
+// station moves, port flush, capacity, the bridging decision.
 #include <gtest/gtest.h>
 
 #include "legacy/mac_table.hpp"
@@ -85,6 +85,31 @@ TEST(MacTable, ClearEmptiesEverything) {
   table.clear();
   EXPECT_EQ(table.size(), 0u);
   EXPECT_FALSE(table.lookup(1, kMacA, 0).has_value());
+}
+
+TEST(MacTable, BridgeLearnsTheSourceThenDecidesOnTheDestination) {
+  MacTable table;
+  using Verdict = MacTable::Verdict;
+  // Unknown destination: flood, and the source is learned.
+  EXPECT_EQ(table.bridge(1, kMacA, kMacB, 3, 0).verdict, Verdict::kFlood);
+  EXPECT_EQ(table.lookup(1, kMacA, 0), 3);
+  // Known destination on another port: forward there.
+  const MacTable::Decision back = table.bridge(1, kMacB, kMacA, 4, 0);
+  EXPECT_EQ(back.verdict, Verdict::kForward);
+  EXPECT_EQ(back.port, 3);
+  // Known destination on the ingress port: filter.
+  EXPECT_EQ(table.bridge(1, kMacB, kMacA, 3, 0).verdict, Verdict::kFilter);
+  // Multicast destinations always flood; multicast and zero sources
+  // are never learned.
+  EXPECT_EQ(table.bridge(1, kMacB, MacAddr::broadcast(), 4, 0).verdict, Verdict::kFlood);
+  const std::size_t size = table.size();
+  (void)table.bridge(1, MacAddr::broadcast(), kMacA, 5, 0);
+  (void)table.bridge(1, MacAddr::from_u64(0), kMacA, 5, 0);
+  EXPECT_EQ(table.size(), size);
+  // Learning comes first: a frame addressed to its own source MAC, from
+  // a station the table has not seen, is filtered, not flooded.
+  const MacAddr kMacC = MacAddr::from_u64(0xc);
+  EXPECT_EQ(table.bridge(1, kMacC, kMacC, 6, 0).verdict, Verdict::kFilter);
 }
 
 }  // namespace

@@ -7,15 +7,14 @@
 // across cores and change every timing number, but never *what* is
 // delivered, punted, matched, or counted. Two theorems pin it down:
 //
-//  1. For ANY RSS map (random core counts, hash steering, random pin
-//     maps, adaptive burst on or off) and any drained-between-waves
-//     flow-mod interleaving, the sharded switch delivers the identical
+//  1. For ANY RSS map (random core counts, hash or stride steering)
+//     and any drained-between-waves flow-mod interleaving, the sharded switch delivers the identical
 //     per-host packet multiset, the identical packet-ins, identical
 //     per-rule packet/byte counters, and identical *summed* cache
 //     stats (every rule here matches on in_port, so megaflows are
 //     port-disjoint and the shard partition is exact).
 //
-//  2. Under a megaflow capacity storm with a balanced pin map and
+//  2. Under a megaflow capacity storm with balanced stride steering and
 //     per-shard limits of limit/cores, the summed insertion and CLOCK
 //     eviction counts equal the single-core cache's — sharding divides
 //     the capacity pressure, it does not change it.
@@ -133,13 +132,11 @@ std::vector<Wave> make_waves(std::uint64_t seed) {
   return waves;
 }
 
-Observed run_waves(const std::vector<Wave>& waves, const sim::CoreSpec& cores,
-                   bool adaptive_burst) {
+Observed run_waves(const std::vector<Wave>& waves, const sim::CoreSpec& cores) {
   RigOptions options;
   options.host_count = kHosts;
   options.sw.burst_size = 8;
   options.sw.ingress.cores = cores;
-  options.sw.ingress.scheduler.adaptive_burst = adaptive_burst;
   NativeRig rig(options);
   install_port_l2(rig);
 
@@ -216,25 +213,16 @@ TEST_P(MulticoreEquivalence, ShardedSwitchIsObservationallyIdenticalToSingleCore
   const std::vector<Wave> waves = make_waves(seed);
   util::Rng rng(seed * 77 + 5);
 
-  const Observed single = run_waves(waves, sim::CoreSpec{}, /*adaptive_burst=*/false);
+  const Observed single = run_waves(waves, sim::CoreSpec{});
 
-  // Random core layouts: counts 2..5, hash or stride steering, and a
-  // random pin map a third of the time; adaptive burst joins randomly
-  // (it changes budgets and timing, never semantics).
+  // Random core layouts: counts 2..5, hash or stride steering.
   for (int layout = 0; layout < 3; ++layout) {
     sim::CoreSpec cores;
     cores.cores = 2 + rng.below(4);
     cores.rss = rng.chance(0.5) ? sim::RssPolicy::kHash : sim::RssPolicy::kStride;
-    if (rng.chance(0.33)) {
-      cores.pin_map.resize(kHosts);
-      for (auto& pin : cores.pin_map)
-        pin = rng.chance(0.3) ? sim::kCoreUnpinned
-                              : static_cast<std::uint32_t>(rng.below(cores.cores));
-    }
-    const bool adaptive = rng.chance(0.5);
-    const Observed sharded = run_waves(waves, cores, adaptive);
+    const Observed sharded = run_waves(waves, cores);
     EXPECT_EQ(sharded, single) << "seed " << seed << " cores " << cores.cores << " policy "
-                               << sim::to_string(cores.rss) << " adaptive " << adaptive;
+                               << sim::to_string(cores.rss);
   }
 
   // The workload must actually exercise the machinery being compared.
@@ -270,7 +258,7 @@ StormRun run_storm(std::size_t cores, std::size_t megaflow_limit) {
   NativeRig rig(options);
   install_port_l2(rig);
   openflow::FlowCache::Limits limits;
-  limits.max_megaflows = megaflow_limit / (cores == 0 ? 1 : cores);
+  limits.max_megaflows = megaflow_limit / cores;
   limits.max_microflows = 1u << 20;  // tier-1 never flushes: megaflow storm only
   rig.datapath->pipeline().set_cache_limits(limits);
 

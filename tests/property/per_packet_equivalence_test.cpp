@@ -1,16 +1,15 @@
 // The per-packet soft-switch datapath, pinned.
 //
-// A soft switch serves a budget-1 burst — burst_size 1, or adaptive
-// bursting at light load — as a burst of one through its single
-// service_burst() ingress path. That path must bill, count and time
-// every packet exactly as the historical per-packet service() path did.
-// Each case below runs the per-packet datapath two ways (burst_size 1
-// on one core; adaptive_burst at light load on two symmetric-RSS cores)
-// and folds everything observable into a digest: every delivery (host,
-// receive time), the switch's busy_ns, every Counters field and every
-// FailoverStats field. The digests were recorded from the per-packet
-// service() implementation, so any drift in the bill, the counters or
-// the timer arming fails here. The engine's dispatched-event count is
+// A soft switch with burst_size 1 serves every packet as a burst of one
+// through its single service_burst() ingress path. That path must bill,
+// count and time every packet exactly as the historical per-packet
+// service() path did. Each case below runs the per-packet datapath two
+// ways (one core; two symmetric-RSS cores) and folds everything
+// observable into a digest: every delivery (host, receive time), the
+// switch's busy_ns, every Counters field and every FailoverStats field.
+// The one-core digests were recorded from the per-packet service()
+// implementation, so any drift in the bill, the counters or the timer
+// arming fails here. The engine's dispatched-event count is
 // pinned beside each digest rather than folded into it: an engine that
 // skips no-op events moves the count and nothing else.
 //
@@ -58,7 +57,7 @@ struct Digest {
   void fold_signed(std::int64_t x) { fold(static_cast<std::uint64_t>(x)); }
 };
 
-enum class Way { kBurstOne, kAdaptiveTwoCores };
+enum class Way { kBurstOne, kTwoCores };
 
 /// One run, pinned: the digest of everything observable and the number
 /// of engine events the run took.
@@ -126,10 +125,7 @@ struct Rig {
   Rig(Way way, const Options& options, const std::vector<FlowModMsg>& rules) {
     SwitchSpec spec = options.sw;
     spec.burst_size = 1;
-    if (way == Way::kAdaptiveTwoCores) {
-      spec.burst_size = 32;
-      spec.ingress.scheduler.adaptive_burst = true;
-      spec.ingress.scheduler.adaptive_min_burst = 1;
+    if (way == Way::kTwoCores) {
       spec.ingress.cores.cores = 2;
       spec.ingress.cores.rss = sim::RssPolicy::kSymmetric;
     }
@@ -319,42 +315,44 @@ Outcome run_conntrack_checkpointing(Way way) {
   return rig.finish(22 * kMs);
 }
 
-// Digests recorded from the per-packet service() datapath; event counts
-// recorded with claimed link-departure and drain re-arm keys.
+// One-core digests recorded from the per-packet service() datapath;
+// event counts recorded with claimed link-departure and drain re-arm
+// keys. Two-core digests and counts recorded from the service_burst()
+// datapath with burst_size 1 on two kSymmetric cores.
 constexpr Outcome kCacheOnBurstOne{6510268970685941966ULL, 5921};
-constexpr Outcome kCacheOnAdaptive{11093943440734891688ULL, 5598};
+constexpr Outcome kCacheOnTwoCores{6087165268721291598ULL, 5806};
 constexpr Outcome kCacheOffBurstOne{6408654575646611674ULL, 5921};
-constexpr Outcome kCacheOffAdaptive{12194045744407653687ULL, 5598};
+constexpr Outcome kCacheOffTwoCores{9599904551689504609ULL, 5806};
 constexpr Outcome kConntrackBurstOne{3563975662584092843ULL, 2935};
-constexpr Outcome kConntrackAdaptive{15560742492211248351ULL, 2578};
+constexpr Outcome kConntrackTwoCores{269955310571506208ULL, 2856};
 constexpr Outcome kStandaloneBurstOne{16855465101370128942ULL, 13017};
-constexpr Outcome kStandaloneAdaptive{11473439033694656101ULL, 10586};
+constexpr Outcome kStandaloneTwoCores{18036787413775153606ULL, 12282};
 constexpr Outcome kSwitchCrashBurstOne{11536804785042268268ULL, 9728};
-constexpr Outcome kSwitchCrashAdaptive{4505778424263560131ULL, 7723};
+constexpr Outcome kSwitchCrashTwoCores{4461110331808029276ULL, 9150};
 
 TEST(PerPacketEquivalence, CacheOn) {
   expect_outcome(run_plain(Way::kBurstOne, true), kCacheOnBurstOne);
-  expect_outcome(run_plain(Way::kAdaptiveTwoCores, true), kCacheOnAdaptive);
+  expect_outcome(run_plain(Way::kTwoCores, true), kCacheOnTwoCores);
 }
 
 TEST(PerPacketEquivalence, CacheOff) {
   expect_outcome(run_plain(Way::kBurstOne, false), kCacheOffBurstOne);
-  expect_outcome(run_plain(Way::kAdaptiveTwoCores, false), kCacheOffAdaptive);
+  expect_outcome(run_plain(Way::kTwoCores, false), kCacheOffTwoCores);
 }
 
 TEST(PerPacketEquivalence, ConntrackSnatWithCheckpointing) {
   expect_outcome(run_conntrack_checkpointing(Way::kBurstOne), kConntrackBurstOne);
-  expect_outcome(run_conntrack_checkpointing(Way::kAdaptiveTwoCores), kConntrackAdaptive);
+  expect_outcome(run_conntrack_checkpointing(Way::kTwoCores), kConntrackTwoCores);
 }
 
 TEST(PerPacketEquivalence, FailStandaloneControllerOutage) {
   expect_outcome(run_standalone_outage(Way::kBurstOne), kStandaloneBurstOne);
-  expect_outcome(run_standalone_outage(Way::kAdaptiveTwoCores), kStandaloneAdaptive);
+  expect_outcome(run_standalone_outage(Way::kTwoCores), kStandaloneTwoCores);
 }
 
 TEST(PerPacketEquivalence, SwitchCrashAndRestart) {
   expect_outcome(run_switch_crash(Way::kBurstOne), kSwitchCrashBurstOne);
-  expect_outcome(run_switch_crash(Way::kAdaptiveTwoCores), kSwitchCrashAdaptive);
+  expect_outcome(run_switch_crash(Way::kTwoCores), kSwitchCrashTwoCores);
 }
 
 }  // namespace

@@ -110,7 +110,7 @@ class SharedFifoRef final : public sim::Node {
 class SchedulerProbe final : public sim::ServicedNode {
  public:
   SchedulerProbe(Engine& engine, std::size_t capacity, std::size_t burst,
-                 sim::SchedulerSpec scheduler = {})
+                 sim::SchedulerKind scheduler = sim::SchedulerKind::kFcfs)
       : ServicedNode(
             engine, "probe",
             sim::IngressSpec{.queue_capacity = capacity, .scheduler = scheduler, .cores = {}},
@@ -246,7 +246,7 @@ struct SinglePortRun {
   std::uint64_t cache_hits, cache_misses;
 };
 
-SinglePortRun run_single_port(const Script& script, sim::SchedulerSpec scheduler) {
+SinglePortRun run_single_port(const Script& script, sim::SchedulerKind scheduler) {
   RigOptions options;
   options.host_count = 4;
   options.sw.burst_size = 8;
@@ -291,9 +291,9 @@ TEST_P(SinglePortSchedulers, AllSchedulersDegenerateToFcfsOnOneActivePort) {
   const std::uint64_t seed = GetParam();
   const Script script = make_single_port_script(seed, 4);
 
-  const SinglePortRun fcfs = run_single_port(script, {sim::SchedulerKind::kFcfs});
-  const SinglePortRun rr = run_single_port(script, {sim::SchedulerKind::kRoundRobin});
-  const SinglePortRun drr = run_single_port(script, {sim::SchedulerKind::kDrr});
+  const SinglePortRun fcfs = run_single_port(script, sim::SchedulerKind::kFcfs);
+  const SinglePortRun rr = run_single_port(script, sim::SchedulerKind::kRoundRobin);
+  const SinglePortRun drr = run_single_port(script, sim::SchedulerKind::kDrr);
 
   for (const SinglePortRun* other : {&rr, &drr}) {
     EXPECT_EQ(other->host_rx, fcfs.host_rx) << "seed " << seed;
@@ -317,7 +317,7 @@ TEST(SchedulerMultiset, ReorderingNeverChangesWhatIsDeliveredOrCounted) {
   // Multi-port waves with flow-mods only in fully-drained gaps: the
   // scheduler choice may permute service order inside a wave, but the
   // delivered multiset, match counts and per-entry stats must agree.
-  auto run = [](sim::SchedulerSpec scheduler) {
+  auto run = [](sim::SchedulerKind scheduler) {
     RigOptions options;
     options.host_count = 4;
     options.sw.burst_size = 16;
@@ -369,9 +369,9 @@ TEST(SchedulerMultiset, ReorderingNeverChangesWhatIsDeliveredOrCounted) {
                            result.entry_stats);
   };
 
-  const auto fcfs = run({sim::SchedulerKind::kFcfs});
-  const auto rr = run({sim::SchedulerKind::kRoundRobin});
-  const auto drr = run({sim::SchedulerKind::kDrr, 512});
+  const auto fcfs = run(sim::SchedulerKind::kFcfs);
+  const auto rr = run(sim::SchedulerKind::kRoundRobin);
+  const auto drr = run(sim::SchedulerKind::kDrr);
   EXPECT_EQ(rr, fcfs);
   EXPECT_EQ(drr, fcfs);
   EXPECT_EQ(std::get<2>(fcfs), 0u);  // paced within capacity: no drops anywhere

@@ -78,7 +78,7 @@ struct IsolationRun {
 
 /// Elephant on OF port 1 saturating the per-packet datapath ~1.6x,
 /// mouse flow on OF port 2 at ~5% of line rate.
-IsolationRun isolation_run(sim::SchedulerSpec scheduler, std::size_t port_queue_capacity) {
+IsolationRun isolation_run(sim::SchedulerKind scheduler, std::size_t port_queue_capacity) {
   RigOptions options;
   options.host_count = 4;
   options.access_link = sim::LinkSpec::gbps(10);
@@ -109,7 +109,7 @@ TEST(Overload, DrrIsolatesTheMousePortFromAnElephantOverload) {
   // buffer): the elephant's backlog owns the whole buffer, so the
   // mouse's packets tail-drop at admission even though the mouse asks
   // for 5% of capacity — head-of-line blocking as buffer monopoly.
-  const IsolationRun fcfs = isolation_run({sim::SchedulerKind::kFcfs},
+  const IsolationRun fcfs = isolation_run(sim::SchedulerKind::kFcfs,
                                           /*port_queue_capacity=*/0);
   EXPECT_GT(fcfs.mouse_port_drops, 200u);
   EXPECT_LT(fcfs.mouse_completed, 2'000u);
@@ -119,7 +119,7 @@ TEST(Overload, DrrIsolatesTheMousePortFromAnElephantOverload) {
   // own 256-slot queue, the mouse's queue stays near-empty, and its
   // flow rides through lossless while the elephant keeps tail-dropping
   // on its own port.
-  const IsolationRun drr = isolation_run({sim::SchedulerKind::kDrr},
+  const IsolationRun drr = isolation_run(sim::SchedulerKind::kDrr,
                                          /*port_queue_capacity=*/256);
   EXPECT_EQ(drr.mouse_port_drops, 0u);
   EXPECT_EQ(drr.mouse_completed, 2'000u);

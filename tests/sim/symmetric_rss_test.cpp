@@ -52,8 +52,7 @@ TEST(CoreSpecPolicy, SymmetricGridMapsQueueIndexToItsCore) {
 
 TEST(CoreSpecPolicy, AsymmetricPoliciesUnchangedBySymmetricVariant) {
   // kHash and kStride must behave exactly as before the kSymmetric
-  // addition: stride is queue % cores, hash is the finalized mix, and
-  // the pin map wins over both.
+  // addition: stride is queue % cores, hash is the finalized mix.
   CoreSpec stride;
   stride.cores = 3;
   stride.rss = RssPolicy::kStride;
@@ -68,12 +67,6 @@ TEST(CoreSpecPolicy, AsymmetricPoliciesUnchangedBySymmetricVariant) {
     h = util::hash_u64(h, h >> 32);
     EXPECT_EQ(hash.core_of(q), static_cast<std::size_t>(h % 3));
   }
-
-  CoreSpec pinned = stride;
-  pinned.pin_map = {2, kCoreUnpinned, 7};  // 7 % 3 == 1
-  EXPECT_EQ(pinned.core_of(0), 2u);
-  EXPECT_EQ(pinned.core_of(1), 1u);  // falls back to stride
-  EXPECT_EQ(pinned.core_of(2), 1u);  // 7 mod 3
 }
 
 // End-to-end: on a multi-core SoftSwitch with symmetric RSS, a flow
