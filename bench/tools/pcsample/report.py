@@ -2,7 +2,7 @@
 """Symbolize pcsample files and print a flat profile.
 
     python3 bench/tools/pcsample/report.py [--within REGEX] [--group NAME=REGEX]...
-        [--top N] FILE...
+        [--top N] FILE... [--baseline FILE...]
 
 Each FILE is a pcsample.<pid>.txt written by libpcsample.so. Every
 address is mapped back to its ELF file through the process's saved
@@ -27,6 +27,12 @@ counting each sample once however many of its frames match. One data
 structure is often many template rows (a std::unordered_map's find,
 hash, node and bucket helpers), and summing those rows by hand counts a
 sample once per row.
+
+--baseline FILE... (after the main files, or ended by `--`) profiles a
+second set of files, say the parent build's, under the same --within,
+and prints the --group table with the baseline's self and inclusive
+shares beside the main files': where a change saved time, in one
+command.
 """
 
 import argparse
@@ -109,23 +115,10 @@ def symbolize(addresses_by_file):
     return names
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("files", nargs="+")
-    parser.add_argument("--within", help="keep samples with a frame matching this regex")
-    parser.add_argument("--group", action="append", default=[], metavar="NAME=REGEX",
-                        help="report the share of the functions matching REGEX as NAME")
-    parser.add_argument("--top", type=int, default=25)
-    args = parser.parse_args()
-    groups = []
-    for spec in args.group:
-        name, sep, regex = spec.partition("=")
-        if not sep or not name:
-            parser.error(f"--group wants NAME=REGEX, got {spec!r}")
-        groups.append((name, re.compile(regex)))
-
-    segments, traces, wanted = {}, [], collections.defaultdict(set)
-    for path in args.files:
+def load_traces(files, segments, wanted):
+    """Each sample of each file as a list of (ELF path, address) frames."""
+    traces = []
+    for path in files:
         maps, samples = parse(path)
         for sample in samples:
             # Callers are return addresses: step back into the call.
@@ -135,36 +128,87 @@ def main():
             for frame in trace:
                 if frame is not None:
                     wanted[frame[0]].add(frame[1])
+    return traces
+
+
+class Profile:
+    """Self, inclusive and per-group sample counts of the kept samples."""
+
+    def __init__(self, traces, names, within, groups):
+        self.total = len(traces)
+        self.kept = 0
+        self.self_counts, self.inclusive_counts = collections.Counter(), collections.Counter()
+        self.group_self, self.group_inclusive = collections.Counter(), collections.Counter()
+        for trace in traces:
+            frames = [names.get(f, [("??", "??:0")]) if f else [("??", "??:0")] for f in trace]
+            if within and not any(within.search(f"{fn} {loc}")
+                                  for chain in frames for fn, loc in chain):
+                continue
+            self.kept += 1
+            self.self_counts[frames[0][0][0]] += 1
+            functions = {fn for chain in frames for fn, _ in chain}
+            self.inclusive_counts.update(functions)
+            for name, regex in groups:
+                self.group_self[name] += bool(regex.search(frames[0][0][0]))
+                self.group_inclusive[name] += any(regex.search(fn) for fn in functions)
+
+    def group_shares(self, name):
+        """(self %, inclusive %) of one group."""
+        return (100.0 * self.group_self[name] / self.kept,
+                100.0 * self.group_inclusive[name] / self.kept)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("files", nargs="+")
+    parser.add_argument("--within", help="keep samples with a frame matching this regex")
+    parser.add_argument("--group", action="append", default=[], metavar="NAME=REGEX",
+                        help="report the share of the functions matching REGEX as NAME")
+    parser.add_argument("--baseline", nargs="+", default=[], metavar="FILE",
+                        help="print each --group share in these files beside the main files'")
+    parser.add_argument("--top", type=int, default=25)
+    args = parser.parse_args()
+    groups = []
+    for spec in args.group:
+        name, sep, regex = spec.partition("=")
+        if not sep or not name:
+            parser.error(f"--group wants NAME=REGEX, got {spec!r}")
+        groups.append((name, re.compile(regex)))
+    if args.baseline and not groups:
+        parser.error("--baseline compares --group shares; give at least one --group")
+
+    segments, wanted = {}, collections.defaultdict(set)
+    traces = load_traces(args.files, segments, wanted)
+    baseline_traces = load_traces(args.baseline, segments, wanted)
     names = symbolize(wanted)
 
     within = re.compile(args.within) if args.within else None
-    self_counts, inclusive_counts, kept = collections.Counter(), collections.Counter(), 0
-    group_self, group_inclusive = collections.Counter(), collections.Counter()
-    for trace in traces:
-        frames = [names.get(f, [("??", "??:0")]) if f else [("??", "??:0")] for f in trace]
-        if within and not any(within.search(f"{fn} {loc}") for chain in frames for fn, loc in chain):
-            continue
-        kept += 1
-        self_counts[frames[0][0][0]] += 1
-        functions = {fn for chain in frames for fn, _ in chain}
-        inclusive_counts.update(functions)
-        for name, regex in groups:
-            group_self[name] += bool(regex.search(frames[0][0][0]))
-            group_inclusive[name] += any(regex.search(fn) for fn in functions)
-
-    print(f"{kept} of {len(traces)} samples from {len(args.files)} file(s)"
+    profile = Profile(traces, names, within, groups)
+    print(f"{profile.kept} of {profile.total} samples from {len(args.files)} file(s)"
           + (f" within /{args.within}/" if within else ""))
-    if kept == 0:
+    if profile.kept == 0:
         return 1
-    for title, counts in (("self", self_counts), ("inclusive", inclusive_counts)):
+    for title, counts in (("self", profile.self_counts), ("inclusive", profile.inclusive_counts)):
         print(f"\n{title:>9}  function")
         for function, count in counts.most_common(args.top):
-            print(f"{100.0 * count / kept:8.1f}%  {function}")
-    if groups:
+            print(f"{100.0 * count / profile.kept:8.1f}%  {function}")
+    if args.baseline:
+        baseline = Profile(baseline_traces, names, within, groups)
+        print(f"\nbaseline: {baseline.kept} of {baseline.total} samples from "
+              f"{len(args.baseline)} file(s)")
+        if baseline.kept == 0:
+            return 1
+        print(f"\n{'baseline':>20}  {'main':>20}")
+        print(f"{'self':>9}  {'inclusive':>9}  {'self':>9}  {'inclusive':>9}  group")
+        for name, regex in groups:
+            before, after = baseline.group_shares(name), profile.group_shares(name)
+            print(f"{before[0]:8.1f}%  {before[1]:8.1f}%  {after[0]:8.1f}%  {after[1]:8.1f}%"
+                  f"  {name} /{regex.pattern}/")
+    elif groups:
         print(f"\n{'self':>9}  {'inclusive':>9}  group")
         for name, regex in groups:
-            print(f"{100.0 * group_self[name] / kept:8.1f}%  {100.0 * group_inclusive[name] / kept:8.1f}%"
-                  f"  {name} /{regex.pattern}/")
+            shares = profile.group_shares(name)
+            print(f"{shares[0]:8.1f}%  {shares[1]:8.1f}%  {name} /{regex.pattern}/")
     return 0
 
 

@@ -63,8 +63,7 @@ void Packet::set_intern(PacketParse* parse) {
   intern_ = parse;
 }
 
-void Packet::drop_intern() {
-  if (intern_ == nullptr) return;
+void Packet::release_intern() {
   PacketParse::release(intern_);
   intern_ = nullptr;
 }

@@ -124,8 +124,11 @@ class Packet {
   /// Adopt `parse` (releasing any previous intern back to its pool).
   void set_intern(PacketParse* parse);
   /// Release the interned parse (mutable frame() access, and a rewrite
-  /// that cannot patch it, call this).
-  void drop_intern();
+  /// that cannot patch it, call this). Inline test first: every hand-off
+  /// destroys or overwrites a moved-from packet, which holds none.
+  void drop_intern() {
+    if (intern_ != nullptr) release_intern();
+  }
 
   /// classic "offset: xx xx .. ascii" dump for debugging and examples.
   [[nodiscard]] std::string hexdump() const { return hexdump(frame_.size()); }
@@ -134,6 +137,7 @@ class Packet {
   [[nodiscard]] std::string hexdump(std::size_t max_bytes) const;
 
  private:
+  void release_intern();
   void recycle() {
     drop_intern();
     if (frame_.capacity() != 0) FramePool::release(std::move(frame_));

@@ -59,11 +59,16 @@ void ServicedNode::ensure_rx_queues(std::size_t port_count) {
     rx_queues_.emplace_back(static_cast<int>(index / stride));
     // Steering decision: the queue belongs to one worker core for its
     // lifetime (the RSS policy; the grid encodes its core in the
-    // index). Queue views hold pointers into rx_queues_, which may have
-    // just reallocated — rebuild them lazily before the next step.
+    // index). Its ready bit is bound now, because a packet may land in
+    // it before the next step. Queue views hold pointers into
+    // rx_queues_, which may have just reallocated — rebuild them lazily
+    // before the next step (the bindings name the core's ReadyBits, not
+    // the queue's address, so they survive the move).
     const std::size_t core = ingress_.cores.core_of(index);
     queue_core_.push_back(core);
-    cores_[core].queue_indices.push_back(index);
+    Core& owner = cores_[core];
+    rx_queues_.back().bind(owner.view.ready, owner.queue_indices.size());
+    owner.queue_indices.push_back(index);
     views_dirty_ = true;
   }
 }
@@ -72,9 +77,10 @@ void ServicedNode::refresh_views() {
   if (!views_dirty_) return;
   views_dirty_ = false;
   for (Core& core : cores_) {
-    core.view.clear();
-    core.view.reserve(core.queue_indices.size());
-    for (const std::size_t index : core.queue_indices) core.view.push_back(&rx_queues_[index]);
+    core.view.queues.clear();
+    core.view.queues.reserve(core.queue_indices.size());
+    for (const std::size_t index : core.queue_indices)
+      core.view.queues.push_back(&rx_queues_[index]);
   }
 }
 
@@ -178,10 +184,11 @@ SimNanos ServicedNode::serve_core(std::size_t core_index, SimNanos step_start) {
     out_pool_.pop_back();
   }
   pending_out_.clear();
-  // One poll sweep over every RX queue this core owns, empty or not —
-  // a batched-datapath cost only. burst_size 1 is the per-packet
-  // datapath and sweeps nothing.
-  queues_polled_ = burst_size_ == 1 ? 0 : core.view.size();
+  // One modelled poll sweep over every RX queue this core owns, empty
+  // or not — a batched-datapath cost only, billed here; the host finds
+  // the backlogged queues through the ready bits instead. burst_size 1
+  // is the per-packet datapath and sweeps nothing.
+  queues_polled_ = burst_size_ == 1 ? 0 : core.view.queues.size();
 
   // The core's scheduler picks what this burst serves (one packet in
   // per-packet mode: the classic single-server queue, scheduler-ordered).

@@ -172,8 +172,8 @@ class ServicedNode : public Node {
   [[nodiscard]] std::size_t queue_depth() const { return total_depth_; }
 
   /// Per-port RX queue stats (depth, drops, peak depth). Queues are
-  /// created on demand; `rx_queue_count()` is what the poll loop
-  /// sweeps every burst.
+  /// created on demand; a core's share of `rx_queue_count()` is what
+  /// its modelled poll loop sweeps (and bills) every burst.
   [[nodiscard]] std::size_t rx_queue_count() const { return rx_queues_.size(); }
   [[nodiscard]] const RxQueue& rx_queue(std::size_t index) const { return rx_queues_[index]; }
   /// RX queues per port: 1 normally; `cores` under RssPolicy::kSymmetric
@@ -239,7 +239,10 @@ class ServicedNode : public Node {
   struct Core {
     std::unique_ptr<BurstScheduler> scheduler;
     std::vector<std::size_t> queue_indices;
-    std::vector<RxQueue*> view;  // rebuilt lazily after queue growth
+    /// The queue pointers are rebuilt lazily after queue growth; each
+    /// queue is bound to `view.ready` at its position once, when the
+    /// queue is created.
+    QueueView view;
     Burst burst;                 // per-step scratch, recycled across bursts
     std::size_t backlog = 0;     // packets across this core's queues
     SimNanos busy_ns = 0;

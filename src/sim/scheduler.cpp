@@ -1,5 +1,7 @@
 #include "sim/scheduler.hpp"
 
+#include <bit>
+
 namespace harmless::sim {
 
 const char* to_string(SchedulerKind kind) {
@@ -29,32 +31,34 @@ std::unique_ptr<BurstScheduler> make_scheduler(SchedulerKind kind) {
   return std::make_unique<FcfsScheduler>();
 }
 
-void FcfsScheduler::next_burst(const std::vector<RxQueue*>& queues, std::size_t budget,
-                               Burst& out) {
-  // One sweep collects the backlogged queues; the pop loop then only
-  // touches those. The common case — a single busy port — drains at
-  // deque speed instead of rescanning the whole port array per packet.
-  backlogged_.clear();
-  for (RxQueue* queue : queues)
-    if (!queue->empty()) backlogged_.push_back(queue);
-  if (backlogged_.size() == 1) {
-    RxQueue& queue = *backlogged_.front();
-    while (out.size() < budget && !queue.empty())
-      out.emplace_back(queue.in_port(), queue.pop());
-    return;
-  }
-  while (out.size() < budget && !backlogged_.empty()) {
-    std::size_t oldest = 0;
-    for (std::size_t i = 1; i < backlogged_.size(); ++i)
-      if (backlogged_[i]->front().seq < backlogged_[oldest]->front().seq) oldest = i;
-    out.emplace_back(backlogged_[oldest]->in_port(), backlogged_[oldest]->pop());
-    if (backlogged_[oldest]->empty())
-      backlogged_.erase(backlogged_.begin() + static_cast<std::ptrdiff_t>(oldest));
+void RxQueue::grow() {
+  std::vector<Item> ring(ring_.empty() ? 8 : ring_.size() * 2);
+  for (std::size_t i = 0; i < size_; ++i)
+    ring[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+  ring_ = std::move(ring);
+  head_ = 0;
+}
+
+void FcfsScheduler::next_burst(const QueueView& view, std::size_t budget, Burst& out) {
+  // Each packet goes to the ready queue with the oldest head. A pop
+  // that empties a queue clears its bit, so the next walk skips it.
+  const std::vector<std::uint64_t>& words = view.ready.words();
+  while (out.size() < budget) {
+    RxQueue* oldest = nullptr;
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+        RxQueue* queue =
+            view.queues[(w << 6) + static_cast<std::size_t>(std::countr_zero(bits))];
+        if (oldest == nullptr || queue->front().seq < oldest->front().seq) oldest = queue;
+      }
+    }
+    if (oldest == nullptr) return;
+    out.emplace_back(oldest->in_port(), oldest->pop());
   }
 }
 
-void RoundRobinScheduler::next_burst(const std::vector<RxQueue*>& queues, std::size_t budget,
-                                     Burst& out) {
+void RoundRobinScheduler::next_burst(const QueueView& view, std::size_t budget, Burst& out) {
+  const std::vector<RxQueue*>& queues = view.queues;
   if (queues.empty()) return;
   if (cursor_ >= queues.size()) cursor_ = 0;
   std::size_t empty_streak = 0;
@@ -71,8 +75,8 @@ void RoundRobinScheduler::next_burst(const std::vector<RxQueue*>& queues, std::s
   }
 }
 
-void DrrScheduler::next_burst(const std::vector<RxQueue*>& queues, std::size_t budget,
-                              Burst& out) {
+void DrrScheduler::next_burst(const QueueView& view, std::size_t budget, Burst& out) {
+  const std::vector<RxQueue*>& queues = view.queues;
   if (queues.empty()) return;
   if (deficit_.size() < queues.size()) deficit_.resize(queues.size(), 0);
   if (cursor_ >= queues.size()) {

@@ -23,16 +23,22 @@
 // (queue -> burst) hand-off defined here is the unit a worker core
 // pulls: a multi-core node (CoreSpec) steers each RX queue to one core
 // RSS-style and gives every core its own scheduler instance over its
-// own queue subset, so next_burst takes the core's queue *view* (a
-// stable-ordered vector of queue pointers), not the node's whole
-// array. Per-view state (cursors, deficits) indexes positions in that
-// view; a single-core node's view is the full array in port order,
-// which keeps the one-core datapath bit-exact with the pre-multi-core
-// code.
+// own queue subset, so next_burst takes the core's QueueView (a
+// stable-ordered vector of queue pointers plus a ready bitmap over its
+// positions), not the node's whole array. Per-view state (cursors,
+// deficits) indexes positions in that view; a single-core node's view
+// is the full array in port order, which keeps the one-core datapath
+// bit-exact with the pre-multi-core code.
+//
+// The modelled NIC polls every queue of the core each burst, and the
+// node bills that sweep (`queues_polled()` is the view size). The host
+// does not repeat it: each queue flips its ready bit when it fills or
+// empties, so FCFS walks only the set bits. RoundRobin and Drr still
+// step through every position, because their cursor and credit rules
+// are defined over empty queues too.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -42,50 +48,74 @@
 
 namespace harmless::sim {
 
+/// One bit per queue of a core's view, set while that queue holds
+/// packets. The queues keep it current themselves (RxQueue::bind), so
+/// FCFS finds the backlogged queues without visiting the empty ones.
+class ReadyBits {
+ public:
+  /// Make room for bit positions [0, bits); existing bits keep.
+  void resize(std::size_t bits) {
+    if (words_.size() * 64 < bits) words_.resize((bits + 63) / 64, 0);
+  }
+  void set(std::size_t position) { words_[position >> 6] |= bit(position); }
+  void reset(std::size_t position) { words_[position >> 6] &= ~bit(position); }
+  [[nodiscard]] bool test(std::size_t position) const {
+    return position >> 6 < words_.size() && (words_[position >> 6] & bit(position)) != 0;
+  }
+  [[nodiscard]] const std::vector<std::uint64_t>& words() const { return words_; }
+
+ private:
+  static std::uint64_t bit(std::size_t position) { return std::uint64_t{1} << (position & 63); }
+
+  std::vector<std::uint64_t> words_;
+};
+
 /// One ingress port's bounded RX queue. Packets are stamped with a
 /// node-global arrival sequence number so FCFS can reconstruct the
 /// exact shared-FIFO order across queues.
+///
+/// The queue is a power-of-two ring over a vector that doubles when
+/// full and never shrinks, so a queue that has reached its high-water
+/// depth enqueues and dequeues without allocating. The node's shared
+/// bound (`IngressSpec::queue_capacity`) caps the depth, and with it the
+/// ring. A queue bound to a core's ReadyBits sets its bit when it goes
+/// from empty to non-empty and clears it when it goes back.
 class RxQueue {
  public:
   struct Item {
-    std::uint64_t seq;
+    std::uint64_t seq = 0;
     net::Packet packet;
   };
 
   explicit RxQueue(int in_port = 0) : in_port_(in_port) {}
 
-  // Explicitly noexcept moves: deque's move constructor is not noexcept
-  // in libstdc++ (the moved-from map is reallocated), and Packet is
-  // move-only, so vector growth must be allowed to relocate queues by
-  // move rather than falling back to the deleted copy.
-  RxQueue(RxQueue&& other) noexcept
-      : in_port_(other.in_port_),
-        items_(std::move(other.items_)),
-        drops_(other.drops_),
-        enqueued_(other.enqueued_),
-        peak_depth_(other.peak_depth_) {}
-  RxQueue& operator=(RxQueue&& other) noexcept {
-    in_port_ = other.in_port_;
-    items_ = std::move(other.items_);
-    drops_ = other.drops_;
-    enqueued_ = other.enqueued_;
-    peak_depth_ = other.peak_depth_;
-    return *this;
-  }
-
-  [[nodiscard]] bool empty() const { return items_.empty(); }
-  [[nodiscard]] std::size_t depth() const { return items_.size(); }
-  [[nodiscard]] const Item& front() const { return items_.front(); }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t depth() const { return size_; }
+  [[nodiscard]] const Item& front() const { return ring_[head_]; }
   [[nodiscard]] int in_port() const { return in_port_; }
 
+  /// Report this queue's backlog as bit `position` of `ready` from now
+  /// on (sets the bit at once when the queue already holds packets).
+  void bind(ReadyBits& ready, std::size_t position) {
+    ready.resize(position + 1);
+    ready_ = &ready;
+    position_ = position;
+    if (size_ != 0) mark_ready();
+  }
+
   void push(std::uint64_t seq, net::Packet&& packet) {
-    items_.push_back(Item{seq, std::move(packet)});
+    if (size_ == ring_.size()) grow();
+    Item& slot = ring_[(head_ + size_) & (ring_.size() - 1)];
+    slot.seq = seq;
+    slot.packet = std::move(packet);
+    if (size_++ == 0) mark_ready();
     ++enqueued_;
-    if (items_.size() > peak_depth_) peak_depth_ = items_.size();
+    if (size_ > peak_depth_) peak_depth_ = size_;
   }
   net::Packet pop() {
-    net::Packet packet = std::move(items_.front().packet);
-    items_.pop_front();
+    net::Packet packet = std::move(ring_[head_].packet);
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    if (--size_ == 0) mark_idle();
     return packet;
   }
   void count_drop() { ++drops_; }
@@ -98,11 +128,32 @@ class RxQueue {
   [[nodiscard]] std::size_t peak_depth() const { return peak_depth_; }
 
  private:
+  /// Double the ring (8 slots the first time), unwrapping it so the
+  /// head lands at slot 0.
+  void grow();
+  void mark_ready() {
+    if (ready_ != nullptr) ready_->set(position_);
+  }
+  void mark_idle() {
+    if (ready_ != nullptr) ready_->reset(position_);
+  }
+
   int in_port_;
-  std::deque<Item> items_;
+  std::vector<Item> ring_;  // size 0 or a power of two
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+  ReadyBits* ready_ = nullptr;
+  std::size_t position_ = 0;
   std::uint64_t drops_ = 0;
   std::uint64_t enqueued_ = 0;
   std::size_t peak_depth_ = 0;
+};
+
+/// One worker core's queues in a stable order, plus the ready bitmap
+/// over their positions: bit i is set while `queues[i]` holds packets.
+struct QueueView {
+  std::vector<RxQueue*> queues;
+  ReadyBits ready;
 };
 
 /// One (in_port, packet) unit of a service burst, in the order the
@@ -178,33 +229,31 @@ class BurstScheduler {
 
   [[nodiscard]] virtual const char* name() const = 0;
 
-  /// Move up to `budget` packets from `queues` into `out` (appended in
-  /// service order). `queues` is the calling core's queue view; its
+  /// Move up to `budget` packets from `view` into `out` (appended in
+  /// service order). `view` is the calling core's queue view; its
   /// order must be stable across calls (cursor/deficit state indexes
   /// positions in it). Must take exactly min(budget, total backlog)
   /// packets: a scheduler may reorder ports, never idle the datapath
   /// while work is queued (all shipped policies are work-conserving).
-  virtual void next_burst(const std::vector<RxQueue*>& queues, std::size_t budget,
-                          Burst& out) = 0;
+  virtual void next_burst(const QueueView& view, std::size_t budget, Burst& out) = 0;
 };
 
 /// Global arrival order (lowest sequence stamp first) — the shared
 /// FIFO of the pre-refactor datapath, reconstructed across queues.
+/// Visits only the queues whose ready bit is set.
 class FcfsScheduler final : public BurstScheduler {
  public:
   [[nodiscard]] const char* name() const override { return "fcfs"; }
-  void next_burst(const std::vector<RxQueue*>& queues, std::size_t budget, Burst& out) override;
-
- private:
-  std::vector<RxQueue*> backlogged_;  // reused scratch, cleared per burst
+  void next_burst(const QueueView& view, std::size_t budget, Burst& out) override;
 };
 
 /// One packet per non-empty queue per visit, with a cursor that
-/// persists across bursts.
+/// persists across bursts. Sweeps the whole view: the cursor steps
+/// over empty queues too.
 class RoundRobinScheduler final : public BurstScheduler {
  public:
   [[nodiscard]] const char* name() const override { return "rr"; }
-  void next_burst(const std::vector<RxQueue*>& queues, std::size_t budget, Burst& out) override;
+  void next_burst(const QueueView& view, std::size_t budget, Burst& out) override;
 
  private:
   std::size_t cursor_ = 0;
@@ -213,11 +262,12 @@ class RoundRobinScheduler final : public BurstScheduler {
 /// Byte-quantum deficit round-robin (Shreedhar & Varghese, SIGCOMM
 /// '95): every visit banks kDrrQuantumBytes; per-queue deficit counters
 /// persist across bursts; a queue that goes empty forfeits its credit,
-/// so idle ports cannot bank bandwidth.
+/// so idle ports cannot bank bandwidth. Sweeps the whole view: visiting
+/// an empty queue is what forfeits its credit.
 class DrrScheduler final : public BurstScheduler {
  public:
   [[nodiscard]] const char* name() const override { return "drr"; }
-  void next_burst(const std::vector<RxQueue*>& queues, std::size_t budget, Burst& out) override;
+  void next_burst(const QueueView& view, std::size_t budget, Burst& out) override;
 
  private:
   std::vector<std::size_t> deficit_;
