@@ -1,6 +1,7 @@
 #include "openflow/conntrack.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "net/ip.hpp"
 #include "net/l4.hpp"
@@ -55,11 +56,18 @@ CtRewrite translation(const ConnEntry& entry, bool reply_dir) {
   return t;
 }
 
-/// The one ConnEntry -> CtSnapshotEntry conversion (checkpoints and
-/// deltas): deadline-relative, so the receiver re-arms on its own clock.
-CtSnapshotEntry image(const ConnEntry& entry, sim::SimNanos now) {
-  return CtSnapshotEntry{entry.orig, entry.reply, entry.nat, entry.seen_reply, entry.closing,
-                         entry.expires_at > now ? entry.expires_at - now : 0};
+/// The one ConnEntry -> checkpoint row conversion (images, checkpoints
+/// and deltas); the row's deadline is the entry's expires_at.
+CtImage::Row to_row(const ConnEntry& entry, std::uint32_t slot) {
+  return CtImage::Row{entry.orig, entry.reply, entry.nat, entry.seen_reply, entry.closing, slot};
+}
+
+/// A row with deadline `deadline` as carried at `taken_at`:
+/// deadline-relative, so the receiver re-arms on its own clock.
+CtSnapshotEntry entry_of(const CtImage::Row& row, sim::SimNanos deadline,
+                         sim::SimNanos taken_at) {
+  return CtSnapshotEntry{row.orig, row.reply, row.nat, row.seen_reply, row.closing,
+                         deadline > taken_at ? deadline - taken_at : 0};
 }
 
 /// The one CtSnapshotEntry -> ConnEntry conversion: a confirmed entry
@@ -153,7 +161,7 @@ void ConnTracker::emit_delta(CtDelta::Kind kind, const ConnEntry& entry, sim::Si
   if (!delta_sink_) return;
   CtDelta delta;
   delta.kind = kind;
-  delta.entry = image(entry, now);
+  delta.entry = entry_of(to_row(entry, kNil), entry.expires_at, now);
   ++stats_.deltas_emitted;
   delta_sink_(delta);
 }
@@ -167,7 +175,7 @@ std::uint32_t ConnTracker::insert(const ConnEntry& entry) {
   reply_map_.insert(entry.reply, id);
   lru_push_front(id);
   file_deadline(id, slot);
-  dirty_ = true;
+  mark(id);
   return id;
 }
 
@@ -187,7 +195,7 @@ void ConnTracker::adopt(std::uint32_t id, const CtSnapshotEntry& e, sim::SimNano
   slot.entry.expires_at = now + e.remaining_ns;
   lru_touch(id);
   file_deadline(id, slot);
-  dirty_ = true;
+  mark(id);
 }
 
 bool ConnTracker::demote(ConnEntry& entry, sim::SimNanos now) const {
@@ -200,7 +208,7 @@ bool ConnTracker::demote(ConnEntry& entry, sim::SimNanos now) const {
 
 void ConnTracker::kill(std::uint32_t id, sim::SimNanos now) {
   Slot& slot = slots_[id];
-  dirty_ = true;
+  mark(id);
   emit_delta(CtDelta::Kind::kClose, slot.entry, now);
   orig_map_.erase(slot.entry.orig);
   reply_map_.erase(slot.entry.reply);
@@ -229,7 +237,7 @@ void ConnTracker::refresh(Slot& slot, std::uint32_t id, bool reply_dir, std::uin
   entry.last_seen = now;
   entry.expires_at = now + timeout_for(entry);
   lru_touch(id);
-  dirty_ = true;
+  mark(id);
   ++stats_.refreshed;
   // Replicate state *advances* only — per-packet refreshes stay local,
   // so the sync stream scales with connection churn, not with traffic.
@@ -376,14 +384,25 @@ std::vector<ConnEntry> ConnTracker::snapshot() const {
   return out;
 }
 
+std::uint64_t ConnTracker::next_id() {
+  static std::atomic<std::uint64_t> last{0};
+  return ++last;
+}
+
+void ConnTracker::mark_all() {
+  for (const std::uint32_t id : changed_) slots_[id].changed = false;
+  changed_.clear();
+  all_changed_ = true;
+}
+
 void ConnTracker::clear() {
+  mark_all();  // a wiped table differs from its last checkpoint
   slots_.clear();
   free_slots_.clear();
   orig_map_.clear();
   reply_map_.clear();
   wheel_.clear();
   lru_head_ = lru_tail_ = kNil;
-  dirty_ = true;  // a wiped table differs from its last checkpoint
   // Stats survive a clear — a datapath crash wipes state, not counters.
   // The delta sink and fencing latch survive too: wiring and role,
   // not connection state.
@@ -503,17 +522,113 @@ std::optional<CtSnapshot> CtSnapshot::parse(const std::vector<std::uint8_t>& byt
   return snap;
 }
 
+// --- the held checkpoint image -----------------------------------------
+
+void CtImage::reset(std::size_t slots) {
+  rows_.clear();
+  deadlines_.clear();
+  row_of_.assign(slots, kNoRow);
+}
+
+void CtImage::put(const Row& row, sim::SimNanos deadline) {
+  std::uint32_t& at = row_of_[row.slot];
+  if (at == kNoRow) {
+    // Grow by an eighth, not by doubling: an image is as large as its
+    // table, and a table that grows slowly must not hold twice its rows.
+    if (rows_.size() == rows_.capacity()) {
+      rows_.reserve(rows_.size() + rows_.size() / 8 + 64);
+      deadlines_.reserve(rows_.capacity());
+    }
+    at = static_cast<std::uint32_t>(rows_.size());
+    rows_.push_back(row);
+    deadlines_.push_back(deadline);
+  } else {
+    rows_[at] = row;
+    deadlines_[at] = deadline;
+  }
+}
+
+void CtImage::erase(std::uint32_t slot) {
+  const std::uint32_t at = row_of_[slot];
+  if (at == kNoRow) return;
+  row_of_[slot] = kNoRow;
+  if (at + 1 != rows_.size()) {
+    rows_[at] = rows_.back();
+    deadlines_[at] = deadlines_.back();
+    row_of_[rows_[at].slot] = at;
+  }
+  rows_.pop_back();
+  deadlines_.pop_back();
+}
+
+std::size_t CtImage::live_at(sim::SimNanos now) const {
+  return static_cast<std::size_t>(std::count_if(deadlines_.begin(), deadlines_.end(),
+                                                [now](sim::SimNanos d) { return d > now; }));
+}
+
+CtSnapshot CtImage::snapshot() const {
+  CtSnapshot snap;
+  snap.taken_at = taken_at_;
+  snap.entries.reserve(rows_.size());
+  for (const std::uint32_t at : row_of_) {
+    if (at == kNoRow) continue;
+    // Past its deadline at capture: already dead, just unswept.
+    if (deadlines_[at] > taken_at_)
+      snap.entries.push_back(entry_of(rows_[at], deadlines_[at], taken_at_));
+  }
+  return snap;
+}
+
 CtSnapshot ConnTracker::checkpoint(sim::SimNanos now) {
   CtSnapshot snap;
   snap.taken_at = now;
   snap.entries.reserve(orig_map_.size());
-  for (const Slot& slot : slots_) {
+  for (std::uint32_t id = 0; id < slots_.size(); ++id) {
+    const Slot& slot = slots_[id];
     // Past its deadline is already dead, just unswept.
     if (!slot.live || slot.entry.expires_at <= now) continue;
-    snap.entries.push_back(image(slot.entry, now));
+    snap.entries.push_back(entry_of(to_row(slot.entry, id), slot.entry.expires_at, now));
   }
   ++stats_.checkpoints;
   return snap;
+}
+
+std::size_t ConnTracker::capture(CtImage& image, sim::SimNanos now, bool incremental) {
+  if (incremental && !all_changed_ && image.source_ == id_) {
+    if (image.row_of_.size() < slots_.size()) image.row_of_.resize(slots_.size(), CtImage::kNoRow);
+    for (const std::uint32_t id : changed_) {
+      Slot& slot = slots_[id];
+      slot.changed = false;
+      if (slot.live) {
+        image.put(to_row(slot.entry, id), slot.entry.expires_at);
+      } else {
+        image.erase(id);
+      }
+    }
+    image.rows_written_ = changed_.size();
+  } else {
+    for (const std::uint32_t id : changed_) slots_[id].changed = false;
+    image.reset(slots_.size());
+    image.rows_.reserve(orig_map_.size());
+    image.deadlines_.reserve(orig_map_.size());
+    for (std::uint32_t id = 0; id < slots_.size(); ++id) {
+      const Slot& slot = slots_[id];
+      if (slot.live) image.put(to_row(slot.entry, id), slot.entry.expires_at);
+    }
+    image.rows_written_ = image.rows_.size();
+  }
+  changed_.clear();
+  all_changed_ = false;
+  image.source_ = id_;
+  image.taken_at_ = now;
+  // A table that shrank (a takeover ages out most connections) must not
+  // keep its peak row capacity for the rest of the run.
+  if (image.rows_.capacity() > 4 * image.rows_.size() + 1024) {
+    image.rows_.shrink_to_fit();
+    image.deadlines_.shrink_to_fit();
+  }
+  ++stats_.checkpoints;
+  return image.live_at(now);
 }
 
 CtRestoreResult ConnTracker::restore(const CtSnapshot& snapshot, sim::SimNanos now) {
@@ -536,6 +651,7 @@ CtRestoreResult ConnTracker::restore(const CtSnapshot& snapshot, sim::SimNanos n
     ++result.restored;
     ++stats_.restored;
   }
+  if (result.restored != 0) mark_all();
   return result;
 }
 
@@ -574,7 +690,7 @@ std::size_t ConnTracker::demote_all(sim::SimNanos now) {
     if (demote(slot.entry, now)) file_deadline(id, slot);
     ++demoted;
   }
-  if (demoted != 0) dirty_ = true;
+  if (demoted != 0) mark_all();
   return demoted;
 }
 
@@ -617,7 +733,7 @@ std::size_t ConnTracker::resync(const CtSnapshot& snapshot, sim::SimNanos now) {
     if (!slot.live || covered[id]) continue;
     if (demote(slot.entry, now)) file_deadline(id, slot);
   }
-  dirty_ = true;
+  mark_all();
   return upserts;
 }
 

@@ -39,6 +39,13 @@
 // Nothing reads them in order: snapshots, checkpoints, demote_all and
 // resync walk the slots.
 //
+// Every mutation marks the slot it touched (a per-slot flag plus an id
+// list; a bulk rewrite marks "everything changed"), and capture() turns
+// those marks into patches of a held CtImage: an HA checkpoint cadence
+// rewrites only the rows of connections changed since the last capture,
+// and reads the rest only to count the live ones (one pass over an
+// array of deadlines).
+//
 // NAT lives here too: the first commit through a translating CtAction
 // records the mapping (SNAT allocates an external port, DNAT stores
 // the target), and every subsequent packet of the connection — either
@@ -160,11 +167,70 @@ struct CtSnapshot {
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
   static std::optional<CtSnapshot> parse(const std::vector<std::uint8_t>& bytes);
 
-  /// Exact serialized size without materializing the bytes — the
-  /// checkpoint/replication byte accounting bills this.
-  [[nodiscard]] std::size_t wire_bytes() const {
-    return kHeaderBytes + entries.size() * kEntryBytes;
+  /// Exact serialized size of a snapshot of `count` entries, without
+  /// materializing the bytes — the checkpoint/replication byte
+  /// accounting bills this.
+  static constexpr std::size_t wire_bytes_for(std::size_t count) {
+    return kHeaderBytes + count * kEntryBytes;
   }
+  [[nodiscard]] std::size_t wire_bytes() const { return wire_bytes_for(entries.size()); }
+};
+
+/// The checkpoint image of one shard, kept between captures (HaAgent
+/// holds one per shard, outside the state a crash wipes). It holds one
+/// dense row per connection live at the last capture, with the
+/// connection's absolute deadline beside it, plus a slot -> row index:
+/// ConnTracker::capture() rewrites only the rows of the slots changed
+/// since the previous capture, and a row dies by swap-remove.
+/// Read back, an image is exactly checkpoint(taken_at()) as of its last
+/// capture: rows past their deadline at that time (dead, just not
+/// swept yet) are skipped, and the rest come in slot order with
+/// remaining_ns = deadline - taken_at().
+class CtImage {
+ public:
+  struct Row {
+    CtTuple orig;
+    CtTuple reply;
+    CtNat nat;
+    bool seen_reply = false;
+    bool closing = false;
+    std::uint32_t slot = 0;
+  };
+
+  [[nodiscard]] sim::SimNanos taken_at() const { return taken_at_; }
+  /// Connections live in the tracker at the last capture, unswept
+  /// expired ones included.
+  [[nodiscard]] std::size_t rows() const { return rows_.size(); }
+  [[nodiscard]] std::size_t row_capacity() const { return rows_.capacity(); }
+  /// Rows the last capture rewrote or removed (every row on a rebuild).
+  [[nodiscard]] std::size_t rows_written() const { return rows_written_; }
+
+  /// The image as the checkpoint it stands for.
+  [[nodiscard]] CtSnapshot snapshot() const;
+
+ private:
+  friend class ConnTracker;
+  static constexpr std::uint32_t kNoRow = 0xffffffff;
+
+  /// Drop every row and size the index for `slots` slots.
+  void reset(std::size_t slots);
+  /// Write `row`, with its deadline, as the row of its slot.
+  void put(const Row& row, sim::SimNanos deadline);
+  /// Remove the row of `slot`, if it has one.
+  void erase(std::uint32_t slot);
+  /// Rows whose deadline lies after `now`: checkpoint(now).entries.size().
+  [[nodiscard]] std::size_t live_at(sim::SimNanos now) const;
+
+  std::vector<Row> rows_;
+  // Each row's absolute deadline (the connection's expires_at), apart
+  // from the rows so that live_at() scans 8 bytes per row, not a row.
+  std::vector<sim::SimNanos> deadlines_;
+  std::vector<std::uint32_t> row_of_;  // slot id -> index into rows_, or kNoRow
+  sim::SimNanos taken_at_ = 0;
+  std::size_t rows_written_ = 0;
+  // ConnTracker::id() of the tracker that captured this image (0: never
+  // captured). A tracker patches only its own image, and keeps one.
+  std::uint64_t source_ = 0;
 };
 
 /// One incremental replication event: a new connection (kCommit), a
@@ -245,11 +311,17 @@ class ConnTracker {
   ConnTracker(const CtConfig& config, std::size_t shard_count)
       : config_(config),
         steer_shards_(config.nat_steer_shards != 0 ? config.nat_steer_shards
-                                                   : (shard_count != 0 ? shard_count : 1)) {}
+                                                   : (shard_count != 0 ? shard_count : 1)),
+        id_(next_id()) {}
   ConnTracker(const ConnTracker&) = delete;
   ConnTracker& operator=(const ConnTracker&) = delete;
   ConnTracker(ConnTracker&&) = delete;
   ConnTracker& operator=(ConnTracker&&) = delete;
+
+  /// Unique among every tracker this process constructs (never 0): an
+  /// image names the tracker it was captured from by this id, not by
+  /// address, since a replacement tracker may reuse the freed one's.
+  [[nodiscard]] std::uint64_t id() const { return id_; }
 
   /// Read-only classification for the pipeline prelude: the kCt* bits
   /// Field::kCtState gets for a packet with this tuple right now.
@@ -289,6 +361,17 @@ class ConnTracker {
   /// (entries already past their deadline are left out). Counts
   /// stats().checkpoints.
   CtSnapshot checkpoint(sim::SimNanos now);
+
+  /// Bring `image` up to date with this shard at `now`, as
+  /// checkpoint(now) would read, and clear the pending changes. In
+  /// incremental mode, an image this tracker captured before is
+  /// patched: only the rows of slots changed since then are rewritten.
+  /// Anything else (full mode, "everything changed", a fresh or foreign
+  /// image) rebuilds it. A tracker keeps one image: the changes a
+  /// capture takes are gone for any other. Counts stats().checkpoints.
+  /// Returns the entries the image stands for:
+  /// checkpoint(now).entries.size().
+  std::size_t capture(CtImage& image, sim::SimNanos now, bool incremental);
 
   /// Rebuild connections from a snapshot taken before a crash. Per
   /// entry, in snapshot order:
@@ -335,13 +418,13 @@ class ConnTracker {
   void set_fenced(bool fenced) { fenced_ = fenced; }
   [[nodiscard]] bool fenced() const { return fenced_; }
 
-  /// Dirty-shard tracking for incremental checkpoints: set by any
-  /// mutation (commit/refresh/kill/apply/restore/resync/demote/clear),
-  /// cleared only by the checkpointing layer once it has captured an
-  /// image. checkpoint() itself does NOT clear — it is also used for
-  /// failback streaming, which must not perturb the cadence.
-  [[nodiscard]] bool dirty() const { return dirty_; }
-  void clear_dirty() { dirty_ = false; }
+  /// Dirty-shard tracking for incremental checkpoints: true once any
+  /// mutation (commit/refresh/kill/apply/restore/resync/demote/clear)
+  /// left a change no capture() has taken yet. Only capture() clears
+  /// it, so no caller can leave a patched image stale. checkpoint()
+  /// does NOT clear — it is also used for failback streaming, which
+  /// must not perturb the cadence.
+  [[nodiscard]] bool dirty() const { return all_changed_ || !changed_.empty(); }
 
   /// Warm failback: reconcile this shard against an authoritative
   /// snapshot from the current active. Unlike restore(), the snapshot
@@ -360,8 +443,12 @@ class ConnTracker {
     std::uint32_t lru_next = kNil;
     std::uint32_t generation = 0;
     bool live = false;
+    bool changed = false;  // listed in changed_
   };
   static constexpr std::uint32_t kNil = 0xffffffff;
+  /// The change list collapses to "everything changed" past a quarter
+  /// of the slots plus this slack (small tables keep patching).
+  static constexpr std::size_t kChangeListSlack = 64;
 
   /// Tuple -> slot id, keyed on one of each slot's two tuples (`key`:
   /// &ConnEntry::orig or &ConnEntry::reply). A cell stores the slot id
@@ -416,9 +503,24 @@ class ConnTracker {
     return orig_map_.find(tuple) != kNil || reply_map_.find(tuple) != kNil;
   }
 
+  /// Record that slot `id` changed since the last capture.
+  void mark(std::uint32_t id) {
+    if (all_changed_) return;
+    Slot& slot = slots_[id];
+    if (slot.changed) return;
+    slot.changed = true;
+    changed_.push_back(id);
+    // A list this long costs as much as a rebuild to patch, and it
+    // stays bounded on a tracker nobody captures.
+    if (changed_.size() > slots_.size() / 4 + kChangeListSlack) mark_all();
+  }
+  /// Record that everything changed: the next capture rebuilds.
+  void mark_all();
+  static std::uint64_t next_id();
+
   // The one body of each table mutation.
   /// Add an unclaimed connection: slot, both tuple maps, LRU front,
-  /// expiry wheel, dirty. Returns its slot id.
+  /// expiry wheel, change mark. Returns its slot id.
   std::uint32_t insert(const ConnEntry& entry);
   /// At capacity, evict the least-recently-seen connection.
   void make_room(sim::SimNanos now);
@@ -461,7 +563,10 @@ class ConnTracker {
   CtStats stats_;
   CtDeltaSink delta_sink_;  // replication stream; null when not an active
   bool fenced_ = false;     // lease lost: no new commits (survives clear())
-  bool dirty_ = false;      // mutated since last clear_dirty()
+  // Changes since the last capture(): the changed slots, or everything.
+  std::vector<std::uint32_t> changed_;
+  bool all_changed_ = false;
+  const std::uint64_t id_;
 };
 
 }  // namespace harmless::openflow

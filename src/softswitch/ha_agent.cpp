@@ -39,7 +39,7 @@ void HaAgent::schedule_ct_checkpoint() {
     // Incremental mode only works against a held image of the same
     // shape; the first cadence (or a shape change) is always full.
     const bool incremental = spec_.incremental_checkpoints && checkpoint_.size() == shards;
-    if (!incremental) checkpoint_.assign(shards, openflow::CtSnapshot{});
+    checkpoint_.resize(shards);
     for (std::size_t shard = 0; shard < shards; ++shard) {
       openflow::ConnTracker& ct = pipeline_.conntrack(shard);
       if (incremental && !ct.dirty()) {
@@ -48,13 +48,12 @@ void HaAgent::schedule_ct_checkpoint() {
         ++stats_.checkpoint_shards_skipped;
         continue;
       }
-      openflow::CtSnapshot snap = ct.checkpoint(engine_.now());
-      ct.clear_dirty();
-      stats_.checkpoint_entries += snap.entries.size();
-      stats_.checkpoint_bytes += snap.wire_bytes();
-      stats_.checkpoint_ns_billed +=
-          static_cast<sim::SimNanos>(snap.entries.size()) * checkpoint_entry_ns_;
-      checkpoint_[shard] = std::move(snap);
+      // The host patches the rows that changed; the model still bills
+      // the full image of a dirty shard.
+      const std::size_t entries = ct.capture(checkpoint_[shard], engine_.now(), incremental);
+      stats_.checkpoint_entries += entries;
+      stats_.checkpoint_bytes += openflow::CtSnapshot::wire_bytes_for(entries);
+      stats_.checkpoint_ns_billed += static_cast<sim::SimNanos>(entries) * checkpoint_entry_ns_;
     }
     ++stats_.checkpoints;
     // Re-arm while connections remain; the final firing after the
@@ -70,7 +69,7 @@ bool HaAgent::restore_checkpoint() {
   std::size_t restored = 0;
   for (std::size_t shard = 0; shard < shards; ++shard) {
     const openflow::CtRestoreResult result =
-        pipeline_.conntrack(shard).restore(checkpoint_[shard], engine_.now());
+        pipeline_.conntrack(shard).restore(checkpoint_[shard].snapshot(), engine_.now());
     restored += result.restored;
     stats_.ct_restored += result.restored;
     stats_.ct_restore_dropped += result.dropped;

@@ -59,7 +59,7 @@ struct FailoverSpec {
   std::uint64_t warmup_packet_in_budget = 32;
   /// Conntrack checkpoint cadence: every interval the switch snapshots
   /// all connection shards into an off-box image that fault_restart
-  /// restores (see ConnTracker::checkpoint/restore). 0 (default) = no
+  /// restores (see ConnTracker::capture/restore). 0 (default) = no
   /// checkpointing — a crash loses every connection. Independent of echo_interval_ns: a switch with
   /// no controller-liveness probing can still checkpoint. The timer is
   /// self-disarming (it stops once the connection table empties), so
@@ -67,8 +67,9 @@ struct FailoverSpec {
   sim::SimNanos checkpoint_interval_ns = 0;
   /// Incremental checkpoints: each cadence serializes only the shards
   /// mutated since their last capture (ConnTracker dirty tracking);
-  /// clean shards keep their previous image. Off (default) = every
-  /// cadence re-serializes every shard. The held image stays exact
+  /// clean shards keep their previous image, and the host patches only
+  /// the rows of a dirty shard's changed connections. Off (default) =
+  /// every cadence re-serializes (rebuilds) every shard. The held image stays exact
   /// either way — any commit/refresh/kill dirties its shard — modulo
   /// entries that lazily expired unswept (they are filtered again at
   /// restore, so the slack is cosmetic).
@@ -255,8 +256,9 @@ class HaAgent {
   bool ct_sweep_scheduled_ = false;
   // The checkpoint image lives *outside* the datapath state a crash
   // wipes — it models a snapshot persisted off-box (disk / peer),
-  // which is the entire point of checkpointing.
-  std::vector<openflow::CtSnapshot> checkpoint_;
+  // which is the entire point of checkpointing. One per shard, patched
+  // by each capture.
+  std::vector<openflow::CtImage> checkpoint_;
   bool checkpoint_scheduled_ = false;
 
   ReplicationChannel* repl_out_ = nullptr;  // publish direction (this -> peer)

@@ -5,9 +5,16 @@
 // The replaced tracker is kept below verbatim (in namespace `before`;
 // it shares every value type with the live one). Both run the same
 // seeded random sequences of process, classify, expire, checkpoint,
-// restore, apply_delta, resync, demote_all, set_fenced, clear_dirty and
-// clear on two replicas that exchange their delta streams, with a
-// small table so eviction runs and SNAT/DNAT/plain commits mixed.
+// HA checkpoint cadences, restore, apply_delta, resync, demote_all,
+// set_fenced and clear on two replicas that exchange their delta
+// streams, with a small table so eviction runs and SNAT/DNAT/plain
+// commits mixed.
+// A cadence runs as HaAgent runs it, in incremental or full mode: the
+// replaced tracker holds checkpoint() + clear_dirty() as its image, the
+// live one patches a CtImage through capture(). Each capture's image
+// must serialize byte-equal to the held snapshot, with the same entry
+// count, and a crash restores the same table from either. Captures land
+// between sweeps, so images hold connections past their deadline.
 // The replaced tracker keys its tuples in std::unordered_map, so it is
 // also the reference for the flat tuple indexes of the live one. A
 // second, large-table run fills 1,024-connection tables from wide
@@ -891,6 +898,7 @@ void expect_same(const CtStats& a, const CtStats& b) {
 }
 
 /// One replica, run twice: by the replaced tracker and by the live one.
+/// Each side also holds its HA checkpoint: a snapshot, or an image.
 struct Replica {
   explicit Replica(const CtConfig& config) : old_ct(config, 1), new_ct(config, 1) {
     old_ct.set_delta_sink([this](const CtDelta& d) { old_log.push_back(d); });
@@ -917,6 +925,9 @@ struct Replica {
 
   before::ConnTracker old_ct;
   ConnTracker new_ct;
+  CtSnapshot held;     // the replaced tracker's last checkpoint
+  CtImage image;       // the live tracker's patched image
+  bool captured = false;
   std::vector<CtDelta> old_log;
   std::vector<CtDelta> new_log;
   std::size_t compared = 0;   // log entries already found equal
@@ -930,6 +941,10 @@ struct Coverage {
   std::size_t skipped = 0;  // draws that hit the deliberately changed case
   std::size_t peak_size = 0;  // most connections one tracker held
   std::size_t full_clears = 0;  // clear() draws on a table above half capacity
+  std::size_t patched = 0;      // captures that rewrote fewer rows than the image holds
+  std::size_t rebuilt = 0;      // captures that rewrote every row of a non-empty image
+  std::size_t unswept = 0;      // captures whose image holds connections past their deadline
+  std::size_t image_restores = 0;  // crash restores from an image that restored something
 };
 
 class RandomRun {
@@ -1121,12 +1136,20 @@ class RandomRun {
       }
       r.old_ct.apply_delta(delta, now_);
       r.new_ct.apply_delta(delta, now_);
-    } else if (op < 80) {  // checkpoint
-      const CtSnapshot a = r.old_ct.checkpoint(now_);
-      const CtSnapshot b = r.new_ct.checkpoint(now_);
-      expect_same(a, b);
-      saved_.push_back(a);
+    } else if (op < 80) {
+      if (rng_.below(2) == 0) {  // checkpoint (failback streaming)
+        const CtSnapshot a = r.old_ct.checkpoint(now_);
+        const CtSnapshot b = r.new_ct.checkpoint(now_);
+        expect_same(a, b);
+        saved_.push_back(a);
+      } else {
+        cadence(r, coverage);
+      }
     } else if (op < 85) {  // restore after a crash
+      if (r.captured && rng_.below(2) == 0) {
+        restore_held(r, coverage);
+        return true;
+      }
       const CtSnapshot snap = image_for(r);
       const CtRestoreResult a = r.old_ct.restore(snap, now_);
       const CtRestoreResult b = r.new_ct.restore(snap, now_);
@@ -1142,14 +1165,46 @@ class RandomRun {
       r.old_ct.set_fenced(fenced);
       r.new_ct.set_fenced(fenced);
     } else if (op < 99) {
-      r.old_ct.clear_dirty();
-      r.new_ct.clear_dirty();
+      cadence(r, coverage);
     } else {  // a datapath crash
       if (2 * r.new_ct.size() > scale_.config.max_connections) ++coverage.full_clears;
       r.old_ct.clear();
       r.new_ct.clear();
     }
     return true;
+  }
+
+  /// One HA checkpoint cadence of `r`'s shard, as HaAgent runs it: the
+  /// first is full, later ones incremental or full, and an incremental
+  /// cadence skips a clean shard, which keeps its image.
+  void cadence(Replica& r, Coverage& coverage) {
+    const bool incremental = r.captured && rng_.below(4) != 0;
+    EXPECT_EQ(r.old_ct.dirty(), r.new_ct.dirty());
+    if (incremental && !r.old_ct.dirty()) return;
+    r.held = r.old_ct.checkpoint(now_);
+    r.old_ct.clear_dirty();
+    const std::size_t entries = r.new_ct.capture(r.image, now_, incremental);
+    r.captured = true;
+    EXPECT_EQ(entries, r.held.entries.size());
+    EXPECT_EQ(r.image.snapshot().serialize(), r.held.serialize());
+    if (r.image.rows_written() < r.image.rows()) ++coverage.patched;
+    if (r.image.rows() != 0 && r.image.rows_written() == r.image.rows()) ++coverage.rebuilt;
+    if (entries < r.image.rows()) ++coverage.unswept;
+  }
+
+  /// Restore `r` from its held checkpoint, mostly after a crash wiped
+  /// its table, sometimes over live state (collisions): the replaced
+  /// tracker from its snapshot, the live one from its image's.
+  void restore_held(Replica& r, Coverage& coverage) {
+    if (rng_.below(4) != 0) {
+      r.old_ct.clear();
+      r.new_ct.clear();
+    }
+    const CtRestoreResult a = r.old_ct.restore(r.held, now_);
+    const CtRestoreResult b = r.new_ct.restore(r.image.snapshot(), now_);
+    EXPECT_EQ(a.restored, b.restored);
+    EXPECT_EQ(a.dropped, b.dropped);
+    if (b.restored != 0) ++coverage.image_restores;
   }
 
   Scale scale_;
@@ -1159,6 +1214,14 @@ class RandomRun {
                                                     std::make_unique<Replica>(scale_.config)};
   std::vector<CtSnapshot> saved_;
 };
+
+/// Every checkpoint path ran.
+void expect_every_capture_ran(const Coverage& coverage) {
+  EXPECT_GT(coverage.patched, 0u);
+  EXPECT_GT(coverage.rebuilt, 0u);
+  EXPECT_GT(coverage.unswept, 0u);
+  EXPECT_GT(coverage.image_restores, 0u);
+}
 
 /// Every mutation path ran, on the sum of both replicas.
 void expect_every_path_ran(const RandomRun& sequence) {
@@ -1183,6 +1246,7 @@ TEST_P(ConnTrackerRefactorEquivalence, RandomSequencesMatchTheReplacedTracker) {
   ASSERT_FALSE(HasFailure());
   EXPECT_LT(coverage.skipped * 20, coverage.steps);  // < 5% of draws skipped
   expect_every_path_ran(sequence);
+  expect_every_capture_ran(coverage);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConnTrackerRefactorEquivalence,
@@ -1197,6 +1261,7 @@ TEST_P(ConnTrackerLargeTableEquivalence, GrownIndexesMatchTheReplacedTracker) {
   ASSERT_FALSE(HasFailure());
   EXPECT_LT(coverage.skipped * 20, coverage.steps);
   expect_every_path_ran(sequence);
+  expect_every_capture_ran(coverage);
   // A full table: the indexes grew from 64 cells to 2,048.
   EXPECT_EQ(coverage.peak_size, scale.config.max_connections);
   EXPECT_GT(coverage.full_clears, 0u);  // clear() ran on a grown index

@@ -3,6 +3,10 @@
 // property the symmetric-RSS datapath depends on).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "net/l4.hpp"
 #include "openflow/conntrack.hpp"
 #include "util/rng.hpp"
@@ -509,13 +513,17 @@ TEST(ConnTracker, FencedRefusesNewCommitsButServesEstablished) {
   EXPECT_TRUE(ct.process(fresh, net::kTcpSyn, 4000, kCommit).committed);
 }
 
-TEST(ConnTracker, DirtyTracksMutationsAndClearDirtyArmsSkip) {
+TEST(ConnTracker, DirtyTracksMutationsAndOnlyCaptureClearsIt) {
   ConnTracker ct(CtConfig{}, 1);
+  CtImage image;
   EXPECT_FALSE(ct.dirty());
   const CtTuple orig = tuple(0x0a000001, 40000, 0x0a000002, 80);
   ct.process(orig, net::kTcpSyn, 1000, kCommit);
   EXPECT_TRUE(ct.dirty());
-  ct.clear_dirty();
+  // checkpoint() streams the table without taking its changes.
+  ct.checkpoint(1500);
+  EXPECT_TRUE(ct.dirty());
+  EXPECT_EQ(ct.capture(image, 1500, /*incremental=*/true), 1u);
   EXPECT_FALSE(ct.dirty());
   // A pure classification does not dirty; a refresh does.
   ct.classify(orig, net::kTcpAck, 2000);
@@ -602,6 +610,139 @@ TEST(CtSnapshot, WireBytesMatchesSerializedSize) {
   EXPECT_EQ(snap.wire_bytes(), snap.serialize().size());
   const CtSnapshot empty{};
   EXPECT_EQ(empty.wire_bytes(), empty.serialize().size());
+}
+
+// ---- the held checkpoint image ----
+
+/// `count` plain TCP connections committed at `now`, their tuples in
+/// commit order.
+std::vector<CtTuple> preload(ConnTracker& ct, std::size_t count, sim::SimNanos now) {
+  std::vector<CtTuple> tuples;
+  for (std::size_t i = 0; i < count; ++i) {
+    tuples.push_back(tuple(0x0a000000 + static_cast<std::uint32_t>(i / 1000),
+                           static_cast<std::uint16_t>(10000 + i % 1000), 0x14000001, 80));
+    EXPECT_TRUE(ct.process(tuples.back(), net::kTcpSyn, now, kCommit).committed);
+  }
+  return tuples;
+}
+
+CtDelta close_of(const CtTuple& orig) {
+  CtDelta close;
+  close.kind = CtDelta::Kind::kClose;
+  close.entry.orig = orig;
+  close.entry.reply = orig.reversed();
+  return close;
+}
+
+TEST(CtImage, CaptureRewritesOnlyTheChangedRows) {
+  ConnTracker ct(CtConfig{}, 1);
+  constexpr std::size_t kConnections = 2'000;
+  constexpr std::size_t kRefreshed = 37;
+  const std::vector<CtTuple> tuples = preload(ct, kConnections, 1000);
+  CtImage image;
+  EXPECT_EQ(ct.capture(image, 2000, true), kConnections);
+  EXPECT_EQ(image.rows_written(), kConnections);  // a fresh image is built in full
+
+  // A clean shard rewrites nothing.
+  EXPECT_EQ(ct.capture(image, 3000, true), kConnections);
+  EXPECT_EQ(image.rows_written(), 0u);
+
+  // k refreshed connections (one of them twice) rewrite k rows.
+  for (std::size_t i = 0; i < kRefreshed; ++i)
+    ct.process(tuples[i * 50], net::kTcpAck, 4000, kCommit);
+  ct.process(tuples[0].reversed(), net::kTcpSyn | net::kTcpAck, 4500, kCommit);
+  EXPECT_EQ(ct.capture(image, 5000, true), kConnections);
+  EXPECT_EQ(image.rows_written(), kRefreshed);
+  EXPECT_EQ(image.taken_at(), 5000);
+  EXPECT_EQ(image.snapshot().serialize(), ct.checkpoint(5000).serialize());
+
+  // Full mode rebuilds every row.
+  EXPECT_EQ(ct.capture(image, 6000, false), kConnections);
+  EXPECT_EQ(image.rows_written(), kConnections);
+  EXPECT_EQ(image.snapshot().serialize(), ct.checkpoint(6000).serialize());
+}
+
+TEST(CtImage, RowCapacityStaysBoundedAfterTheTableShrinks) {
+  ConnTracker ct(CtConfig{}, 1);
+  constexpr std::size_t kPeak = 10'000;
+  constexpr std::size_t kSurvivors = 60;
+  const std::vector<CtTuple> tuples = preload(ct, kPeak, 1000);
+  CtImage image;
+  ASSERT_EQ(ct.capture(image, 2000, true), kPeak);
+  // Close all but the survivors, one batch per capture; each batch is
+  // small enough that the capture patches instead of rebuilding.
+  sim::SimNanos now = 3000;
+  for (std::size_t next = kSurvivors; next < kPeak; now += 1000) {
+    const std::size_t end = std::min(kPeak, next + 1'500);
+    const std::size_t batch = end - next;
+    for (; next < end; ++next) ct.apply_delta(close_of(tuples[next]), now);
+    EXPECT_EQ(ct.capture(image, now, true), ct.size());
+    EXPECT_EQ(image.rows_written(), batch);
+    EXPECT_LE(image.row_capacity(), 4 * image.rows() + 1024);
+  }
+  EXPECT_EQ(image.rows(), kSurvivors);
+  EXPECT_LE(image.row_capacity(), 4 * kSurvivors + 1024);
+  EXPECT_EQ(image.snapshot().serialize(), ct.checkpoint(image.taken_at()).serialize());
+}
+
+TEST(CtImage, SnapshotReadsBackAsTheCheckpoint) {
+  CtConfig config;
+  config.udp_timeout = 5'000;
+  ConnTracker ct(config, 1);
+  // Established TCP, a half-open one, and UDP that is past its deadline
+  // at the second capture but not swept.
+  const CtTuple a = tuple(0x0a000001, 40000, 0x0a000002, 80);
+  const CtTuple b = tuple(0x0a000001, 40001, 0x0a000002, 80);
+  const CtTuple u = tuple(0x0a000001, 40002, 0x0a000002, 53, kUdp);
+  ct.process(a, net::kTcpSyn, 1000, kCommit);
+  ct.process(a.reversed(), net::kTcpSyn | net::kTcpAck, 1000, kCommit);
+  ct.process(b, net::kTcpSyn, 1000, kCommit);
+  ct.process(u, 0, 1000, kCommit);
+  CtImage image;
+  EXPECT_EQ(ct.capture(image, 2000, true), 3u);
+  ct.process(a, net::kTcpAck, 3000, kCommit);
+  EXPECT_EQ(ct.capture(image, 7000, true), 2u);  // u died at 6000
+  EXPECT_EQ(image.rows(), 3u);
+
+  // The unswept row is skipped; the rest carry deadline - taken_at.
+  const CtSnapshot snap = image.snapshot();
+  EXPECT_EQ(snap.taken_at, 7000);
+  ASSERT_EQ(snap.entries.size(), 2u);
+  EXPECT_EQ(snap.entries[0].orig, a);
+  EXPECT_EQ(snap.entries[0].remaining_ns, 3000 + config.tcp_established_timeout - 7000);
+  EXPECT_EQ(snap.entries[1].orig, b);
+  EXPECT_EQ(snap.serialize(), ct.checkpoint(7000).serialize());
+
+  // And it restores: a comes back, b is half-open.
+  ConnTracker restarted(config, 1);
+  const CtRestoreResult result = restarted.restore(snap, 9000);
+  EXPECT_EQ(result.restored, 1u);
+  EXPECT_EQ(result.dropped, 1u);
+  ASSERT_EQ(restarted.snapshot().size(), 1u);
+  EXPECT_EQ(restarted.snapshot()[0].orig, a);
+  EXPECT_TRUE(restarted.dirty());
+}
+
+TEST(CtImage, AReplacementTrackerRebuildsTheImageItDidNotCapture) {
+  // A replacement tracker built where the old one lived (as re-enabling
+  // conntrack on a pipeline may do) must not patch the old one's image:
+  // its few changes would leave every old connection in it.
+  std::optional<ConnTracker> ct;
+  ct.emplace(CtConfig{}, 1);
+  const std::vector<CtTuple> old_tuples = preload(*ct, 100, 1000);
+  CtImage image;
+  ASSERT_EQ(ct->capture(image, 2000, true), 100u);
+  const ConnTracker* const old_address = &*ct;
+  const std::uint64_t old_id = ct->id();
+
+  ct.emplace(CtConfig{}, 1);
+  ASSERT_EQ(&*ct, old_address);
+  EXPECT_NE(ct->id(), old_id);
+  const CtTuple fresh = tuple(0x0b000001, 50000, 0x14000001, 80);
+  ASSERT_TRUE(ct->process(fresh, net::kTcpSyn, 3000, kCommit).committed);
+  EXPECT_EQ(ct->capture(image, 4000, true), 1u);
+  EXPECT_EQ(image.rows(), 1u);
+  EXPECT_EQ(image.snapshot().serialize(), ct->checkpoint(4000).serialize());
 }
 
 }  // namespace

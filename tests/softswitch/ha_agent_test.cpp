@@ -215,5 +215,29 @@ TEST(HaAgent, CheckpointRestoreRoundTrip) {
   EXPECT_EQ(pair.stats_a.ct_restore_dropped, 2u);
 }
 
+TEST(HaAgent, ReEnabledConntrackIsCheckpointedAfresh) {
+  Pair pair;
+  pair.spec.checkpoint_interval_ns = kMs;
+  pair.spec.incremental_checkpoints = true;
+  pair.commit(40000);
+  pair.commit(40001);
+  pair.engine.run_until(kMs + 100 * kUs);
+  ASSERT_EQ(pair.stats_a.checkpoint_entries, 2u);
+
+  // Conntrack re-enabled between two incremental cadences: the new
+  // table holds one connection, and so must the held image, however
+  // the new tracker's address relates to the old one's.
+  pair.pipe_a.enable_conntrack(openflow::CtConfig{});
+  pair.commit(40002);
+  pair.engine.run_until(2 * kMs + 100 * kUs);
+  ASSERT_EQ(pair.stats_a.checkpoints, 2u);
+  EXPECT_EQ(pair.stats_a.checkpoint_entries, 3u);
+
+  pair.pipe_a.ct_clear();
+  EXPECT_TRUE(pair.act.restore_checkpoint());
+  EXPECT_EQ(pair.stats_a.ct_restored, 1u);
+  EXPECT_EQ(pair.pipe_a.ct_connection_count(), 1u);
+}
+
 }  // namespace
 }  // namespace harmless::softswitch
